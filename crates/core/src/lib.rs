@@ -48,7 +48,6 @@
 pub mod counting;
 pub mod engine;
 pub mod labeled;
-pub mod multi_query;
 pub mod options;
 pub mod path;
 pub mod planner;
@@ -63,7 +62,6 @@ pub use counting::{
 };
 pub use engine::PefpEngine;
 pub use labeled::{filter_by_labels, run_labeled_query};
-pub use multi_query::{run_query_batch, run_query_batch_with_sinks, BatchReport};
 pub use options::{BatchStrategy, CancelToken, EngineOptions, VerificationPipeline};
 pub use path::{TempPath, MAX_K};
 pub use planner::{plan_query, QueryPlan};

@@ -23,9 +23,13 @@
 //!   statistics. Results can be collected or streamed through a
 //!   caller-supplied [`pefp_graph::PathSink`] (`run_query_streaming`), with
 //!   emitted-vs-materialised counts tracked in [`SessionStats`].
-//! * [`wire`] — the length-prefixed, checksummed binary wire protocol
-//!   (request/reply frames for QUERY/COUNT/STREAM/BATCH/EXPLAIN/UPDATE/STATS)
-//!   served next to the text line protocol.
+//! * [`command`] — the one dispatcher, [`execute`]: turns a transport-neutral
+//!   [`wire::Request`] into session/runtime calls and [`wire::Reply`]s, and
+//!   holds the command table and every front-door limit.
+//! * [`server`] — the text codec: the line protocol (`QUERY s t k`, …) in
+//!   front of [`execute`], plus the text-only `HELP`/`GRAPH`/`BATCH … CUS=n`.
+//! * [`wire`] — the binary codec: length-prefixed, checksummed frames for the
+//!   same requests and replies.
 //! * [`net`] — the TCP front door: a [`std::net::TcpListener`] accepting
 //!   concurrent text or binary connections into one shared [`HostRuntime`],
 //!   with typed BUSY backpressure and cancellation on client disconnect.
@@ -51,6 +55,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod binfmt;
+pub mod command;
 pub mod dma;
 pub mod error;
 pub mod loader;
@@ -62,7 +67,13 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
+/// The fuzz invariants shared with the workspace's `tests/tcp_server.rs`.
+#[cfg(test)]
+#[path = "../../../tests/support/fuzz_invariants.rs"]
+mod fuzz_invariants;
+
 pub use binfmt::{DevicePayload, PayloadHeader};
+pub use command::{execute, CollectingWriter, ResponseWriter};
 pub use dma::{DmaEngine, DmaTransferReport};
 pub use error::HostError;
 pub use loader::{load_dataset, load_edge_list_file, GraphHandle};
@@ -73,5 +84,5 @@ pub use runtime::{
     RuntimeBatchOutcome, RuntimeConfig, RuntimeStats, SessionId,
 };
 pub use scheduler::{BatchOutcome, BatchScheduler, MeasuredMultiCu, SchedulerConfig};
-pub use server::{handle_line, serve, serve_shared, Reply};
+pub use server::{handle_line, serve, Reply};
 pub use session::{HostSession, QueryOutcome, SessionConfig, SessionStats};

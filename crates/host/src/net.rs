@@ -1,13 +1,15 @@
 //! The TCP front door: real sockets in front of the shared [`HostRuntime`].
 //!
 //! Everything below [`crate::server`] is transport-agnostic (`BufRead` +
-//! `Write`); this module supplies the missing production transport. A
-//! [`NetServer`] binds a [`std::net::TcpListener`], accepts up to a
-//! configured number of concurrent connections and spawns one reader thread
-//! per connection, every one of them a [`HostSession::attach`] handle
-//! funnelling into one shared runtime — the same multiplexing
-//! [`crate::server::serve_shared`] does for in-process pairs, now over real
-//! sockets.
+//! `Write`); this module supplies the production transport and nothing else:
+//! it accepts connections, picks the codec, counts what goes out and runs
+//! the binary connection loop. What a command *does* is
+//! [`crate::command::execute`]'s business (the command table is in that
+//! module's docs). A [`NetServer`] binds a [`std::net::TcpListener`], accepts
+//! up to a configured number of concurrent connections and spawns one reader
+//! thread per connection, every one of them a [`HostSession::attach`] handle
+//! funnelling into one shared runtime — many tenants, one admission queue,
+//! one CU cluster.
 //!
 //! **Protocol sniffing.** The first byte of a connection picks the protocol:
 //! [`wire::FRAME_MAGIC`] (non-ASCII) selects the binary frame protocol of
@@ -21,32 +23,30 @@
 //! [`NetConfig::max_connections`] concurrent connections, new arrivals get
 //! one `ERR server at connection capacity` line and are closed.
 //!
-//! **Cancellation on disconnect.** Streamed paths are written and flushed
-//! chunk-by-chunk; when the peer closes its socket mid-`STREAM`, the next
-//! flush fails, the sink breaks, the session cancels the running job's
-//! [`crate::JobTicket`] and the engine stops at its next batch boundary —
-//! the CU lease goes back to the pool. PR 7 proved this with an in-process
-//! failing writer; over TCP it is now the default hang-up path.
+//! **Counters.** Both codecs' writers pass every reply through
+//! [`FrontDoor::count`] on its way out, so `busy_replies` and
+//! `protocol_errors` cover the text and the binary protocol alike, and a
+//! `STATS` served here carries the [`NetStats`] as its `net` object.
+//!
+//! **Cancellation on disconnect.** Every reply is flushed as it is written,
+//! `STREAM` chunks included; when the peer closes its socket mid-`STREAM`,
+//! the next send fails, the sink breaks, the session cancels the running
+//! job's [`crate::JobTicket`] and the engine stops at its next batch
+//! boundary — the CU lease goes back to the pool.
 //!
 //! **Shutdown.** [`NetServer::shutdown`] (also run on drop) stops the
 //! acceptor, shuts down every live connection socket and joins every
 //! thread; it is idempotent.
 
-use crate::error::HostError;
-use crate::query::QueryRequest;
+use crate::command::{execute, FrontDoor, ResponseWriter, STREAM_FRAME_PATHS};
 use crate::runtime::HostRuntime;
-use crate::server::{
-    self, MAX_BATCH_QUERIES, MAX_INLINE_PATHS, MAX_STREAM_LIMIT, MAX_UPDATE_EDGES,
-};
+use crate::server;
 use crate::session::HostSession;
 use crate::wire::{self, ErrCode, Reply, Request, WireError};
-use pefp_graph::sink::{FirstN, PathSink};
-use pefp_graph::{GraphDelta, VertexId};
 use pefp_workload::{JsonValue, ToJson};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -65,62 +65,64 @@ impl Default for NetConfig {
     }
 }
 
-/// A snapshot of the front door's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
+/// Declares every front-door counter once: the public [`NetStats`] snapshot,
+/// its `STATS` JSON object and the live atomics all list the same names, so
+/// a counter cannot be added to one and forgotten in another.
+macro_rules! net_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// A snapshot of the front door's counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NetStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ToJson for NetStats {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::object(vec![
+                    $((stringify!($name), JsonValue::Number(self.$name as f64)),)*
+                ])
+            }
+        }
+
+        #[derive(Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> NetStats {
+                NetStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+}
+
+net_counters! {
     /// Connections accepted by the listener.
-    pub accepted: u64,
+    accepted,
     /// Connections refused because [`NetConfig::max_connections`] was
     /// reached.
-    pub rejected_at_capacity: u64,
+    rejected_at_capacity,
     /// Connections currently being served.
-    pub active: u64,
+    active,
     /// Connections that spoke the binary frame protocol.
-    pub binary_connections: u64,
+    binary_connections,
     /// Connections that spoke the text line protocol.
-    pub text_connections: u64,
+    text_connections,
     /// Binary request frames served.
-    pub frames: u64,
+    frames,
     /// Text protocol lines served.
-    pub lines: u64,
-    /// `BUSY` replies sent for admission-queue rejections.
-    pub busy_replies: u64,
-    /// Malformed/unknown/corrupt frames answered with a typed `ERR` frame.
-    pub protocol_errors: u64,
+    lines,
+    /// `BUSY` frames and `ERR admission queue full` lines sent for
+    /// admission-queue rejections.
+    busy_replies,
+    /// Requests the codec rejected — a malformed, unknown, corrupt or
+    /// oversized frame, an unparseable, over-long or non-UTF-8 line — each
+    /// answered with a typed `ERR`.
+    protocol_errors,
     /// Connections that ended in a transport error (typically the peer
     /// hanging up mid-reply) rather than a clean EOF or `QUIT`.
-    pub io_disconnects: u64,
-}
-
-impl ToJson for NetStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("accepted", JsonValue::Number(self.accepted as f64)),
-            ("rejected_at_capacity", JsonValue::Number(self.rejected_at_capacity as f64)),
-            ("active", JsonValue::Number(self.active as f64)),
-            ("binary_connections", JsonValue::Number(self.binary_connections as f64)),
-            ("text_connections", JsonValue::Number(self.text_connections as f64)),
-            ("frames", JsonValue::Number(self.frames as f64)),
-            ("lines", JsonValue::Number(self.lines as f64)),
-            ("busy_replies", JsonValue::Number(self.busy_replies as f64)),
-            ("protocol_errors", JsonValue::Number(self.protocol_errors as f64)),
-            ("io_disconnects", JsonValue::Number(self.io_disconnects as f64)),
-        ])
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected_at_capacity: AtomicU64,
-    active: AtomicU64,
-    binary_connections: AtomicU64,
-    text_connections: AtomicU64,
-    frames: AtomicU64,
-    lines: AtomicU64,
-    busy_replies: AtomicU64,
-    protocol_errors: AtomicU64,
-    io_disconnects: AtomicU64,
+    io_disconnects,
 }
 
 struct NetShared {
@@ -133,6 +135,24 @@ struct NetShared {
     /// Join handles of the per-connection threads.
     workers: Mutex<Vec<JoinHandle<()>>>,
     next_conn_id: AtomicU64,
+}
+
+impl FrontDoor for NetShared {
+    fn count(&self, reply: &Reply) {
+        use ErrCode::{BadChecksum, Malformed, Oversized, UnknownOpcode};
+        let counter = match reply {
+            Reply::Busy => &self.counters.busy_replies,
+            Reply::Error { code: Malformed | UnknownOpcode | BadChecksum | Oversized, .. } => {
+                &self.counters.protocol_errors
+            }
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn stats(&self) -> JsonValue {
+        self.counters.snapshot().to_json()
+    }
 }
 
 /// A running TCP front door. Dropping it shuts the listener and every
@@ -179,19 +199,7 @@ impl NetServer {
 
     /// A snapshot of the front door's counters.
     pub fn stats(&self) -> NetStats {
-        let c = &self.shared.counters;
-        NetStats {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            rejected_at_capacity: c.rejected_at_capacity.load(Ordering::Relaxed),
-            active: c.active.load(Ordering::Relaxed),
-            binary_connections: c.binary_connections.load(Ordering::Relaxed),
-            text_connections: c.text_connections.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            lines: c.lines.load(Ordering::Relaxed),
-            busy_replies: c.busy_replies.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            io_disconnects: c.io_disconnects.load(Ordering::Relaxed),
-        }
+        self.shared.counters.snapshot()
     }
 
     /// Stops accepting, severs every live connection and joins all serving
@@ -262,7 +270,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
         let worker = std::thread::spawn(move || {
             handle_connection(stream, id, &conn_shared);
         });
-        shared.workers.lock().expect("workers lock").push(worker);
+        // Join the threads of connections that have ended, so the handles
+        // held are bounded by the live connections, not by every connection
+        // ever accepted.
+        let mut held = shared.workers.lock().expect("workers lock");
+        let (finished, live) = held.drain(..).partition(JoinHandle::is_finished);
+        *held = live;
+        held.push(worker);
+        drop(held);
+        for handle in finished {
+            let _: std::thread::Result<()> = handle.join();
+        }
     }
 }
 
@@ -289,76 +307,32 @@ fn serve_connection(stream: &TcpStream, shared: &Arc<NetShared>) -> std::io::Res
         serve_binary(&mut session, &mut reader, &mut writer, shared)
     } else {
         shared.counters.text_connections.fetch_add(1, Ordering::Relaxed);
-        let served = server::serve(&mut session, reader, writer)?;
+        let served = server::serve_behind(&mut session, reader, writer, Some(&**shared))?;
         shared.counters.lines.fetch_add(served as u64, Ordering::Relaxed);
         Ok(())
     }
 }
 
-fn write_reply_flush<W: Write>(writer: &mut W, reply: &Reply) -> std::io::Result<()> {
-    reply.write_to(writer)?;
-    writer.flush()
+/// The binary codec's [`ResponseWriter`]: one frame per reply,
+/// [`STREAM_FRAME_PATHS`] paths per `STREAM` chunk frame.
+struct FrameWriter<'a> {
+    stream: &'a mut TcpStream,
+    shared: &'a NetShared,
 }
 
-/// Maps a runtime failure onto the wire: `QueueFull` is typed backpressure
-/// ([`Reply::Busy`]), bad queries and everything else are `ERR` frames.
-fn host_error_reply(e: &HostError, shared: &NetShared) -> Reply {
-    match e {
-        HostError::QueueFull => {
-            shared.counters.busy_replies.fetch_add(1, Ordering::Relaxed);
-            Reply::Busy
-        }
-        HostError::QueryParse(_) | HostError::QueryInvalid(_) => {
-            Reply::Error { code: ErrCode::BadQuery, message: e.to_string() }
-        }
-        other => Reply::Error { code: ErrCode::Host, message: other.to_string() },
+impl ResponseWriter for FrameWriter<'_> {
+    fn stream_chunk_paths(&self) -> usize {
+        STREAM_FRAME_PATHS
     }
-}
 
-fn millis_to_ns(ms: f64) -> u64 {
-    (ms.max(0.0) * 1e6).round() as u64
-}
-
-/// Keeps the first [`MAX_INLINE_PATHS`] paths for a `QUERY` sample while the
-/// rest are only counted (the binary twin of the text protocol's sample
-/// sink).
-#[derive(Default)]
-struct BinarySampleSink {
-    first: Vec<Vec<u32>>,
-}
-
-impl PathSink for BinarySampleSink {
-    fn emit(&mut self, path: &[VertexId]) -> ControlFlow<()> {
-        if self.first.len() < MAX_INLINE_PATHS {
-            self.first.push(path.iter().map(|v| v.0).collect());
-        }
-        ControlFlow::Continue(())
+    fn send(&mut self, reply: &Reply) -> std::io::Result<()> {
+        self.shared.count(reply);
+        reply.write_to(self.stream)?;
+        self.stream.flush()
     }
-}
 
-/// Writes streamed paths as incremental [`Reply::Paths`] frames, flushed per
-/// chunk. A write failure — the peer hung up — breaks the sink, which makes
-/// the session cancel the running job's ticket (see the module docs).
-struct FrameSink<'w, W: Write> {
-    writer: &'w mut W,
-    current: Vec<Vec<u32>>,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> PathSink for FrameSink<'_, W> {
-    fn emit(&mut self, path: &[VertexId]) -> ControlFlow<()> {
-        self.current.push(path.iter().map(|v| v.0).collect());
-        if self.current.len() < wire::STREAM_FRAME_PATHS {
-            return ControlFlow::Continue(());
-        }
-        let chunk = Reply::Paths(std::mem::take(&mut self.current));
-        match chunk.write_to(self.writer).and_then(|()| self.writer.flush()) {
-            Ok(()) => ControlFlow::Continue(()),
-            Err(e) => {
-                self.error = Some(e);
-                ControlFlow::Break(())
-            }
-        }
+    fn front_door_stats(&self) -> Option<JsonValue> {
+        Some(self.shared.stats())
     }
 }
 
@@ -370,176 +344,35 @@ impl<W: Write> PathSink for FrameSink<'_, W> {
 fn serve_binary<R: BufRead>(
     session: &mut HostSession,
     reader: &mut R,
-    writer: &mut TcpStream,
-    shared: &Arc<NetShared>,
+    stream: &mut TcpStream,
+    shared: &NetShared,
 ) -> std::io::Result<()> {
+    let mut out = FrameWriter { stream, shared };
+    let error_frame = |e: &WireError| Reply::Error { code: e.err_code(), message: e.to_string() };
     loop {
-        let request = match wire::read_frame(reader) {
+        // A corrupt payload was fully consumed, so a checksum failure leaves
+        // the stream framed, like a payload that does not decode.
+        let request = match Request::read_from(reader) {
             Ok(None) => return Ok(()),
-            Ok(Some(raw)) => match Request::decode(&raw) {
-                Ok(request) => request,
-                Err(e) => {
-                    shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let reply = Reply::Error { code: e.err_code(), message: e.to_string() };
-                    write_reply_flush(writer, &reply)?;
-                    continue;
-                }
-            },
+            Ok(Some(request)) => request,
             Err(WireError::Io(e)) => return Err(e),
-            Err(e @ WireError::Checksum { .. }) => {
-                // The corrupt payload was fully consumed: still framed.
-                shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let reply = Reply::Error { code: e.err_code(), message: e.to_string() };
-                write_reply_flush(writer, &reply)?;
-                continue;
+            Err(e @ (WireError::BadMagic(_) | WireError::Oversized(_))) => {
+                // The stream position is lost; one final ERR frame, then
+                // hang up.
+                let _ = out.send(&error_frame(&e));
+                return Ok(());
             }
             Err(e) => {
-                // BadMagic / Oversized: the stream position is lost; one
-                // final ERR frame, then hang up.
-                shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let reply = Reply::Error { code: e.err_code(), message: e.to_string() };
-                let _ = write_reply_flush(writer, &reply);
-                return Ok(());
+                out.send(&error_frame(&e))?;
+                continue;
             }
         };
         shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-        if matches!(request, Request::Quit) {
-            write_reply_flush(writer, &Reply::Bye)?;
+        let quits = matches!(request, Request::Quit);
+        execute(session, request, &mut out)?;
+        if quits {
             return Ok(());
         }
-        handle_request(session, request, writer, shared)?;
-    }
-}
-
-fn handle_request(
-    session: &mut HostSession,
-    request: Request,
-    writer: &mut TcpStream,
-    shared: &Arc<NetShared>,
-) -> std::io::Result<()> {
-    match request {
-        Request::Query { s, t, k } => {
-            let mut sink = BinarySampleSink::default();
-            let outcome = session.run_query_streaming(QueryRequest::new(s, t, k), &mut sink);
-            let reply = match outcome {
-                Ok(outcome) => Reply::Summary {
-                    num_paths: outcome.num_paths,
-                    preprocess_ns: millis_to_ns(outcome.preprocess_millis),
-                    transfer_ns: millis_to_ns(outcome.transfer.total_millis),
-                    device_ns: millis_to_ns(outcome.device_millis),
-                    cache_hit: outcome.cache_hit,
-                    sample: sink.first,
-                },
-                Err(e) => host_error_reply(&e, shared),
-            };
-            write_reply_flush(writer, &reply)
-        }
-        Request::Count { s, t, k } => {
-            let reply = match session.run_query_counting(QueryRequest::new(s, t, k)) {
-                Ok(outcome) => Reply::Summary {
-                    num_paths: outcome.num_paths,
-                    preprocess_ns: millis_to_ns(outcome.preprocess_millis),
-                    transfer_ns: millis_to_ns(outcome.transfer.total_millis),
-                    device_ns: millis_to_ns(outcome.device_millis),
-                    cache_hit: outcome.cache_hit,
-                    sample: Vec::new(),
-                },
-                Err(e) => host_error_reply(&e, shared),
-            };
-            write_reply_flush(writer, &reply)
-        }
-        Request::Stream { s, t, k, limit } => {
-            let limit = limit.min(MAX_STREAM_LIMIT);
-            if limit == 0 {
-                return write_reply_flush(writer, &Reply::End { streamed: 0, limit: 0 });
-            }
-            let mut sink =
-                FirstN::new(limit, FrameSink { writer, current: Vec::new(), error: None });
-            let outcome = session.run_query_streaming(QueryRequest::new(s, t, k), &mut sink);
-            let inner = sink.into_inner();
-            if let Some(e) = inner.error {
-                return Err(e);
-            }
-            let tail = inner.current;
-            match outcome {
-                Ok(outcome) => {
-                    if !tail.is_empty() {
-                        Reply::Paths(tail).write_to(writer)?;
-                    }
-                    write_reply_flush(writer, &Reply::End { streamed: outcome.num_paths, limit })
-                }
-                Err(e) => write_reply_flush(writer, &host_error_reply(&e, shared)),
-            }
-        }
-        Request::Batch { queries } => {
-            if queries.len() > MAX_BATCH_QUERIES {
-                let reply = Reply::Error {
-                    code: ErrCode::BadQuery,
-                    message: format!(
-                        "BATCH accepts at most {MAX_BATCH_QUERIES} queries, got {}",
-                        queries.len()
-                    ),
-                };
-                return write_reply_flush(writer, &reply);
-            }
-            let requests: Vec<QueryRequest> =
-                queries.iter().map(|&(s, t, k)| QueryRequest::new(s, t, k)).collect();
-            let reply = match session.run_batch(&requests) {
-                Ok(outcome) => Reply::BatchOk {
-                    unique: (outcome.results.len() - outcome.deduplicated) as u32,
-                    cache_hits: outcome.cache_hits,
-                    preprocess_ns: millis_to_ns(outcome.preprocess_millis),
-                    transfer_ns: millis_to_ns(outcome.transfer_millis),
-                    device_ns: millis_to_ns(outcome.device_millis),
-                    paths_per_query: outcome.results.iter().map(|r| r.num_paths).collect(),
-                },
-                Err(e) => host_error_reply(&e, shared),
-            };
-            write_reply_flush(writer, &reply)
-        }
-        Request::Explain { s, t, k } => {
-            let reply = match session.runtime() {
-                Some(runtime) => match runtime.explain(QueryRequest::new(s, t, k)) {
-                    Ok(decision) => Reply::Json(decision.to_json().render()),
-                    Err(e) => host_error_reply(&e, shared),
-                },
-                None => host_error_reply(&HostError::NoGraphLoaded, shared),
-            };
-            write_reply_flush(writer, &reply)
-        }
-        Request::Update { remove, edges } => {
-            if edges.is_empty() || edges.len() > MAX_UPDATE_EDGES {
-                let reply = Reply::Error {
-                    code: ErrCode::BadQuery,
-                    message: format!(
-                        "UPDATE expects 1..={MAX_UPDATE_EDGES} edges, got {}",
-                        edges.len()
-                    ),
-                };
-                return write_reply_flush(writer, &reply);
-            }
-            let mut delta = GraphDelta::new();
-            for &(u, v) in &edges {
-                if remove {
-                    delta.remove_edge(VertexId(u), VertexId(v));
-                } else {
-                    delta.insert_edge(VertexId(u), VertexId(v));
-                }
-            }
-            let reply = match session.apply_updates(&delta) {
-                Ok(epoch) => Reply::UpdateOk { epoch, edges: delta.len() as u32 },
-                Err(e) => host_error_reply(&e, shared),
-            };
-            write_reply_flush(writer, &reply)
-        }
-        Request::Stats => {
-            let mut pairs = vec![("session", session.stats().to_json())];
-            if let Some(runtime) = session.runtime() {
-                pairs.push(("runtime", runtime.stats().to_json()));
-            }
-            write_reply_flush(writer, &Reply::Json(JsonValue::object(pairs).render()))
-        }
-        Request::Quit => unreachable!("QUIT is handled by the serve loop"),
     }
 }
 
@@ -609,6 +442,23 @@ mod tests {
         assert!(reply.starts_with("ERR server at connection capacity"), "{reply}");
         assert_eq!(server.stats().rejected_at_capacity, 1);
         drop(held);
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_under_churn() {
+        let server = diamond_server(NetConfig::default());
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            writeln!(conn, "QUIT").unwrap();
+            // Reads to EOF: the server has hung up, its thread is ending.
+            let mut farewell = String::new();
+            conn.read_to_string(&mut farewell).unwrap();
+            assert_eq!(farewell, "OK bye\n");
+        }
+        let held = server.shared.workers.lock().unwrap().len();
+        let live = server.stats().active as usize;
+        assert!(held <= live + 8, "{held} handles held for {live} live connections");
         server.shutdown();
     }
 

@@ -1,66 +1,53 @@
-//! Line-oriented query server.
+//! The text codec: the line protocol in front of [`crate::command::execute`].
 //!
 //! The paper's system is interactive: a user submits path queries against a
 //! loaded graph and expects answers with low latency (Fig. 2). This module
-//! wraps a [`HostSession`] in a small text protocol so the session can be
-//! driven from a terminal, a pipe or a test harness:
+//! lets a [`HostSession`] be driven from a terminal, a pipe, a test harness
+//! or a text TCP connection:
 //!
 //! ```text
 //! > QUERY 0 42 5          enumerate 0 -> 42 paths with at most 5 hops
-//! > COUNT 0 42 5          same, but only report the number of paths
 //! > STREAM 0 42 5 [n]     stream up to n paths (default 100), chunk-wise
-//! > BATCH 0 42 5 1 9 4 CUS=4   run a batch of (s t k) triples on 4 CUs
-//! > EXPLAIN 0 42 5         routing decision, costs and rationale, as JSON
 //! > STATS                  session + runtime statistics, as one-line JSON
-//! > GRAPH                  one-line summary of the loaded graph
-//! > HELP                   list the commands
 //! > QUIT                   stop serving
 //! ```
 //!
+//! It is a codec and a connection loop, nothing more: [`parse_line`] turns a
+//! line into a transport-neutral [`Request`], [`crate::command::execute`]
+//! runs it, and [`render`] turns each [`wire::Reply`] back into a line. The
+//! full command table — syntax, opcode, reply and limits of every command —
+//! is in the [`crate::command`] module docs. Three commands have no binary
+//! counterpart and are this codec's own arms: `HELP`, `GRAPH` and
+//! `BATCH … CUS=n`, the measured-dispatch report on a private
+//! [`BatchScheduler`] cluster.
+//!
 //! Every reply line starts with `OK` or `ERR`, so the protocol is trivially
 //! scriptable; `STREAM` is the one command whose reply spans several lines
-//! (one per chunk of paths, then a final `OK end` line).
+//! (one per chunk of paths, written as the chunk is produced, then a final
+//! `OK end` line).
 //!
-//! Since the result pipeline went streaming, the server never materialises a
-//! query's full result set: `QUERY` keeps only the first
-//! [`MAX_INLINE_PATHS`] paths for its sample line while counting the rest,
-//! and `STREAM` formats paths chunk-by-chunk through a bounded sink.
-//!
-//! The server is **multi-client**: [`serve`] drives one reader/writer pair
-//! through one session, and [`serve_shared`] spawns a reader thread per
-//! connection, every one of them a [`HostSession::attach`] handle funnelling
-//! into one shared [`HostRuntime`] — many tenants, one admission queue, one
-//! CU cluster. `STATS` then reports the runtime's queue depth, per-CU
-//! utilisation and shared-cache hit rate (real JSON via
-//! [`pefp_workload::ToJson`]) next to the per-session counters.
+//! Untrusted-input guarantees: lines are read as raw bytes under
+//! [`MAX_LINE_BYTES`] (an over-long line is drained and answered with one
+//! `ERR`), a non-UTF-8 line gets an `ERR` instead of killing the connection,
+//! and no command can panic the serving thread.
 
+use crate::command::{check_batch_size, execute, CollectingWriter, FrontDoor, ResponseWriter};
 use crate::error::HostError;
 use crate::query::QueryRequest;
-use crate::runtime::HostRuntime;
 use crate::scheduler::{BatchScheduler, SchedulerConfig};
 use crate::session::HostSession;
+use crate::wire::{self, ErrCode, Request};
 use pefp_fpga::MultiCuConfig;
-use pefp_graph::sink::{FirstN, PathSink};
-use pefp_graph::{GraphDelta, VertexId};
-use pefp_workload::{JsonValue, ToJson};
-use std::io::{BufRead, Write};
-use std::ops::ControlFlow;
-use std::sync::Arc;
+use pefp_workload::JsonValue;
+use std::io::{BufRead, Read, Write};
 
-/// Maximum number of paths printed inline on an `OK` reply; the rest are
-/// summarised by their count. Also the chunk size of `STREAM` reply lines.
-pub const MAX_INLINE_PATHS: usize = 5;
+pub use crate::command::{
+    DEFAULT_STREAM_LIMIT, MAX_BATCH_CUS, MAX_BATCH_QUERIES, MAX_INLINE_PATHS, MAX_LINE_BYTES,
+    MAX_STREAM_LIMIT, MAX_UPDATE_EDGES,
+};
 
-/// Default cap on the number of paths a `STREAM` command emits.
-pub const DEFAULT_STREAM_LIMIT: u64 = 100;
-
-/// Hard ceiling on a `STREAM` command's limit. The reply is assembled before
-/// it is written, so the formatted chunks live in memory until the command
-/// finishes; the ceiling keeps that bounded regardless of what the client
-/// asks for.
-pub const MAX_STREAM_LIMIT: u64 = 10_000;
-
-/// The reply to one protocol line.
+/// The reply to one protocol line, for in-process callers of
+/// [`handle_line`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Successful command with a human/machine readable payload.
@@ -80,343 +67,215 @@ impl Reply {
     /// `OK`/`ERR` prefix.
     pub fn render(&self) -> String {
         match self {
-            Reply::Ok(msg) => format!("OK {msg}"),
+            Reply::Ok(msg) | Reply::Quit(msg) => format!("OK {msg}"),
             Reply::Err(msg) => format!("ERR {msg}"),
             Reply::Stream(chunks) => {
                 chunks.iter().map(|c| format!("OK {c}")).collect::<Vec<_>>().join("\n")
             }
-            Reply::Quit(msg) => format!("OK {msg}"),
         }
     }
 }
 
-fn format_path(path: &[VertexId]) -> String {
-    path.iter().map(|v| v.0.to_string()).collect::<Vec<_>>().join("->")
+const HELP: &str =
+    "commands: QUERY <s> <t> <k> | COUNT <s> <t> <k> | STREAM <s> <t> <k> [limit] | \
+    BATCH <s> <t> <k> [<s> <t> <k> ...] [CUS=<n>] (no CUS: fair shared-runtime batch; \
+    CUS=n: measured dispatch on n CUs) | EXPLAIN <s> <t> <k> (routing decision, \
+    per-engine costs, features and rationale as JSON, without running) | \
+    UPDATE <u> <v> [<u> <v> ...] (insert edges, \
+    advances the graph epoch) | EXPIRE <u> <v> [<u> <v> ...] (remove edges) | \
+    GRAPH | STATS | HELP | QUIT";
+
+/// One parsed protocol line.
+enum Command {
+    /// A command both protocols have; [`execute`] runs it.
+    Wire(Request),
+    /// One of the three commands only the text protocol has.
+    TextOnly(TextOnly),
 }
 
-fn format_paths(paths: &[Vec<VertexId>]) -> String {
-    paths.iter().take(MAX_INLINE_PATHS).map(|p| format_path(p)).collect::<Vec<_>>().join(" ")
+enum TextOnly {
+    Help,
+    Graph,
+    /// `BATCH … CUS=n`: the *measured* dispatch mode on a private
+    /// [`BatchScheduler`] cluster of `cus` CUs — an explicit benchmarking
+    /// request that bypasses the shared runtime and the session's per-query
+    /// bookkeeping.
+    BatchOnCus {
+        cus: usize,
+        requests: Vec<QueryRequest>,
+    },
 }
 
-/// Keeps the first [`MAX_INLINE_PATHS`] paths for the `QUERY` sample line and
-/// counts the rest — the whole result set is never materialised.
-#[derive(Debug, Default)]
-struct SampleSink {
-    first: Vec<Vec<VertexId>>,
-}
-
-impl PathSink for SampleSink {
-    fn emit(&mut self, path: &[VertexId]) -> ControlFlow<()> {
-        if self.first.len() < MAX_INLINE_PATHS {
-            self.first.push(path.to_vec());
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// Formats streamed paths into reply chunks of [`MAX_INLINE_PATHS`] paths
-/// each; memory stays O(emitted / chunk) formatted text, with no path vector
-/// retained.
-#[derive(Debug, Default)]
-struct ChunkSink {
-    chunks: Vec<String>,
-    current: Vec<String>,
-}
-
-impl ChunkSink {
-    fn finish(mut self) -> Vec<String> {
-        if !self.current.is_empty() {
-            self.chunks.push(format!("paths {}", self.current.join(" ")));
-        }
-        self.chunks
-    }
-}
-
-impl PathSink for ChunkSink {
-    fn emit(&mut self, path: &[VertexId]) -> ControlFlow<()> {
-        self.current.push(format_path(path));
-        if self.current.len() >= MAX_INLINE_PATHS {
-            self.chunks.push(format!("paths {}", self.current.join(" ")));
-            self.current.clear();
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// Executes one protocol line against `session` and returns the reply.
-pub fn handle_line(session: &mut HostSession, line: &str) -> Reply {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return Reply::Err("empty command; try HELP".to_string());
-    }
-    let mut parts = trimmed.split_whitespace();
-    let command = parts.next().unwrap_or_default().to_ascii_uppercase();
+/// Parses one protocol line into a command; the error is the message of the
+/// `ERR` reply.
+fn parse_line(line: &str) -> Result<Command, String> {
+    let mut parts = line.split_whitespace();
+    let Some(command) = parts.next() else {
+        return Err("empty command; try HELP".to_string());
+    };
     let rest: Vec<&str> = parts.collect();
-
-    match command.as_str() {
-        "HELP" => Reply::Ok(
-            "commands: QUERY <s> <t> <k> | COUNT <s> <t> <k> | STREAM <s> <t> <k> [limit] | \
-             BATCH <s> <t> <k> [<s> <t> <k> ...] [CUS=<n>] (no CUS: fair shared-runtime batch; \
-             CUS=n: measured dispatch on n CUs) | EXPLAIN <s> <t> <k> (routing decision, \
-             per-engine costs, features and rationale as JSON, without running) | \
-             UPDATE <u> <v> [<u> <v> ...] (insert edges, \
-             advances the graph epoch) | EXPIRE <u> <v> [<u> <v> ...] (remove edges) | \
-             GRAPH | STATS | HELP | QUIT"
-                .to_string(),
-        ),
-        "QUIT" | "EXIT" => Reply::Quit("bye".to_string()),
-        "GRAPH" => match session.graph() {
-            Some(handle) => Reply::Ok(handle.summary()),
-            None => Reply::Err(HostError::NoGraphLoaded.to_string()),
-        },
-        "STATS" => {
-            // Real JSON (hand-rolled, the serde shims cannot): the session's
-            // counters plus — when a graph is loaded — the runtime's queue
-            // depth, per-CU utilisation and shared-cache hit rate.
-            let mut pairs = vec![("session", session.stats().to_json())];
-            if let Some(runtime) = session.runtime() {
-                pairs.push(("runtime", runtime.stats().to_json()));
-            }
-            Reply::Ok(format!("stats {}", JsonValue::object(pairs).render()))
-        }
-        "QUERY" | "COUNT" => {
-            let spec = rest.join(" ");
-            let request = match QueryRequest::parse(&spec) {
-                Ok(r) => r,
-                Err(e) => return Reply::Err(e.to_string()),
-            };
-            // COUNT runs a counting job — the result set is tallied on the
-            // worker, no path ever crosses a thread. QUERY streams through a
-            // sink that keeps only the sample paths. Either way the full
-            // result set is never held by the server.
-            let (outcome, sample) = if command == "COUNT" {
-                (session.run_query_counting(request), Vec::new())
-            } else {
-                let mut sink = SampleSink::default();
-                let outcome = session.run_query_streaming(request, &mut sink);
-                (outcome, sink.first)
-            };
-            match outcome {
-                Ok(outcome) => {
-                    let timing = format!(
-                        "t1_ms={:.3} transfer_ms={:.3} t2_ms={:.3}",
-                        outcome.preprocess_millis,
-                        outcome.transfer.total_millis,
-                        outcome.device_millis
-                    );
-                    if sample.is_empty() {
-                        Reply::Ok(format!("paths={} {timing}", outcome.num_paths))
-                    } else {
-                        Reply::Ok(format!(
-                            "paths={} {timing} sample: {}",
-                            outcome.num_paths,
-                            format_paths(&sample)
-                        ))
-                    }
-                }
-                Err(e) => Reply::Err(e.to_string()),
-            }
-        }
+    let request = match command.to_ascii_uppercase().as_str() {
+        "HELP" => return Ok(Command::TextOnly(TextOnly::Help)),
+        "GRAPH" => return Ok(Command::TextOnly(TextOnly::Graph)),
+        "QUIT" | "EXIT" => Request::Quit,
+        "STATS" => Request::Stats,
+        "QUERY" => parse_triple(&rest).map(|(s, t, k)| Request::Query { s, t, k })?,
+        "COUNT" => parse_triple(&rest).map(|(s, t, k)| Request::Count { s, t, k })?,
+        "EXPLAIN" => parse_triple(&rest).map(|(s, t, k)| Request::Explain { s, t, k })?,
         "STREAM" => {
             let (spec, limit) = match rest.len() {
                 4 => match rest[3].parse::<u64>() {
-                    Ok(limit) => (rest[..3].join(" "), limit),
-                    Err(_) => {
-                        return Reply::Err(format!("invalid stream limit {:?}", rest[3]));
-                    }
+                    Ok(limit) => (&rest[..3], limit),
+                    Err(_) => return Err(format!("invalid stream limit {:?}", rest[3])),
                 },
-                _ => (rest.join(" "), DEFAULT_STREAM_LIMIT),
+                _ => (&rest[..], DEFAULT_STREAM_LIMIT),
             };
-            let request = match QueryRequest::parse(&spec) {
-                Ok(r) => r,
-                Err(e) => return Reply::Err(e.to_string()),
-            };
-            let limit = limit.min(MAX_STREAM_LIMIT);
-            if limit == 0 {
-                // A saturated FirstN would refuse the first path after the
-                // engine already found it; skip the run entirely instead.
-                return Reply::Stream(vec!["end streamed=0 limit=0".to_string()]);
-            }
-            let mut sink = FirstN::new(limit, ChunkSink::default());
-            match session.run_query_streaming(request, &mut sink) {
-                Ok(outcome) => {
-                    let mut chunks = sink.into_inner().finish();
-                    chunks.push(format!("end streamed={} limit={limit}", outcome.num_paths));
-                    Reply::Stream(chunks)
-                }
-                Err(e) => Reply::Err(e.to_string()),
-            }
+            parse_triple(spec).map(|(s, t, k)| Request::Stream { s, t, k, limit })?
         }
-        "EXPLAIN" => {
-            // The adaptive router's decision for this query — engine, the
-            // modelled per-engine costs, the feature vector and one rationale
-            // line per decision step, as real JSON. Nothing is executed.
-            let spec = rest.join(" ");
-            let request = match QueryRequest::parse(&spec) {
-                Ok(r) => r,
-                Err(e) => return Reply::Err(e.to_string()),
-            };
-            let Some(runtime) = session.runtime() else {
-                return Reply::Err(HostError::NoGraphLoaded.to_string());
-            };
-            match runtime.explain(request) {
-                Ok(decision) => Reply::Ok(format!("explain {}", decision.to_json().render())),
-                Err(e) => Reply::Err(e.to_string()),
-            }
-        }
-        "BATCH" => handle_batch(session, &rest),
-        "UPDATE" => handle_update(session, UpdateMode::Insert, &rest),
-        "EXPIRE" => handle_update(session, UpdateMode::Remove, &rest),
-        other => Reply::Err(format!("unknown command {other:?}; try HELP")),
-    }
-}
-
-/// Hard ceiling on the number of `(u v)` edge pairs one `UPDATE`/`EXPIRE`
-/// line may carry, bounding the delta one command can stage.
-pub const MAX_UPDATE_EDGES: usize = 4096;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UpdateMode {
-    Insert,
-    Remove,
-}
-
-/// `UPDATE u v [u v ...]` inserts the listed edges; `EXPIRE u v [u v ...]`
-/// removes them. Either way the whole line is applied as **one**
-/// [`GraphDelta`] batch — one new epoch, one cache-invalidation sweep — and
-/// the reply reports the epoch it produced. In-flight queries keep answering
-/// on the snapshot they were admitted under.
-fn handle_update(session: &mut HostSession, mode: UpdateMode, args: &[&str]) -> Reply {
-    let verb = match mode {
-        UpdateMode::Insert => "UPDATE",
-        UpdateMode::Remove => "EXPIRE",
+        "BATCH" => return parse_batch(&rest),
+        "UPDATE" => parse_update("UPDATE", &rest)?,
+        "EXPIRE" => parse_update("EXPIRE", &rest)?,
+        other => return Err(format!("unknown command {other:?}; try HELP")),
     };
-    if args.is_empty() || !args.len().is_multiple_of(2) {
-        return Reply::Err(format!(
-            "{verb} expects (u v) edge pairs, got {} argument(s); try HELP",
-            args.len()
-        ));
-    }
-    if args.len() / 2 > MAX_UPDATE_EDGES {
-        return Reply::Err(format!(
-            "{verb} accepts at most {MAX_UPDATE_EDGES} edges, got {}",
-            args.len() / 2
-        ));
-    }
-    let mut delta = GraphDelta::new();
-    for pair in args.chunks_exact(2) {
-        let parse = |tok: &str| {
-            tok.parse::<u32>()
-                .map_err(|_| format!("vertex must be a non-negative integer, got {tok:?}"))
-        };
-        let (u, v) = match (parse(pair[0]), parse(pair[1])) {
-            (Ok(u), Ok(v)) => (VertexId(u), VertexId(v)),
-            (Err(e), _) | (_, Err(e)) => return Reply::Err(e),
-        };
-        match mode {
-            UpdateMode::Insert => delta.insert_edge(u, v),
-            UpdateMode::Remove => delta.remove_edge(u, v),
-        };
-    }
-    match session.apply_updates(&delta) {
-        Ok(epoch) => Reply::Ok(format!("epoch={epoch} edges={}", delta.len())),
-        Err(e) => Reply::Err(e.to_string()),
-    }
+    Ok(Command::Wire(request))
 }
 
-/// Hard ceiling on a `BATCH` command's `CUS=` value. Dispatch mode spawns
-/// one OS thread per CU, so an unbounded client-supplied count would let a
-/// single protocol line exhaust the process's thread budget.
-pub const MAX_BATCH_CUS: usize = 64;
+fn parse_triple(tokens: &[&str]) -> Result<(u32, u32, u32), String> {
+    let query = QueryRequest::parse(&tokens.join(" ")).map_err(|e| e.to_string())?;
+    Ok((query.s.0, query.t.0, query.k))
+}
 
-/// Hard ceiling on the number of `(s t k)` triples one `BATCH` line may
-/// carry, bounding the host-side staging work a single command can demand.
-pub const MAX_BATCH_QUERIES: usize = 4096;
-
-/// `BATCH s t k [s t k ...] [CUS=n]`: counts the result paths of every triple
-/// in one batch.
-///
-/// Without `CUS=`, the batch is submitted through the session's shared
-/// [`HostRuntime`] (`HostSession::run_batch`): it enters the admission queue
-/// as one fairness unit, shares the prepared-query cache and CU pool with
-/// every other tenant, and is subject to `QueueFull` backpressure — the
-/// multi-tenant production path.
-///
-/// With `CUS=n` (capped at [`MAX_BATCH_CUS`]), the batch instead runs the
-/// *measured* dispatch mode on a private [`BatchScheduler`] cluster of `n`
-/// CUs — an explicit benchmarking request whose reply reports the measured
-/// makespan, speedup and model error of the discrete-event execution; it
-/// bypasses the session's per-query bookkeeping.
-fn handle_batch(session: &mut HostSession, args: &[&str]) -> Reply {
-    if session.graph().is_none() {
-        return Reply::Err(HostError::NoGraphLoaded.to_string());
-    }
-    let (cus, triples) = match args.last() {
-        Some(last) => match last.strip_prefix("CUS=") {
+/// `BATCH s t k [s t k ...] [CUS=n]`. Without `CUS=` it is the shared-runtime
+/// batch both protocols have; `CUS=n` (clamped to [`MAX_BATCH_CUS`], and the
+/// reply's `cus=` field shows the clamped value) selects the text-only
+/// measured dispatch.
+fn parse_batch(args: &[&str]) -> Result<Command, String> {
+    let (cus, triples) = match args.split_last() {
+        Some((last, head)) => match last.strip_prefix("CUS=") {
             Some(n) => match n.parse::<usize>() {
-                // Clamp like STREAM clamps its limit; the reply's `cus=`
-                // field reports the clamped value, so the cap is visible.
-                Ok(n) if n >= 1 => (Some(n.min(MAX_BATCH_CUS)), &args[..args.len() - 1]),
-                _ => {
-                    return Reply::Err(format!("invalid CUS value {n:?} (want a positive integer)"))
-                }
+                Ok(n) if n >= 1 => (Some(n.min(MAX_BATCH_CUS)), head),
+                _ => return Err(format!("invalid CUS value {n:?} (want a positive integer)")),
             },
             None => (None, args),
         },
         None => (None, args),
     };
-    if triples.is_empty() || triples.len() % 3 != 0 {
-        return Reply::Err(format!(
+    if !triples.len().is_multiple_of(3) {
+        return Err(format!(
             "BATCH expects (s t k) triples, got {} argument(s); try HELP",
             triples.len()
         ));
     }
-    if triples.len() / 3 > MAX_BATCH_QUERIES {
-        return Reply::Err(format!(
-            "BATCH accepts at most {MAX_BATCH_QUERIES} queries, got {}",
-            triples.len() / 3
+    let queries = triples.chunks_exact(3).map(parse_triple).collect::<Result<Vec<_>, _>>()?;
+    Ok(match cus {
+        None => Command::Wire(Request::Batch { queries }),
+        Some(cus) => Command::TextOnly(TextOnly::BatchOnCus {
+            cus,
+            requests: queries.iter().map(|&(s, t, k)| QueryRequest::new(s, t, k)).collect(),
+        }),
+    })
+}
+
+/// `UPDATE u v [u v ...]` inserts the listed edges, `EXPIRE u v [u v ...]`
+/// removes them.
+fn parse_update(verb: &str, args: &[&str]) -> Result<Request, String> {
+    if !args.len().is_multiple_of(2) {
+        return Err(format!(
+            "{verb} expects (u v) edge pairs, got {} argument(s); try HELP",
+            args.len()
         ));
     }
-    let mut requests = Vec::with_capacity(triples.len() / 3);
-    for triple in triples.chunks_exact(3) {
-        match QueryRequest::parse(&triple.join(" ")) {
-            Ok(request) => requests.push(request),
-            Err(e) => return Reply::Err(e.to_string()),
-        }
-    }
-
-    // Default path: the multi-tenant runtime batch.
-    let Some(cus) = cus else {
-        return match session.run_batch(&requests) {
-            Ok(outcome) => Reply::Ok(format!(
-                "queries={} unique={} paths={} cache_hits={} queue=runtime \
-                 t1_ms={:.3} transfer_ms={:.3} t2_ms={:.3}",
-                outcome.results.len(),
-                outcome.results.len() - outcome.deduplicated,
-                outcome.total_paths(),
-                outcome.cache_hits,
-                outcome.preprocess_millis,
-                outcome.transfer_millis,
-                outcome.device_millis,
-            )),
-            Err(e) => Reply::Err(e.to_string()),
-        };
+    let vertex = |tok: &str| {
+        tok.parse::<u32>()
+            .map_err(|_| format!("vertex must be a non-negative integer, got {tok:?}"))
     };
+    let edges = args
+        .chunks_exact(2)
+        .map(|pair| Ok((vertex(pair[0])?, vertex(pair[1])?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(Request::Update { remove: verb == "EXPIRE", edges })
+}
 
-    // Explicit CUS=n: the measured discrete-event dispatch mode on a
-    // private cluster.
-    let handle = session.graph().expect("graph checked above").clone();
-    let scheduler = BatchScheduler::new(SchedulerConfig {
-        device: session.config().device.clone(),
-        variant: session.config().variant,
-        dispatch: true,
-        multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
-        ..SchedulerConfig::default()
-    });
-    match scheduler.run_batch(&handle, &requests) {
-        Ok(outcome) => {
+fn format_paths(paths: &[Vec<u32>]) -> String {
+    let path = |p: &Vec<u32>| p.iter().map(u32::to_string).collect::<Vec<_>>().join("->");
+    paths.iter().map(path).collect::<Vec<_>>().join(" ")
+}
+
+/// Renders one reply as its protocol line ([`Reply::Ok`] or [`Reply::Err`]).
+/// `json_label` names the command a [`wire::Reply::Json`] document answers
+/// (`stats` or `explain`).
+fn render(reply: &wire::Reply, json_label: &str) -> Reply {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    Reply::Ok(match reply {
+        wire::Reply::Summary {
+            num_paths, preprocess_ns, transfer_ns, device_ns, sample, ..
+        } => {
+            let mut line = format!(
+                "paths={num_paths} t1_ms={:.3} transfer_ms={:.3} t2_ms={:.3}",
+                ms(*preprocess_ns),
+                ms(*transfer_ns),
+                ms(*device_ns)
+            );
+            if !sample.is_empty() {
+                line.push_str(" sample: ");
+                line.push_str(&format_paths(sample));
+            }
+            line
+        }
+        wire::Reply::Paths(paths) => format!("paths {}", format_paths(paths)),
+        wire::Reply::End { streamed, limit } => format!("end streamed={streamed} limit={limit}"),
+        wire::Reply::BatchOk {
+            unique,
+            cache_hits,
+            preprocess_ns,
+            transfer_ns,
+            device_ns,
+            paths_per_query,
+        } => format!(
+            "queries={} unique={unique} paths={} cache_hits={cache_hits} queue=runtime \
+             t1_ms={:.3} transfer_ms={:.3} t2_ms={:.3}",
+            paths_per_query.len(),
+            paths_per_query.iter().sum::<u64>(),
+            ms(*preprocess_ns),
+            ms(*transfer_ns),
+            ms(*device_ns),
+        ),
+        wire::Reply::Json(doc) => format!("{json_label} {doc}"),
+        wire::Reply::UpdateOk { epoch, edges } => format!("epoch={epoch} edges={edges}"),
+        wire::Reply::Bye => "bye".to_string(),
+        // `loadgen --protocol line` classifies backpressure on this text.
+        wire::Reply::Busy => return Reply::Err(HostError::QueueFull.to_string()),
+        wire::Reply::Error { message, .. } => return Reply::Err(message.clone()),
+    })
+}
+
+fn json_label(request: &Request) -> &'static str {
+    match request {
+        Request::Stats => "stats",
+        Request::Explain { .. } => "explain",
+        _ => "",
+    }
+}
+
+/// Runs one of the commands only the text protocol has.
+fn run_text_only(session: &HostSession, command: TextOnly) -> Reply {
+    let graph = || session.graph().ok_or(HostError::NoGraphLoaded).map_err(|e| e.to_string());
+    let payload = match command {
+        TextOnly::Help => Ok(HELP.to_string()),
+        TextOnly::Graph => graph().map(|handle| handle.summary()),
+        TextOnly::BatchOnCus { cus, requests } => graph().and_then(|handle| {
+            check_batch_size(requests.len())?;
+            let scheduler = BatchScheduler::new(SchedulerConfig {
+                device: session.config().device.clone(),
+                variant: session.config().variant,
+                dispatch: true,
+                multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
+                ..SchedulerConfig::default()
+            });
+            let outcome =
+                scheduler.run_batch_dispatch(handle, &requests).map_err(|e| e.to_string())?;
             let measured = outcome.measured.as_ref().expect("dispatch batches are measured");
-            Reply::Ok(format!(
+            Ok(format!(
                 "queries={} unique={} paths={} cus={} makespan_cycles={} serial_cycles={} \
                  measured_speedup={:.2}x predicted_makespan_cycles={} model_err={:.1}% \
                  t1_ms={:.3} transfer_ms={:.3} wall_ms={:.3}",
@@ -433,58 +292,53 @@ fn handle_batch(session: &mut HostSession, args: &[&str]) -> Reply {
                 outcome.transfer.total_millis,
                 measured.wall_millis,
             ))
+        }),
+    };
+    payload.map_or_else(Reply::Err, Reply::Ok)
+}
+
+/// Executes one protocol line against `session` and returns the reply.
+pub fn handle_line(session: &mut HostSession, line: &str) -> Reply {
+    let request = match parse_line(line) {
+        Err(message) => return Reply::Err(message),
+        Ok(Command::TextOnly(command)) => return run_text_only(session, command),
+        Ok(Command::Wire(request)) => request,
+    };
+    let label = json_label(&request);
+    let (streams, quits) =
+        (matches!(request, Request::Stream { .. }), matches!(request, Request::Quit));
+    let mut out = CollectingWriter::new(MAX_INLINE_PATHS);
+    execute(session, request, &mut out).expect("collecting replies cannot fail");
+    let mut payloads = Vec::with_capacity(out.replies.len());
+    for reply in &out.replies {
+        match render(reply, label) {
+            Reply::Ok(payload) => payloads.push(payload),
+            // A STREAM that fails midway is one ERR: its chunks are dropped.
+            error => return error,
         }
-        Err(e) => Reply::Err(e.to_string()),
+    }
+    if streams {
+        return Reply::Stream(payloads);
+    }
+    let payload = payloads.pop().expect("execute always sends a terminal reply");
+    if quits {
+        Reply::Quit(payload)
+    } else {
+        Reply::Ok(payload)
     }
 }
 
-/// Hard cap on one protocol line's length in bytes. A peer pushing an
-/// unterminated megabyte "line" must not make the server buffer it: past the
-/// cap the rest of the line is drained and discarded, and the client gets a
-/// single `ERR` reply.
-pub const MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// Outcome of reading one protocol line under [`MAX_LINE_BYTES`].
-enum LineRead {
-    /// Input exhausted.
-    Eof,
-    /// One complete, valid UTF-8 line (without the newline).
-    Line(String),
-    /// The line exceeded [`MAX_LINE_BYTES`]; the remainder was drained.
-    TooLong,
-    /// The line was not valid UTF-8.
-    NonUtf8,
-}
-
-/// Consumes input up to and including the next newline without buffering it.
-fn drain_line<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(());
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                reader.consume(i + 1);
-                return Ok(());
-            }
-            None => {
-                let len = available.len();
-                reader.consume(len);
-            }
-        }
-    }
-}
-
-/// Reads one line as raw bytes, enforcing the length cap *before* any UTF-8
-/// interpretation — untrusted input never reaches `String` unvalidated and
-/// never grows an unbounded buffer.
-fn read_line_capped<R: BufRead>(reader: &mut R) -> std::io::Result<LineRead> {
-    use std::io::Read;
+/// Reads one line as raw bytes, enforcing [`MAX_LINE_BYTES`] *before* any
+/// UTF-8 interpretation — untrusted input never reaches `String` unvalidated
+/// and never grows an unbounded buffer. `None` is end of input; the inner
+/// error is the reply to a line the framing rejects (its remainder drained).
+fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+) -> std::io::Result<Option<Result<String, wire::Reply>>> {
     let mut buf = Vec::new();
     let n = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
     if n == 0 {
-        return Ok(LineRead::Eof);
+        return Ok(None);
     }
     if buf.last() == Some(&b'\n') {
         buf.pop();
@@ -492,173 +346,96 @@ fn read_line_capped<R: BufRead>(reader: &mut R) -> std::io::Result<LineRead> {
             buf.pop();
         }
     } else if buf.len() > MAX_LINE_BYTES {
-        drain_line(reader)?;
-        return Ok(LineRead::TooLong);
+        // Discards up to and including the newline without buffering it.
+        reader.skip_until(b'\n')?;
+        let message = format!("line exceeds {MAX_LINE_BYTES} bytes");
+        return Ok(Some(Err(wire::Reply::Error { code: ErrCode::Oversized, message })));
     }
-    match String::from_utf8(buf) {
-        Ok(line) => Ok(LineRead::Line(line)),
-        Err(_) => Ok(LineRead::NonUtf8),
+    Ok(Some(String::from_utf8(buf).map_err(|_| malformed("line is not valid UTF-8".to_string()))))
+}
+
+fn malformed(message: String) -> wire::Reply {
+    wire::Reply::Error { code: ErrCode::Malformed, message }
+}
+
+/// The text codec's [`ResponseWriter`]: one `OK`/`ERR` line per reply,
+/// [`MAX_INLINE_PATHS`] paths per `STREAM` line.
+struct TextWriter<'d, W: Write> {
+    out: W,
+    door: Option<&'d dyn FrontDoor>,
+    json_label: &'static str,
+}
+
+impl<W: Write> TextWriter<'_, W> {
+    fn line(&mut self, reply: &Reply) -> std::io::Result<()> {
+        writeln!(self.out, "{}", reply.render())?;
+        self.out.flush()
     }
 }
 
-/// Formats streamed paths into chunk lines written to the client *as they are
-/// produced* (unlike [`ChunkSink`], which assembles the reply first). A write
-/// failure — the client hung up mid-`STREAM` — breaks the sink, which makes
-/// the session cancel the running job's ticket; the engine stops at its next
-/// boundary and the CU goes back to the pool.
-struct WriterChunkSink<'w, W: Write> {
-    writer: &'w mut W,
-    current: Vec<String>,
-    error: Option<std::io::Error>,
-}
+impl<W: Write> ResponseWriter for TextWriter<'_, W> {
+    fn stream_chunk_paths(&self) -> usize {
+        MAX_INLINE_PATHS
+    }
 
-impl<W: Write> WriterChunkSink<'_, W> {
-    fn write_chunk(&mut self) -> ControlFlow<()> {
-        let line = format!("OK paths {}", self.current.join(" "));
-        self.current.clear();
-        match writeln!(self.writer, "{line}").and_then(|()| self.writer.flush()) {
-            Ok(()) => ControlFlow::Continue(()),
-            Err(e) => {
-                self.error = Some(e);
-                ControlFlow::Break(())
-            }
+    fn send(&mut self, reply: &wire::Reply) -> std::io::Result<()> {
+        if let Some(door) = self.door {
+            door.count(reply);
         }
+        self.line(&render(reply, self.json_label))
     }
-}
 
-impl<W: Write> PathSink for WriterChunkSink<'_, W> {
-    fn emit(&mut self, path: &[VertexId]) -> ControlFlow<()> {
-        self.current.push(format_path(path));
-        if self.current.len() >= MAX_INLINE_PATHS {
-            self.write_chunk()
-        } else {
-            ControlFlow::Continue(())
-        }
-    }
-}
-
-/// Handles one `STREAM` line incrementally against `writer`. Parse errors
-/// become `ERR` replies; an I/O error (client gone) aborts the connection and
-/// cancels the in-flight job through the sink-break → ticket-cancel path.
-fn stream_to_writer<W: Write>(
-    session: &mut HostSession,
-    rest: &[&str],
-    writer: &mut W,
-) -> std::io::Result<()> {
-    let (spec, limit) = match rest.len() {
-        4 => match rest[3].parse::<u64>() {
-            Ok(limit) => (rest[..3].join(" "), limit),
-            Err(_) => {
-                return writeln!(writer, "ERR invalid stream limit {:?}", rest[3]);
-            }
-        },
-        _ => (rest.join(" "), DEFAULT_STREAM_LIMIT),
-    };
-    let request = match QueryRequest::parse(&spec) {
-        Ok(r) => r,
-        Err(e) => return writeln!(writer, "ERR {e}"),
-    };
-    let limit = limit.min(MAX_STREAM_LIMIT);
-    if limit == 0 {
-        return writeln!(writer, "OK end streamed=0 limit=0");
-    }
-    let mut sink = FirstN::new(limit, WriterChunkSink { writer, current: Vec::new(), error: None });
-    let outcome = session.run_query_streaming(request, &mut sink);
-    let inner = sink.into_inner();
-    if let Some(e) = inner.error {
-        return Err(e);
-    }
-    let tail = inner.current;
-    match outcome {
-        Ok(outcome) => {
-            if !tail.is_empty() {
-                writeln!(writer, "OK paths {}", tail.join(" "))?;
-            }
-            writeln!(writer, "OK end streamed={} limit={limit}", outcome.num_paths)
-        }
-        Err(e) => writeln!(writer, "ERR {e}"),
+    fn front_door_stats(&self) -> Option<JsonValue> {
+        self.door.map(FrontDoor::stats)
     }
 }
 
 /// Serves the protocol over a reader/writer pair until `QUIT` or end of
 /// input. Returns the number of lines processed.
 ///
-/// Untrusted-input guarantees: lines are read as raw bytes under
-/// [`MAX_LINE_BYTES`] (overlong lines are drained and answered with one
-/// `ERR`), non-UTF-8 lines get an `ERR` reply instead of killing the
-/// connection, and no command can panic the serving thread. `STREAM` replies
-/// are written chunk-by-chunk, so a client that disconnects mid-stream
-/// cancels the running job instead of leaving it to fill a dead buffer.
+/// Every reply is flushed as it is written, `STREAM` chunks included, so a
+/// client that disconnects mid-stream cancels the running job instead of
+/// leaving it to fill a dead buffer.
 pub fn serve<R: BufRead, W: Write>(
     session: &mut HostSession,
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
 ) -> std::io::Result<usize> {
+    serve_behind(session, reader, writer, None)
+}
+
+/// [`serve`] for a connection accepted by a network listener: every reply is
+/// counted by `door`, and `STATS` carries its counters.
+pub(crate) fn serve_behind<R: BufRead, W: Write>(
+    session: &mut HostSession,
+    mut reader: R,
+    writer: W,
+    door: Option<&dyn FrontDoor>,
+) -> std::io::Result<usize> {
+    let mut out = TextWriter { out: writer, door, json_label: "" };
     let mut served = 0usize;
-    loop {
-        let line = match read_line_capped(&mut reader)? {
-            LineRead::Eof => break,
-            LineRead::TooLong => {
-                served += 1;
-                writeln!(writer, "ERR line exceeds {MAX_LINE_BYTES} bytes")?;
-                continue;
-            }
-            LineRead::NonUtf8 => {
-                served += 1;
-                writeln!(writer, "ERR line is not valid UTF-8")?;
-                continue;
-            }
-            LineRead::Line(line) => line,
-        };
+    while let Some(line) = read_line_capped(&mut reader)? {
         served += 1;
-        let mut parts = line.split_whitespace();
-        if parts.next().is_some_and(|cmd| cmd.eq_ignore_ascii_case("STREAM")) {
-            let rest: Vec<&str> = parts.collect();
-            stream_to_writer(session, &rest, &mut writer)?;
-            continue;
-        }
-        let reply = handle_line(session, &line);
-        writeln!(writer, "{}", reply.render())?;
-        if matches!(reply, Reply::Quit(_)) {
-            break;
+        match line.and_then(|line| parse_line(&line).map_err(malformed)) {
+            Err(reply) => out.send(&reply)?,
+            Ok(Command::Wire(request)) => {
+                let quits = matches!(request, Request::Quit);
+                out.json_label = json_label(&request);
+                execute(session, request, &mut out)?;
+                if quits {
+                    break;
+                }
+            }
+            Ok(Command::TextOnly(command)) => out.line(&run_text_only(session, command))?,
         }
     }
     Ok(served)
 }
 
-/// Serves many clients concurrently against one shared [`HostRuntime`]: one
-/// reader thread per connection, each running the [`serve`] loop over its own
-/// [`HostSession::attach`] handle, all funnelling into the runtime's
-/// admission queue. Returns the number of lines processed per connection (in
-/// input order); the first I/O error aborts only its own connection and is
-/// reported after every other client finished.
-pub fn serve_shared<R, W>(
-    runtime: &Arc<HostRuntime>,
-    connections: Vec<(R, W)>,
-) -> std::io::Result<Vec<usize>>
-where
-    R: BufRead + Send,
-    W: Write + Send,
-{
-    let outcomes: Vec<std::io::Result<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = connections
-            .into_iter()
-            .map(|(reader, writer)| {
-                let runtime = Arc::clone(runtime);
-                scope.spawn(move || {
-                    let mut session = HostSession::attach(runtime);
-                    serve(&mut session, reader, writer)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-    });
-    outcomes.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz_invariants::{check_fuzz_transcript, seen_line, Seen};
     use crate::session::SessionConfig;
     use pefp_graph::CsrGraph;
     use std::io::Cursor;
@@ -759,33 +536,6 @@ mod tests {
         // Malformed and out-of-range requests fail like QUERY's do.
         assert!(matches!(handle_line(&mut s, "EXPLAIN 0 3"), Reply::Err(_)));
         assert!(matches!(handle_line(&mut s, "EXPLAIN 0 99 3"), Reply::Err(_)));
-    }
-
-    #[test]
-    fn serve_shared_funnels_many_clients_into_one_runtime() {
-        use crate::loader::GraphHandle;
-        use crate::runtime::{HostRuntime, RuntimeConfig};
-        use pefp_graph::CsrGraph;
-
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let runtime = HostRuntime::launch(
-            GraphHandle::from_csr("shared", g),
-            RuntimeConfig { compute_units: 2, ..RuntimeConfig::default() },
-        );
-        let connections: Vec<(Cursor<String>, Vec<u8>)> = (0..3)
-            .map(|_| (Cursor::new("QUERY 0 3 3\nCOUNT 0 3 2\nQUIT\n".to_string()), Vec::new()))
-            .collect();
-        let served = serve_shared(&runtime, connections).unwrap();
-        assert_eq!(served, vec![3, 3, 3]);
-        let stats = runtime.stats();
-        assert_eq!(stats.completed, 6, "3 clients x 2 queries each");
-        // The tenants share one prepared-query cache: (0,3,3) and (0,3,2)
-        // need preparing once each (plus any cold-key race between clients),
-        // and the bulk of the repetition is served from the cache.
-        assert_eq!(stats.cache_hits + stats.cache_misses, 6);
-        assert!(stats.cache_misses >= 2);
-        assert!(stats.cache_hits >= 2, "shared cache must absorb cross-tenant repeats");
-        assert_eq!(stats.per_cu_jobs.iter().sum::<u64>(), 6);
     }
 
     #[test]
@@ -1045,19 +795,13 @@ mod tests {
             script.push(b'\n');
             fed += 1;
         }
+        script.extend_from_slice(b"COUNT 0 3 3\nQUIT\n");
         let mut s = session();
         let mut output = Vec::new();
         let served = serve(&mut s, Cursor::new(script), &mut output).unwrap();
-        assert_eq!(served, fed, "every fuzzed line got exactly one turn");
-        let text = String::from_utf8(output).unwrap();
-        for line in text.lines() {
-            assert!(
-                line.starts_with("OK ") || line.starts_with("ERR "),
-                "unprefixed reply line: {line:?}"
-            );
-        }
-        // The session still serves real queries afterwards.
-        assert!(matches!(handle_line(&mut s, "QUERY 0 3 3"), Reply::Ok(_)));
+        assert_eq!(served, fed + 2, "every fuzzed line, the probe and QUIT got exactly one turn");
+        let seen: Vec<Seen> = String::from_utf8(output).unwrap().lines().map(seen_line).collect();
+        check_fuzz_transcript(fed, &seen, 2);
     }
 
     /// A writer that accepts a bounded number of bytes and then fails every
@@ -1099,7 +843,8 @@ mod tests {
             RuntimeConfig { compute_units: 1, ..RuntimeConfig::default() },
         );
         let writer = DroppingWriter { budget: 10, written: Vec::new() };
-        let err = serve_shared(&runtime, vec![(Cursor::new(query), writer)])
+        let mut tenant = HostSession::attach(std::sync::Arc::clone(&runtime));
+        let err = serve(&mut tenant, Cursor::new(query), writer)
             .expect_err("the dead client aborts its own connection");
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         let stats = runtime.stats();

@@ -23,13 +23,13 @@
 //! framing attack (or a desynchronised stream) and the connection is closed
 //! rather than buffered.
 //!
-//! Request opcodes mirror the text commands: `QUERY`/`COUNT`/`STREAM`/
-//! `BATCH`/`EXPLAIN`/`UPDATE`/`STATS`/`QUIT`. Replies are typed:
-//! [`Reply::Summary`] for query outcomes, incremental [`Reply::Paths`]
-//! chunks plus a final [`Reply::End`] for streams, [`Reply::Busy`] when the
-//! admission queue rejects a submission ([`crate::HostError::QueueFull`]
-//! becomes backpressure the client can retry on, not a dropped connection),
-//! and [`Reply::Error`] with a stable [`ErrCode`] otherwise.
+//! [`Request`] and [`Reply`] double as the transport-neutral command and
+//! response types of the whole front door: the text codec
+//! ([`crate::server`]) parses lines into the same [`Request`]s and renders
+//! the same [`Reply`]s, and [`crate::command::execute`] is the one function
+//! that runs them. This module only knows how they look as bytes; the command
+//! table (syntax, opcode, reply, limits per command) is in the
+//! [`crate::command`] module docs.
 
 use crate::binfmt::fnv1a;
 use bytes::BufMut;
@@ -43,13 +43,7 @@ pub const FRAME_MAGIC: u8 = 0xB1;
 /// Size of the fixed frame header in bytes.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-/// Hard cap on one frame's payload size (1 MiB). A declared length beyond it
-/// is rejected without reading the payload.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
-
-/// Paths per incremental [`Reply::Paths`] frame written by a streaming
-/// reply before it is flushed to the socket.
-pub const STREAM_FRAME_PATHS: usize = 32;
+pub use crate::command::{MAX_FRAME_PAYLOAD, STREAM_FRAME_PATHS};
 
 /// Flag bit on an [`Request::Update`] frame: remove the listed edges
 /// (`EXPIRE`) instead of inserting them.
@@ -79,16 +73,10 @@ pub enum ErrCode {
 impl ErrCode {
     /// Decodes a wire value back into a code.
     pub fn from_u16(v: u16) -> Option<ErrCode> {
-        match v {
-            1 => Some(ErrCode::Malformed),
-            2 => Some(ErrCode::UnknownOpcode),
-            3 => Some(ErrCode::BadChecksum),
-            4 => Some(ErrCode::Oversized),
-            5 => Some(ErrCode::BadQuery),
-            6 => Some(ErrCode::Host),
-            7 => Some(ErrCode::AtCapacity),
-            _ => None,
-        }
+        use ErrCode::*;
+        [Malformed, UnknownOpcode, BadChecksum, Oversized, BadQuery, Host, AtCapacity]
+            .into_iter()
+            .find(|&code| code as u16 == v)
     }
 }
 
@@ -246,26 +234,24 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<RawFrame>, WireE
 struct Reader<'a>(&'a [u8]);
 
 impl Reader<'_> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.bytes(N)?.try_into().expect("bytes(N) yields exactly N bytes"))
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
-        let b = self.bytes(1)?;
-        Ok(b[0])
+        Ok(self.array::<1>()?[0])
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bytes(&mut self, n: usize) -> Result<&[u8], WireError> {
@@ -280,12 +266,17 @@ impl Reader<'_> {
         Ok(head)
     }
 
-    /// Guards a length-prefixed repetition: `count` items of `item_bytes`
-    /// each must fit in the remaining payload before anything is allocated.
-    fn guard_count(&self, count: u32, item_bytes: usize) -> Result<(), WireError> {
-        let need = (count as usize).checked_mul(item_bytes);
-        match need {
-            Some(need) if need <= self.0.len() => Ok(()),
+    /// Reads a length-prefixed repetition. The `count` items of at least
+    /// `item_bytes` each must fit in the remaining payload before anything
+    /// is allocated.
+    fn list<T>(
+        &mut self,
+        item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.u32()?;
+        match (count as usize).checked_mul(item_bytes) {
+            Some(need) if need <= self.0.len() => (0..count).map(|_| item(self)).collect(),
             _ => Err(WireError::Malformed(format!(
                 "count {count} x {item_bytes} B items exceeds the {} remaining payload byte(s)",
                 self.0.len()
@@ -313,20 +304,8 @@ fn put_paths(buf: &mut Vec<u8>, paths: &[Vec<u32>]) {
 }
 
 fn get_paths(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, WireError> {
-    let count = r.u32()?;
     // Each path costs at least its 4-byte length word.
-    r.guard_count(count, 4)?;
-    let mut paths = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = r.u32()?;
-        r.guard_count(len, 4)?;
-        let mut path = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            path.push(r.u32()?);
-        }
-        paths.push(path);
-    }
-    Ok(paths)
+    r.list(4, |r| r.list(4, Reader::u32))
 }
 
 /// A client request frame. Opcodes mirror the text commands of
@@ -467,24 +446,13 @@ impl Request {
             OP_COUNT => Request::Count { s: r.u32()?, t: r.u32()?, k: r.u32()? },
             OP_STREAM => Request::Stream { s: r.u32()?, t: r.u32()?, k: r.u32()?, limit: r.u64()? },
             OP_BATCH => {
-                let count = r.u32()?;
-                r.guard_count(count, 12)?;
-                let mut queries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    queries.push((r.u32()?, r.u32()?, r.u32()?));
-                }
-                Request::Batch { queries }
+                Request::Batch { queries: r.list(12, |r| Ok((r.u32()?, r.u32()?, r.u32()?)))? }
             }
             OP_EXPLAIN => Request::Explain { s: r.u32()?, t: r.u32()?, k: r.u32()? },
-            OP_UPDATE => {
-                let count = r.u32()?;
-                r.guard_count(count, 8)?;
-                let mut edges = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    edges.push((r.u32()?, r.u32()?));
-                }
-                Request::Update { remove: frame.flags & FLAG_UPDATE_REMOVE != 0, edges }
-            }
+            OP_UPDATE => Request::Update {
+                remove: frame.flags & FLAG_UPDATE_REMOVE != 0,
+                edges: r.list(8, |r| Ok((r.u32()?, r.u32()?)))?,
+            },
             OP_STATS => Request::Stats,
             OP_QUIT => Request::Quit,
             other => return Err(WireError::UnknownOpcode(other)),
@@ -653,45 +621,25 @@ impl Reply {
     pub fn decode(frame: &RawFrame) -> Result<Reply, WireError> {
         let mut r = Reader(&frame.payload);
         let reply = match frame.opcode {
-            OP_SUMMARY => {
-                let num_paths = r.u64()?;
-                let preprocess_ns = r.u64()?;
-                let transfer_ns = r.u64()?;
-                let device_ns = r.u64()?;
-                let cache_hit = r.u8()? != 0;
-                let sample = get_paths(&mut r)?;
-                Reply::Summary {
-                    num_paths,
-                    preprocess_ns,
-                    transfer_ns,
-                    device_ns,
-                    cache_hit,
-                    sample,
-                }
-            }
+            // Struct fields are evaluated in the order written: wire order.
+            OP_SUMMARY => Reply::Summary {
+                num_paths: r.u64()?,
+                preprocess_ns: r.u64()?,
+                transfer_ns: r.u64()?,
+                device_ns: r.u64()?,
+                cache_hit: r.u8()? != 0,
+                sample: get_paths(&mut r)?,
+            },
             OP_PATHS => Reply::Paths(get_paths(&mut r)?),
             OP_END => Reply::End { streamed: r.u64()?, limit: r.u64()? },
-            OP_BATCH_OK => {
-                let unique = r.u32()?;
-                let cache_hits = r.u64()?;
-                let preprocess_ns = r.u64()?;
-                let transfer_ns = r.u64()?;
-                let device_ns = r.u64()?;
-                let count = r.u32()?;
-                r.guard_count(count, 8)?;
-                let mut paths_per_query = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    paths_per_query.push(r.u64()?);
-                }
-                Reply::BatchOk {
-                    unique,
-                    cache_hits,
-                    preprocess_ns,
-                    transfer_ns,
-                    device_ns,
-                    paths_per_query,
-                }
-            }
+            OP_BATCH_OK => Reply::BatchOk {
+                unique: r.u32()?,
+                cache_hits: r.u64()?,
+                preprocess_ns: r.u64()?,
+                transfer_ns: r.u64()?,
+                device_ns: r.u64()?,
+                paths_per_query: r.list(8, Reader::u64)?,
+            },
             OP_JSON => {
                 let doc = String::from_utf8(frame.payload.clone())
                     .map_err(|_| WireError::Malformed("JSON payload is not UTF-8".into()))?;
