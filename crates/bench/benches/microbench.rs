@@ -70,6 +70,23 @@ fn bench_prebfs(c: &mut Criterion) {
             })
         });
     }
+    // Vertex 5_000 has no edges, so the cases above end as soon as one side
+    // runs out of vertices. These two reach a hub: the heaviest in-degree
+    // vertex as the target of a narrow source (the expensive frontier is on
+    // the backward side) and of vertex 0, the heaviest out-degree hub (both
+    // are), which together exercise Pre-BFS's cheaper-side choice.
+    let rev = g.reverse();
+    let hub_target =
+        g.vertices().max_by_key(|&v| rev.out_degree(v)).expect("the graph has vertices");
+    let mut ctx = PrepareContext::new();
+    for (name, source) in [("k5_ctx_hub_target", 300u32), ("k5_ctx_hub_to_hub", 0)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let prep = pre_bfs_with(&mut ctx, &g, VertexId(source), hub_target, 5);
+                black_box(prep.graph.num_edges())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -117,6 +117,14 @@ fn median_ns<F: FnMut()>(mut routine: F) -> f64 {
 /// Times the fixed calibration workload: one mid-size PEFP query, end to end.
 /// The ratio of this number between two machines rescales their wall-clock
 /// thresholds.
+///
+/// The probe runs the program's own Pre-BFS, engine and scheduler, so a
+/// change that speeds one of them up shrinks the probe — and with it every
+/// budget — on an unchanged machine. Such a change must rescale the recorded
+/// probe values (`calibration_ns` in each `BENCH_*.json`,
+/// [`TCP_LOAD_CALIBRATION_ANCHOR_NS`], `routing_fit::REFERENCE_CALIBRATION_NS`)
+/// by the probe's measured new/old ratio; the meet-in-the-middle Pre-BFS did,
+/// by 0.608.
 pub fn calibration_median_ns() -> f64 {
     let handle = gate_graph();
     let scheduler = BatchScheduler::new(SchedulerConfig::default());
@@ -719,7 +727,7 @@ pub const TCP_LOAD_P999_BUDGET_MS: f64 = 75.0;
 
 /// Calibration median ([`calibration_median_ns`]) of the machine that set
 /// [`TCP_LOAD_P999_BUDGET_MS`], anchoring the budget's runner-speed scaling.
-pub const TCP_LOAD_CALIBRATION_ANCHOR_NS: f64 = 3.6e6;
+pub const TCP_LOAD_CALIBRATION_ANCHOR_NS: f64 = 2.19e6;
 
 /// The fixed query pool a load round cycles through: the first 16 ordered
 /// pairs of [`gate_graph`]'s heaviest hubs at k=3 (the generator gives the

@@ -1,7 +1,7 @@
 //! Host-side preprocessing.
 //!
 //! Section V of the paper: before a query is shipped to the device, the host
-//! runs **Pre-BFS** — a `(k-1)`-hop bidirectional BFS — to
+//! runs **Pre-BFS** to
 //!
 //! 1. compute `sd(s, ·)` on `G` and `sd(·, t)` on `G_rev`,
 //! 2. keep only the vertices with `sd(s,u) + sd(u,t) ≤ k` (Theorem 1),
@@ -9,17 +9,49 @@
 //! 4. send `s`, `t`, `G'` and the *barrier* array `bar[u] = sd(u, t)` to the
 //!    device.
 //!
-//! `(k-1)` hops suffice because the only valid vertices a `k`-hop BFS could
-//! additionally discover are `s` and `t` themselves (the paper's second proof
-//! in Section V); the implementation force-keeps the two endpoints to cover
-//! that corner case.
+//! Distances up to `k-1` suffice because the only valid vertices a `k`-hop
+//! BFS could additionally discover are `s` and `t` themselves (the paper's
+//! second proof in Section V); the implementation force-keeps the two
+//! endpoints to cover that corner case.
+//!
+//! ## What is searched: two searches that prune each other
+//!
+//! The paper finds the distances with two full `(k-1)`-hop BFS runs. Pre-BFS
+//! is specified by its outputs, and only the kept vertices' distances reach
+//! them, so this implementation searches from both ends and lets each search
+//! prune the other (`pre_bfs_core`):
+//!
+//! * **Phase A** grows one unrestricted level at a time, on whichever side
+//!   has the cheaper next level (the sum of its frontier's out-degrees),
+//!   until the radii satisfy `df + db = k`; neither side passes `k-1`, and a
+//!   side whose next level is empty has already reached everything it can.
+//! * **Phase B** continues each side to level `k-1`, but a vertex is
+//!   expanded, and a vertex is admitted at level `l`, only when the *other*
+//!   side holds it at a distance `d` with `l + d ≤ k`.
+//!
+//! **The outputs are the two-ball outputs.** Levels are lengths of real
+//! walks, so a recorded distance is never below the true one, and phase B
+//! only admits vertices with `sd(s,u) + sd(u,t) ≤ k`: nothing outside the
+//! Theorem 1 cut gets in. Conversely take a kept `u` with `sd(s,u) = l > df`
+//! and a shortest path `s = w_0, …, w_l = u`. Every `w_i` satisfies
+//! `i + sd(w_i,t) ≤ l + sd(u,t) ≤ k`, so for `i ≥ df` the backward side holds
+//! `w_i` at its exact distance `sd(w_i,t) ≤ k - df = db` from phase A alone
+//! (or, when the backward side ran out of vertices early, holds everything
+//! that reaches `t`). By induction on `i` the forward side reaches `w_i` at
+//! level `i`: `w_df` is in the phase-A frontier and passes the test, and
+//! `w_{i+1}` is a successor of an expanded vertex that passes it. The same
+//! holds with the sides swapped. Hence every kept vertex, `s` and `t`
+//! included, carries exactly the distances the two full balls would give it,
+//! and `G'`, the id mapping, the barrier (with its `k+1` clamp on `bar[s]`)
+//! and `feasible` are identical; `tests::search_matches_the_two_ball_reference`
+//! compares them against the old search, kept as a test-only oracle.
 //!
 //! ## Per-query cost: O(touched), not O(|V|)
 //!
 //! The paper's headline claim covers preprocessing as much as enumeration, so
-//! the host side must not spend O(|V| + |E|) per query when the k-hop
-//! frontier reaches a few hundred vertices. [`PrepareContext`] is the
-//! reusable state that makes repeated preparation output-sensitive:
+//! the host side must not spend O(|V| + |E|) per query when the query keeps a
+//! few hundred vertices. [`PrepareContext`] is the reusable state that makes
+//! repeated preparation output-sensitive:
 //!
 //! * two epoch-stamped [`BfsScratch`] instances (forward from `s`, backward
 //!   from `t` on `G_rev`) whose allocations persist across queries and whose
@@ -28,8 +60,9 @@
 //!   by the caller (the host loader already builds one per graph) or computed
 //!   lazily on the first query and reused for every subsequent query on the
 //!   same graph,
-//! * Theorem 1's cut evaluated over the forward frontier only, feeding
-//!   `induce_subgraph_from_vertices` so `G'` is built from the kept list.
+//! * Theorem 1's cut evaluated over the smaller of the two reached sets,
+//!   feeding `induce_subgraph_from_vertices` so `G'` is built from the kept
+//!   list.
 //!
 //! [`pre_bfs_with`] / [`no_prebfs_with`] are the real implementations;
 //! [`pre_bfs`] and [`no_prebfs_preprocess`] remain as one-shot wrappers with
@@ -48,17 +81,23 @@ use std::time::Instant;
 /// The set of data-graph vertices a preparation *depended on* — the sound
 /// invalidation key for cached [`PreparedQuery`]s under incremental updates.
 ///
-/// For Pre-BFS this is the union of the forward and backward `(k-1)`-hop BFS
-/// frontiers plus the endpoints, in **original** graph ids. It is a superset
-/// of the pruned subgraph `G'`: Theorem 1 keeps only frontier vertices, but
-/// an edge insert `u -> v` with `u` outside the forward frontier and `v`
-/// outside the backward frontier can change neither BFS, hence neither `G'`,
-/// the barrier, nor the result set — while an insert touching either frontier
-/// can (e.g. bridging a forward-reachable dead end to a vertex that reaches
-/// `t`, where *neither* endpoint lies in `G'`). Intersecting a delta's
-/// touched vertices against this set is therefore conservative and exact
-/// enough: every invalidated result intersects it, and `G'` ⊆ touched means
-/// every entry whose pruned subgraph meets the delta is evicted too.
+/// For Pre-BFS this is every vertex either search reached (the endpoints are
+/// the seeds), in **original** graph ids. It is a superset of the pruned
+/// subgraph `G'`, and it is exactly the set of vertices whose adjacency the
+/// preparation read: the forward search reads the out-edges of vertices it
+/// reached, the backward search the in-edges of vertices it reached, the
+/// side choice their degrees, and the extraction the out-edges of kept
+/// vertices. An update none of whose edges has an endpoint in the set
+/// therefore changes no list that was read, a preparation on the new graph
+/// would retrace this one step by step, and the cached `G'`, barrier and
+/// answer are the new graph's. Read as a statement about paths: a new
+/// `s ⇝ t` walk of at most `k` hops has the tail of its first inserted edge
+/// within `df` of `s` or the head of its last one within `db` of `t`, both
+/// inside the unrestricted phase-A balls (this is how a bridge from a
+/// forward dead end to a vertex that reaches `t`, with *neither* endpoint in
+/// `G'`, is caught); and a removed edge only matters when both its ends are
+/// kept. Intersecting a delta's endpoints against the set is conservative
+/// (an edge *into* a forward-only vertex evicts although it was never read).
 ///
 /// Preparations that ship the whole graph (no-Pre-BFS ablation, trivial
 /// queries) depend on everything and use [`TouchedSet::All`].
@@ -159,9 +198,10 @@ pub struct PrepareStats {
     /// *graph switch*: a context alternating between two graphs rebuilds on
     /// every alternation and wants to be split into one context per graph.
     pub reverse_builds: u64,
-    /// Vertices reached by the BFS frontiers of the most recent preparation
-    /// (forward + backward for Pre-BFS, endpoints included; backward only
-    /// for no-Pre-BFS; 0 for trivial queries, which run no BFS).
+    /// Vertices reached by the searches of the most recent preparation: the
+    /// forward and backward counts added up for Pre-BFS (seeds included, a
+    /// vertex both sides reached counted twice), the backward `k`-hop ball
+    /// for no-Pre-BFS, 0 for trivial queries, which run no search.
     pub last_touched: usize,
 }
 
@@ -266,10 +306,9 @@ pub fn pre_bfs(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> PreparedQuery 
     pre_bfs_core(&mut ctx, g, &rev, s, t, k, start)
 }
 
-/// Shared non-trivial Pre-BFS implementation. Touches only the vertices the
-/// two bounded BFS frontiers reach: the Theorem 1 cut iterates the forward
-/// frontier (every kept vertex other than the force-kept endpoints has a
-/// finite `sd(s, ·)`), and the subgraph is induced from the kept list.
+/// Shared non-trivial Pre-BFS implementation: the two mutually pruned
+/// searches of the module docs, then the Theorem 1 cut over what both sides
+/// reached and the subgraph induced from the kept list.
 fn pre_bfs_core<GF, GR>(
     ctx: &mut PrepareContext,
     g: &GF,
@@ -283,64 +322,70 @@ where
     GF: GraphView + ?Sized,
     GR: GraphView + ?Sized,
 {
-    // (k-1)-hop bidirectional BFS.
-    let bound = k - 1;
-    ctx.forward.run(g, s, bound);
-    ctx.backward.run(rev, t, bound);
-    ctx.stats.last_touched = ctx.forward.touched_len() + ctx.backward.touched_len();
+    let (forward, backward) = (&mut ctx.forward, &mut ctx.backward);
+    forward.seed(g, &[s]);
+    backward.seed(rev, &[t]);
+
+    // Phase A: unrestricted levels on the cheaper side until the radii add up
+    // to k. Each side stops at k-1, so k = 1 grows nothing; a side whose next
+    // level would read no edge has reached everything it ever will.
+    let cap = k - 1;
+    let mut forward_cost = forward.frontier_cost(g);
+    let mut backward_cost = backward.frontier_cost(rev);
+    while forward.level() + backward.level() < k.min(2 * cap)
+        && forward_cost > 0
+        && backward_cost > 0
+    {
+        if backward.level() == cap || (forward.level() < cap && forward_cost <= backward_cost) {
+            forward.expand_level(g, |_| true);
+            forward_cost = forward.frontier_cost(g);
+        } else {
+            backward.expand_level(rev, |_| true);
+            backward_cost = backward.frontier_cost(rev);
+        }
+    }
+    // Phase B: each side continues inside what the other side holds.
+    continue_pruned(forward, backward, g, k);
+    continue_pruned(backward, forward, rev, k);
+    ctx.stats.last_touched = forward.touched_len() + backward.touched_len();
 
     // Theorem 1 cut, with s and t force-kept (they are the only valid vertices
-    // a k-hop BFS could still add). `induce_subgraph_from_vertices` sorts and
-    // deduplicates, so the kept order matches the old full-scan extraction.
-    let mut kept: Vec<VertexId> = Vec::with_capacity(ctx.forward.touched_len() + 2);
-    kept.push(s);
-    kept.push(t);
-    for &u in ctx.forward.touched() {
-        if u == s || u == t {
-            continue;
-        }
-        let b = ctx.backward.dist(u);
-        if b != UNREACHED && ctx.forward.dist(u) + b <= k {
+    // a k-hop BFS could still add). Every kept vertex was reached by both
+    // sides, so the smaller reached list is scanned;
+    // `induce_subgraph_from_vertices` sorts and deduplicates.
+    let (scanned, other) = if forward.touched_len() <= backward.touched_len() {
+        (&*forward, &*backward)
+    } else {
+        (&*backward, &*forward)
+    };
+    let mut kept: Vec<VertexId> = vec![s, t];
+    for &u in scanned.touched() {
+        let d = other.dist(u);
+        if u != s && u != t && d != UNREACHED && scanned.dist(u) + d <= k {
             kept.push(u);
         }
     }
+    // Feasible iff sd(s, t) <= k: the forward side reached t (it is admitted
+    // at any level up to k-1), or a path of exactly k >= 2 hops put its inner
+    // vertices in the cut, or k = 1 and the edge itself exists.
+    let feasible = forward.dist(t) != UNREACHED || kept.len() > 2 || (k == 1 && g.has_edge(s, t));
     let mapping = induce_subgraph_from_vertices_with(&mut ctx.remap, g, kept);
 
     let new_s = mapping.to_new(s).expect("s is force-kept");
     let new_t = mapping.to_new(t).expect("t is force-kept");
 
-    // Barrier in the new id space: sd(u, t) clamped to k + 1. For vertices
-    // whose distance was not discovered by the (k-1)-hop reverse BFS the true
-    // distance is at least k, which only matters for s (see module docs); the
-    // barrier check never reads bar[s], so the clamp is harmless.
-    let barrier: Vec<u32> = mapping
-        .old_of_new
-        .iter()
-        .map(|&old| {
-            let d = ctx.backward.dist(old);
-            if d == UNREACHED || d > k {
-                k + 1
-            } else {
-                d
-            }
-        })
-        .collect();
+    // Barrier in the new id space: sd(u, t), with `UNREACHED` clamped to
+    // k + 1. The backward side stops at level k-1, so that is s when
+    // sd(s, t) = k; the barrier check never reads bar[s].
+    let barrier: Vec<u32> =
+        mapping.old_of_new.iter().map(|&old| backward.dist(old).min(k + 1)).collect();
 
-    // Feasible iff t is reachable from s within k hops: either the BFS saw it
-    // directly, or (distance exactly k) both frontiers meet.
-    let feasible = ctx.forward.dist(t) != UNREACHED
-        || g.successors(s)
-            .iter()
-            .any(|&v| v == t || (ctx.backward.dist(v) != UNREACHED && ctx.backward.dist(v) < k));
-
-    // The dependency set for incremental invalidation: both frontiers plus
-    // the force-kept endpoints, in original ids.
+    // The dependency set for incremental invalidation: everything either
+    // side reached (s and t are the seeds), in original ids.
     let mut touched: Vec<VertexId> =
-        Vec::with_capacity(ctx.forward.touched_len() + ctx.backward.touched_len() + 2);
-    touched.push(s);
-    touched.push(t);
-    touched.extend_from_slice(ctx.forward.touched());
-    touched.extend_from_slice(ctx.backward.touched());
+        Vec::with_capacity(forward.touched_len() + backward.touched_len());
+    touched.extend_from_slice(forward.touched());
+    touched.extend_from_slice(backward.touched());
     touched.sort_unstable();
     touched.dedup();
 
@@ -355,6 +400,24 @@ where
         touched: TouchedSet::Vertices(touched),
         mapping: Some(mapping),
         host_millis,
+    }
+}
+
+/// Phase B for one side: continues `side` to level `k-1`, expanding only
+/// from, and admitting only, vertices `other` holds close enough to its own
+/// seed that the two distances fit in `k` hops.
+fn continue_pruned<G: GraphView + ?Sized>(
+    side: &mut BfsScratch,
+    other: &BfsScratch,
+    g: &G,
+    k: u32,
+) {
+    // `UNREACHED` is `u32::MAX`, so an unheld vertex fails every budget.
+    let budget = k - side.level();
+    side.retain_frontier(|v| other.dist(v) <= budget);
+    while side.level() < k - 1 && side.frontier_cost(g) > 0 {
+        let budget = k - (side.level() + 1);
+        side.expand_level(g, |v| other.dist(v) <= budget);
     }
 }
 
@@ -524,6 +587,237 @@ mod tests {
                 (7, 8), // dead-end tail
             ],
         )
+    }
+
+    /// The search this module used to run — two unrestricted `(k-1)`-hop
+    /// balls, the paper's formulation — kept as the oracle the pruned search
+    /// is compared against.
+    fn pre_bfs_core_reference<GF, GR>(
+        ctx: &mut PrepareContext,
+        g: &GF,
+        rev: &GR,
+        s: VertexId,
+        t: VertexId,
+        k: u32,
+    ) -> PreparedQuery
+    where
+        GF: GraphView + ?Sized,
+        GR: GraphView + ?Sized,
+    {
+        let bound = k - 1;
+        ctx.forward.run(g, s, bound);
+        ctx.backward.run(rev, t, bound);
+        ctx.stats.last_touched = ctx.forward.touched_len() + ctx.backward.touched_len();
+
+        let mut kept: Vec<VertexId> = vec![s, t];
+        for &u in ctx.forward.touched() {
+            if u == s || u == t {
+                continue;
+            }
+            let b = ctx.backward.dist(u);
+            if b != UNREACHED && ctx.forward.dist(u) + b <= k {
+                kept.push(u);
+            }
+        }
+        let mapping = induce_subgraph_from_vertices_with(&mut ctx.remap, g, kept);
+        let barrier: Vec<u32> = mapping
+            .old_of_new
+            .iter()
+            .map(|&old| {
+                let d = ctx.backward.dist(old);
+                if d == UNREACHED || d > k {
+                    k + 1
+                } else {
+                    d
+                }
+            })
+            .collect();
+        let feasible = ctx.forward.dist(t) != UNREACHED
+            || g.successors(s).iter().any(|&v| {
+                v == t || (ctx.backward.dist(v) != UNREACHED && ctx.backward.dist(v) < k)
+            });
+        let mut touched: Vec<VertexId> = vec![s, t];
+        touched.extend_from_slice(ctx.forward.touched());
+        touched.extend_from_slice(ctx.backward.touched());
+        touched.sort_unstable();
+        touched.dedup();
+        PreparedQuery {
+            graph: Arc::clone(&mapping.graph),
+            s: mapping.to_new(s).expect("s is force-kept"),
+            t: mapping.to_new(t).expect("t is force-kept"),
+            k,
+            barrier,
+            feasible,
+            touched: TouchedSet::Vertices(touched),
+            mapping: Some(mapping),
+            host_millis: 0.0,
+        }
+    }
+
+    fn touched_vertices(prep: &PreparedQuery) -> &[VertexId] {
+        match &prep.touched {
+            TouchedSet::Vertices(v) => v,
+            TouchedSet::All => panic!("Pre-BFS records the vertices it read"),
+        }
+    }
+
+    fn assert_same_outputs(a: &PreparedQuery, b: &PreparedQuery, label: &str) {
+        assert_eq!(a.graph, b.graph, "G' differs: {label}");
+        assert_eq!(a.barrier, b.barrier, "barrier differs: {label}");
+        let maps = [a, b].map(|p| &p.mapping.as_ref().expect("Pre-BFS remaps ids").old_of_new);
+        assert_eq!(maps[0], maps[1], "old_of_new differs: {label}");
+        assert_eq!((a.s, a.t, a.k, a.feasible), (b.s, b.t, b.k, b.feasible), "{label}");
+    }
+
+    /// The two searches, each with its own reused (dirty) context, on one
+    /// forward/reverse pair of views.
+    #[derive(Default)]
+    struct Differential {
+        pruned: PrepareContext,
+        reference: PrepareContext,
+        queries: usize,
+    }
+
+    impl Differential {
+        /// Prepares `(s, t, k)` both ways and checks every output plus the
+        /// two inclusions `kept ⊆ touched(pruned) ⊆ touched(reference)`.
+        fn check<GF, GR>(
+            &mut self,
+            g: &GF,
+            rev: &GR,
+            (s, t, k): (u32, u32, u32),
+            label: &str,
+        ) -> PreparedQuery
+        where
+            GF: GraphView + ?Sized,
+            GR: GraphView + ?Sized,
+        {
+            let label = format!("{label} ({s},{t},k={k})");
+            let (s, t) = (VertexId(s), VertexId(t));
+            let pruned = pre_bfs_core(&mut self.pruned, g, rev, s, t, k, Instant::now());
+            let reference = pre_bfs_core_reference(&mut self.reference, g, rev, s, t, k);
+            assert_same_outputs(&pruned, &reference, &label);
+            let read = touched_vertices(&pruned);
+            let reference_read = touched_vertices(&reference);
+            assert!(
+                read.iter().all(|v| reference_read.binary_search(v).is_ok()),
+                "the pruned search read a vertex outside the two balls: {label}"
+            );
+            let kept = &pruned.mapping.as_ref().unwrap().old_of_new;
+            assert!(
+                kept.iter().all(|v| read.binary_search(v).is_ok()),
+                "a kept vertex is missing from the invalidation key: {label}"
+            );
+            assert!(self.pruned.stats.last_touched <= self.reference.stats.last_touched);
+            self.queries += 1;
+            pruned
+        }
+    }
+
+    /// splitmix64: the crate has no `rand` dev-dependency.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_query(state: &mut u64, n: usize) -> (u32, u32, u32) {
+        loop {
+            let s = (next_random(state) % n as u64) as u32;
+            let t = (next_random(state) % n as u64) as u32;
+            if s != t {
+                return (s, t, 1 + (next_random(state) % 7) as u32);
+            }
+        }
+    }
+
+    #[test]
+    fn search_matches_the_two_ball_reference() {
+        let mut diff = Differential::default();
+        let mut rng = 0x5EED_0014u64;
+        for (n, queries) in [(50usize, 1_500usize), (300, 1_500), (2_000, 1_500), (5_000, 1_000)] {
+            let g = chung_lu(n, 6.0, 2.2, n as u64).to_csr();
+            let rev = g.reverse();
+            for _ in 0..queries {
+                diff.check(&g, &rev, random_query(&mut rng, n), &format!("chung_lu({n})"));
+            }
+            // Hub endpoints: low ids carry the heaviest out-degrees.
+            for other in 1..=40u32 {
+                for k in 1..=7 {
+                    diff.check(&g, &rev, (0, other, k), "hub source");
+                    diff.check(&g, &rev, (other, 0, k), "hub target");
+                }
+            }
+        }
+        assert!(diff.queries >= 5_000);
+
+        // Hand-built corners. The chain 0 -> 1 -> 2 -> 3 -> 4 with a shortcut
+        // 0 -> 4, a dead-end tail 1 -> 5 -> 6, and 7, 8 isolated.
+        let g = CsrGraph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 5), (5, 6)]);
+        let rev = g.reverse();
+        let direct = diff.check(&g, &rev, (0, 4, 1), "direct edge at k = 1");
+        assert!(direct.feasible);
+        assert!(!diff.check(&g, &rev, (0, 3, 1), "no direct edge at k = 1").feasible);
+        for k in 1..=7 {
+            let exact = diff.check(&g, &rev, (1, 4, k), "sd(s,t) = 3");
+            assert_eq!(exact.feasible, k >= 3);
+            assert!(!diff.check(&g, &rev, (6, 0, k), "t unreachable").feasible);
+            assert!(!diff.check(&g, &rev, (7, 4, k), "isolated s").feasible);
+            assert!(!diff.check(&g, &rev, (0, 8, k), "isolated t").feasible);
+            assert!(!diff.check(&g, &rev, (7, 8, k), "both isolated").feasible);
+        }
+        // A star: the hub reaches every leaf, one leaf reaches the sink.
+        let mut edges: Vec<(u32, u32)> = (1..200).map(|leaf| (0, leaf)).collect();
+        edges.extend([(57, 200), (200, 201), (201, 0)]);
+        let star = CsrGraph::from_edges(202, &edges);
+        let star_rev = star.reverse();
+        for k in 1..=7 {
+            diff.check(&star, &star_rev, (0, 201, k), "hub source, narrow target");
+            diff.check(&star, &star_rev, (200, 3, k), "narrow source, hub on the way");
+        }
+    }
+
+    #[test]
+    fn search_matches_the_reference_on_overlay_snapshots() {
+        use pefp_graph::delta::{GraphDelta, VersionedGraph};
+        use std::collections::BTreeSet;
+
+        let n = 400usize;
+        let base = chung_lu(n, 5.0, 2.2, 77).to_csr();
+        let mut live: BTreeSet<(u32, u32)> = base.edges().map(|e| (e.from.0, e.to.0)).collect();
+        // A threshold no delta sequence here reaches: overlays accumulate.
+        let mut versioned = VersionedGraph::from_csr(base).with_compaction_threshold(usize::MAX);
+        let mut diff = Differential::default();
+        let mut rng = 0x0DE1_7A50u64;
+        for round in 0..40 {
+            let mut delta = GraphDelta::new();
+            // A batch applies its removals before its inserts; so does `live`.
+            for _ in 0..4 {
+                let pick = (next_random(&mut rng) % live.len() as u64) as usize;
+                let (a, b) = *live.iter().nth(pick).expect("index below the length");
+                delta.remove_edge(VertexId(a), VertexId(b));
+                live.remove(&(a, b));
+            }
+            for _ in 0..6 {
+                let (a, b, _) = random_query(&mut rng, n);
+                delta.insert_edge(VertexId(a), VertexId(b));
+                live.insert((a, b));
+            }
+            let snapshot = versioned.apply(&delta);
+            let rebuilt = CsrGraph::from_edges(n, &live.iter().copied().collect::<Vec<_>>());
+            for _ in 0..25 {
+                let query = random_query(&mut rng, n);
+                let label = format!("overlay round {round}");
+                let on_overlay =
+                    diff.check(&snapshot.forward(), &snapshot.reverse(), query, &label);
+                let (s, t, k) = query;
+                let from_scratch = pre_bfs(&rebuilt, VertexId(s), VertexId(t), k);
+                assert_same_outputs(&on_overlay, &from_scratch, &label);
+            }
+        }
+        assert!(versioned.current().overlay_rows() > 0, "the snapshots must be overlays");
     }
 
     #[test]

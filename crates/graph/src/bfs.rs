@@ -67,13 +67,20 @@ pub fn khop_bfs_multi<G: GraphView + ?Sized>(
 /// run costs O(touched), not O(|V|). The scratch also records the exact set of
 /// reached vertices, which is what the Pre-BFS vertex cut iterates instead of
 /// scanning every vertex of the data graph.
+///
+/// A search can also be driven one level at a time ([`BfsScratch::seed`],
+/// then [`BfsScratch::expand_level`] with an admission test), which is how
+/// Pre-BFS lets each of its two searches prune the other; [`BfsScratch::run`]
+/// is that loop with every vertex admitted.
 #[derive(Debug, Default, Clone)]
 pub struct BfsScratch {
     dist: Vec<u32>,
     mark: Vec<u32>,
     epoch: u32,
     touched: Vec<VertexId>,
-    queue: VecDeque<VertexId>,
+    /// The vertices of level `level`, in discovery order, still to be expanded.
+    frontier: VecDeque<VertexId>,
+    level: u32,
 }
 
 impl BfsScratch {
@@ -82,13 +89,14 @@ impl BfsScratch {
         BfsScratch::default()
     }
 
-    /// Opens a new epoch sized for `n` vertices, invalidating all previous
-    /// distances in O(1) (except on counter wrap-around or graph resize).
+    /// Opens a new epoch for a graph of `n` vertices, invalidating all
+    /// previous distances in O(1) (except on counter wrap-around). The arrays
+    /// only ever grow: a new slot carries mark 0, which no live epoch equals,
+    /// and a slot beyond the current graph keeps a mark from an older epoch.
     fn begin(&mut self, n: usize) {
-        if self.dist.len() != n {
-            self.dist = vec![0; n];
-            self.mark = vec![0; n];
-            self.epoch = 0;
+        if self.mark.len() < n {
+            self.dist.resize(n, 0);
+            self.mark.resize(n, 0);
         }
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
@@ -100,7 +108,8 @@ impl BfsScratch {
             }
         };
         self.touched.clear();
-        self.queue.clear();
+        self.frontier.clear();
+        self.level = 0;
     }
 
     #[inline]
@@ -108,7 +117,7 @@ impl BfsScratch {
         self.mark[v.index()] = self.epoch;
         self.dist[v.index()] = d;
         self.touched.push(v);
-        self.queue.push_back(v);
+        self.frontier.push_back(v);
     }
 
     /// Runs a hop-bounded BFS from `source`, replacing any previous run.
@@ -118,20 +127,56 @@ impl BfsScratch {
 
     /// Multi-source variant of [`BfsScratch::run`].
     pub fn run_multi<G: GraphView + ?Sized>(&mut self, g: &G, sources: &[VertexId], max_hops: u32) {
+        self.seed(g, sources);
+        while self.level < max_hops && !self.frontier.is_empty() {
+            self.expand_level(g, |_| true);
+        }
+    }
+
+    /// Starts a level-by-level search, replacing any previous run: every
+    /// source is reached at level 0 and together they form the frontier.
+    pub fn seed<G: GraphView + ?Sized>(&mut self, g: &G, sources: &[VertexId]) {
         self.begin(g.num_vertices());
         for &s in sources {
             if self.mark[s.index()] != self.epoch {
                 self.visit(s, 0);
             }
         }
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u.index()];
-            if du >= max_hops {
-                continue;
-            }
+    }
+
+    /// The level of the current frontier: how many times the search has been
+    /// expanded since it was seeded.
+    #[inline]
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// What expanding the frontier would read: the sum of its out-degrees.
+    /// Zero means no further vertex can be reached.
+    pub fn frontier_cost<G: GraphView + ?Sized>(&self, g: &G) -> usize {
+        self.frontier.iter().map(|&u| g.out_degree(u)).sum()
+    }
+
+    /// Drops the frontier vertices `keep` rejects, so they are not expanded.
+    /// They stay reached: `dist` and `touched` still report them.
+    pub fn retain_frontier(&mut self, mut keep: impl FnMut(VertexId) -> bool) {
+        self.frontier.retain(|&v| keep(v));
+    }
+
+    /// Expands the frontier by one level: each unreached successor that
+    /// `admit` accepts is reached at `level() + 1`, and those vertices become
+    /// the new frontier. A rejected vertex stays unreached.
+    pub fn expand_level<G: GraphView + ?Sized>(
+        &mut self,
+        g: &G,
+        mut admit: impl FnMut(VertexId) -> bool,
+    ) {
+        self.level += 1;
+        for _ in 0..self.frontier.len() {
+            let u = self.frontier.pop_front().expect("counted above");
             for &v in g.successors(u) {
-                if self.mark[v.index()] != self.epoch {
-                    self.visit(v, du + 1);
+                if self.mark[v.index()] != self.epoch && admit(v) {
+                    self.visit(v, self.level);
                 }
             }
         }
@@ -337,6 +382,44 @@ mod tests {
         assert_eq!(scratch.dist(VertexId(1)), 0);
         assert_eq!(scratch.dist(VertexId(0)), UNREACHED);
         assert_eq!(scratch.dist(VertexId(4)), UNREACHED); // out of range, not stale
+
+        // Alternating between sizes only ever grows the arrays and never
+        // leaks a distance from the other graph.
+        let big = CsrGraph::from_edges(9, &[(0, 1), (1, 8), (8, 7), (7, 2)]);
+        for round in 0..4 {
+            for (g, source) in [(&big, 0u32), (&small, 0), (&chain(), 1), (&big, 8)] {
+                scratch.run(g, VertexId(source), 3);
+                let mut expected = khop_bfs(g, VertexId(source), 3);
+                assert_eq!(scratch.to_dense(expected.len()), expected, "round {round}");
+                expected.resize(12, UNREACHED); // out-of-range vertices read as unreached
+                for (v, &d) in expected.iter().enumerate() {
+                    assert_eq!(scratch.dist(VertexId(v as u32)), d, "round {round}, vertex {v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_methods_expose_the_frontier_and_honour_the_admission_test() {
+        // 0 -> {1, 2}, 1 -> 3, 2 -> 4, 3 -> 5, 4 -> 5
+        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)]);
+        let mut scratch = BfsScratch::new();
+        scratch.seed(&g, &[VertexId(0)]);
+        assert_eq!((scratch.level(), scratch.frontier_cost(&g)), (0, 2));
+
+        scratch.expand_level(&g, |_| true);
+        assert_eq!((scratch.level(), scratch.frontier_cost(&g)), (1, 2));
+
+        // Vertex 2 leaves the frontier but stays reached.
+        scratch.retain_frontier(|v| v != VertexId(2));
+        assert_eq!(scratch.frontier_cost(&g), 1);
+        assert_eq!(scratch.dist(VertexId(2)), 1);
+
+        // Only 1 is expanded, and its successor 3 is refused: nothing new.
+        scratch.expand_level(&g, |v| v != VertexId(3));
+        assert_eq!((scratch.level(), scratch.frontier_cost(&g)), (2, 0));
+        assert_eq!(scratch.dist(VertexId(3)), UNREACHED);
+        assert_eq!(scratch.touched(), &[VertexId(0), VertexId(1), VertexId(2)]);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 use pefp::core::{
     no_prebfs_with, pre_bfs, pre_bfs_with, prepare_with, run_prepared, PefpVariant, PrepareContext,
 };
-use pefp::graph::{CsrBuilder, CsrGraph, VertexId};
+use pefp::graph::generators::chung_lu;
+use pefp::graph::{BfsScratch, CsrBuilder, CsrGraph, VertexId};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 /// A large graph whose k-hop neighbourhood around the query endpoints is
@@ -45,6 +48,38 @@ fn prebfs_touches_the_frontier_not_the_graph() {
     // The reverse CSR is built once for the whole sequence, not per query.
     assert_eq!(ctx.stats().reverse_builds, 1);
     assert_eq!(ctx.stats().queries, 8);
+}
+
+/// The work gate for the mutually pruned search, on exact counts: over a
+/// fixed query set on the microbench's Pre-BFS graph, the vertices Pre-BFS
+/// reaches add up to at most a quarter of what two full `(k-1)`-hop balls —
+/// the search the paper specifies — reach for the same queries.
+#[test]
+fn prebfs_reaches_a_fraction_of_the_two_full_balls() {
+    let g = Arc::new(chung_lu(10_000, 8.0, 2.2, 3).to_csr());
+    let rev = g.reverse();
+    let n = g.num_vertices() as u32;
+    let mut ctx = PrepareContext::new();
+    let (mut forward, mut backward) = (BfsScratch::new(), BfsScratch::new());
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let (mut reached, mut balls) = (0usize, 0usize);
+    for k in 4..=7u32 {
+        for _ in 0..200 {
+            let (s, t) = (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n)));
+            if s == t {
+                continue;
+            }
+            pre_bfs_with(&mut ctx, &g, s, t, k);
+            reached += ctx.stats().last_touched;
+            forward.run(&*g, s, k - 1);
+            backward.run(&rev, t, k - 1);
+            balls += forward.touched_len() + backward.touched_len();
+        }
+    }
+    assert!(
+        reached * 4 <= balls,
+        "Pre-BFS reached {reached} vertices where the two balls reach {balls}"
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@ use pefp::core::{count_simple_paths, count_st_walks, pre_bfs, pre_bfs_with, Prep
 use pefp::enumerate_paths;
 use pefp::graph::generators::chung_lu;
 use pefp::graph::paths::canonicalize;
-use pefp::graph::{CsrGraph, VertexId};
+use pefp::graph::{khop_bfs, CsrGraph, VertexId, UNREACHED};
 use pefp::host::binfmt::{decode_payload, encode_payload};
 use pefp::streaming::DynamicGraph;
 use std::sync::Arc;
@@ -139,13 +139,17 @@ proptest! {
     /// A dirty, reused `PrepareContext` produces byte-identical prepared
     /// queries (graph, barrier, mapping, feasibility) to the one-shot
     /// `pre_bfs` across random Chung-Lu graphs and query triples: epoch
-    /// stamping must never leak state from one query into the next.
+    /// stamping must never leak state from one query into the next. Both are
+    /// also held to the definition: the kept set is Theorem 1's cut and the
+    /// barrier is `sd(·, t)`, computed here from two dense `(k-1)`-hop BFS
+    /// arrays that share no code with the pruned search.
     #[test]
     fn dirty_prepare_context_matches_one_shot(
         (n, degree, seed, queries) in (40usize..160, 2u32..8, 0u64..1_000,
-            proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0u32..6), 1..8)),
+            proptest::collection::vec((0u32..1_000_000, 0u32..1_000_000, 0u32..8), 1..8)),
     ) {
         let g = Arc::new(chung_lu(n, degree as f64, 2.2, seed).to_csr());
+        let rev = g.reverse();
         let mut ctx = PrepareContext::new();
         for (raw_s, raw_t, k) in queries {
             let s = VertexId(raw_s % n as u32);
@@ -160,6 +164,21 @@ proptest! {
             let ctx_map = with_ctx.mapping.as_ref().map(|m| &m.old_of_new);
             let one_map = one_shot.mapping.as_ref().map(|m| &m.old_of_new);
             prop_assert_eq!(ctx_map, one_map);
+
+            let Some(kept) = ctx_map else { continue }; // k == 0 or s == t
+            let from_s = khop_bfs(&*g, s, k - 1);
+            let to_t = khop_bfs(&rev, t, k - 1);
+            let cut: Vec<VertexId> = (0..n as u32)
+                .map(VertexId)
+                .filter(|&u| {
+                    let (a, b) = (from_s[u.index()], to_t[u.index()]);
+                    u == s || u == t || (a != UNREACHED && b != UNREACHED && a + b <= k)
+                })
+                .collect();
+            prop_assert_eq!(kept, &cut);
+            let distances: Vec<u32> =
+                cut.iter().map(|u| to_t[u.index()].min(k + 1)).collect();
+            prop_assert_eq!(&with_ctx.barrier, &distances);
         }
         // However many queries ran, the context built the reverse CSR at
         // most once for the shared graph.
