@@ -34,13 +34,31 @@ fn bench_host_concurrency(c: &mut Criterion) {
             let queries = (sessions * pool.len()) as f64;
             println!(
                 "host_concurrency/{label}/{sessions}: {queries} queries, {paths} paths, \
-                 virtual makespan {} cycles ({:.2} queries/kcycle), cache hit rate {:.2}, \
-                 per-CU jobs {:?}",
+                 virtual makespan {} of {} device cycles ({:.2} queries/kcycle), \
+                 cache hit rate {:.2}, per-CU jobs {:?}",
                 stats.virtual_makespan_cycles,
+                stats.total_device_cycles,
                 queries / (stats.virtual_makespan_cycles.max(1) as f64 / 1e3),
                 stats.cache_hit_rate(),
                 stats.per_cu_jobs,
             );
+            // The two scheduling-dependent properties of sharing, checked
+            // here rather than in tier-1 (`tests/host_runtime.rs` keeps the
+            // interleaving-independent bounds): several tenants repeating one
+            // pool are mostly served from the shared cache, and they overlap
+            // in virtual time on the 4 CUs.
+            if sessions > 1 {
+                assert!(
+                    stats.virtual_makespan_cycles < stats.total_device_cycles,
+                    "{sessions} tenants on 4 CUs must overlap in virtual time: {stats:#?}"
+                );
+                if shared_cache {
+                    assert!(
+                        stats.cache_hits >= stats.submitted / 2,
+                        "the shared cache must serve most repeats: {stats:#?}"
+                    );
+                }
+            }
             group.bench_with_input(BenchmarkId::new(label, sessions), &sessions, |b, &sessions| {
                 b.iter(|| {
                     let runtime = concurrency_runtime(&handle, shared_cache);

@@ -9,20 +9,47 @@
 //! fed by a bounded admission queue.
 //!
 //! ```text
-//!  client A ──┐ submit                    ┌── worker 0 ── CU 0 ─┐
-//!  client B ──┼──► admission queue ──────►├── worker 1 ── CU 1 ─┼─ shared
-//!  client C ──┘  (bounded, fair:          └── worker n ── CU n ─┘  DRAM
-//!                 round-robin across                               arbiter
-//!                 sessions, LPT within)
+//!  client A ──┐ submit: pin snapshot,     ┌── worker 0 ── CU 0 ─┐
+//!  client B ──┼─ look up + route once ─┬─►├── worker 1 ── CU 1 ─┼─ shared
+//!  client C ──┘  (on the caller's      │  └── worker n ── CU n ─┘  DRAM
+//!                 thread)              │   admission queue          arbiter
+//!                                      │   (bounded, fair: round-robin
+//!                                      │    across sessions, LPT within)
+//!                                      │        │ miss that routes to a CPU
+//!                                      │        ▼ engine (hand-off)
+//!                                      └─►  CPU queue ──► CPU workers
+//!                       cached + CPU-routed  (FIFO, no lease, no DMA)
 //! ```
 //!
-//! Scheduling is fair in two dimensions: the queue serves **sessions
-//! round-robin** (a tenant flooding the queue cannot starve the others) and
-//! **longest-estimated-first within a session** (the LPT policy the batch
-//! scheduler uses, so a session's heavyweight queries start early). The queue
-//! is bounded: [`HostRuntime::submit_query`] returns
-//! [`HostError::QueueFull`] instead of blocking forever — backpressure the
-//! caller can act on.
+//! **Admission is the one place a job meets the prepared cache and the
+//! router.** [`HostRuntime::submit_query`] pins the current graph snapshot,
+//! does the job's one counted cache lookup and reads the route memoised on the
+//! entry ([`pefp_core::route_query`] runs once per prepared entry, when it is
+//! inserted — never per hit). A hit the router placed on a CPU engine goes
+//! straight onto the CPU queue from the caller's thread: it never takes an
+//! admission-queue slot and never waits for a CU worker, so a ~5 µs cached
+//! query is not stuck behind the enumeration that worker is running. A hit
+//! routed to the device is queued *carrying* the entry it found, ordered by
+//! the memoised cost. Only a miss reaches a CU worker unprepared; the worker
+//! prepares it, routes it once, and inserts entry and route together. (That
+//! is what this leaves open: an *uncached* query still prepares on the CU
+//! worker, behind whatever that worker is enumerating.)
+//!
+//! The admission lookup sits directly after the snapshot pin, so it cannot
+//! see a staler cache than the worker-side lookup it replaces did: an entry
+//! still resident after [`HostRuntime::apply_updates`]' sweep was not touched
+//! by the update and answers identically on both epochs, and an entry
+//! prepared on an epoch *newer* than the job's pin is never served to it.
+//!
+//! Scheduling is fair in two dimensions: the admission queue serves
+//! **sessions round-robin** (a tenant flooding the queue cannot starve the
+//! others) and **longest-estimated-first within a session** (the LPT policy
+//! the batch scheduler uses, so a session's heavyweight queries start early).
+//! The CPU queue is plain FIFO: only jobs the router predicts cheaper on the
+//! CPU than one device launch get there, so there is nothing long to reorder.
+//! Both queues are bounded by [`RuntimeConfig::queue_capacity`]:
+//! [`HostRuntime::submit_query`] returns [`HostError::QueueFull`] instead of
+//! blocking forever — backpressure the caller can act on.
 //!
 //! Work arrives as **jobs** and completes through [`JobTicket`]s. Dropping a
 //! ticket cancels its job: queued jobs are skipped, and a running job's
@@ -84,8 +111,9 @@ pub struct RuntimeConfig {
     /// Fraction of the card's DRAM bandwidth one CU can absorb alone (the
     /// shared arbiter's saturation law; see [`pefp_fpga::DramArbiter`]).
     pub per_cu_bandwidth_share: f64,
-    /// Capacity of the bounded admission queue. Submissions beyond it fail
-    /// with [`HostError::QueueFull`].
+    /// Capacity of the bounded admission queue, and of the CPU queue for
+    /// jobs dispatched to it at admission. Submissions beyond it fail with
+    /// [`HostError::QueueFull`].
     pub queue_capacity: usize,
     /// Total capacity of the shared `(s, t, k)`-keyed prepared-query LRU
     /// (0 disables caching).
@@ -329,6 +357,11 @@ struct Job {
     /// with *one* version of the graph.
     snapshot: Arc<GraphSnapshot>,
     ticket: Arc<TicketInner<QueryOutcome>>,
+    /// The cache entry admission found for this job — always device-routed,
+    /// because a CPU-routed hit never enters this queue. `None` is a miss:
+    /// the worker looks once more (another job may have prepared the query
+    /// meanwhile) and otherwise prepares, routes and inserts it.
+    hit: Option<CacheHit>,
 }
 
 /// A job queued with its scheduling metadata.
@@ -410,6 +443,7 @@ impl AdmissionQueue {
         Ok(pruned)
     }
 
+    #[cfg(test)]
     fn submit(&self, job: Job, estimate: u64) -> Result<u64, HostError> {
         self.submit_many(vec![(job, estimate)])
     }
@@ -518,9 +552,12 @@ impl CpuEngine {
     }
 }
 
-/// A job the router placed on a CPU engine, preprocessing already done. CPU
-/// jobs ride a dedicated handoff queue and worker pool — they never occupy a
-/// CU lease, so a burst of tiny queries cannot stall device work.
+/// A job the router placed on a CPU engine, preprocessing already done. It
+/// is built where the route becomes known: on the submitter's thread when
+/// admission finds the query cached (`cache_hit`), on a CU worker when the
+/// query had to be prepared first. Either way it is served by the dedicated
+/// CPU pool and never occupies a CU lease, so a burst of tiny queries cannot
+/// stall device work — nor wait behind it.
 struct CpuJob {
     request: QueryRequest,
     kind: JobKind,
@@ -532,25 +569,59 @@ struct CpuJob {
 }
 
 struct CpuQueueState {
+    capacity: usize,
     jobs: VecDeque<CpuJob>,
     shutdown: bool,
 }
 
-/// Handoff queue between the device workers (which pop, preprocess and route
-/// jobs) and the CPU pool. Admission control already happened at the bounded
-/// admission queue, so this queue never rejects for capacity; it only fails a
-/// push after shutdown.
+/// FIFO queue feeding the CPU pool, with two producers. Submitters push
+/// cached CPU-routed jobs directly ([`CpuQueue::submit_many`]); that is an
+/// admission, so it is bounded and fails with [`HostError::QueueFull`]. CU
+/// workers hand over jobs they prepared and routed ([`CpuQueue::push`]);
+/// those were admitted at the admission queue already, so the hand-off never
+/// rejects for capacity and only fails after shutdown.
 struct CpuQueue {
     state: Mutex<CpuQueueState>,
     ready: Condvar,
 }
 
 impl CpuQueue {
-    fn new() -> Self {
+    fn new(capacity: usize) -> Self {
         CpuQueue {
-            state: Mutex::new(CpuQueueState { jobs: VecDeque::new(), shutdown: false }),
+            state: Mutex::new(CpuQueueState {
+                capacity: capacity.max(1),
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             ready: Condvar::new(),
         }
+    }
+
+    /// Admission-time push of a group, all or nothing *together with*
+    /// `admit_rest` (the same submission's admission-queue half): room for
+    /// `jobs` is checked first, `admit_rest` runs under this queue's lock, and
+    /// `jobs` are pushed only once it succeeded — so a mixed batch is never
+    /// half-accepted. Passes `admit_rest`'s result through.
+    fn submit_many(
+        &self,
+        jobs: Vec<CpuJob>,
+        admit_rest: impl FnOnce() -> Result<u64, HostError>,
+    ) -> Result<u64, HostError> {
+        let mut state = self.state.lock().expect("cpu queue poisoned");
+        if state.shutdown {
+            return Err(HostError::Cancelled);
+        }
+        // Hand-offs may have filled the queue past `capacity`; that only
+        // concerns a submission that wants a slot here.
+        if !jobs.is_empty() && state.jobs.len() + jobs.len() > state.capacity {
+            return Err(HostError::QueueFull);
+        }
+        let pruned = admit_rest()?;
+        for job in jobs {
+            state.jobs.push_back(job);
+            self.ready.notify_one();
+        }
+        Ok(pruned)
     }
 
     fn push(&self, job: CpuJob) -> Result<(), CpuJob> {
@@ -577,6 +648,10 @@ impl CpuQueue {
         }
     }
 
+    fn depth(&self) -> usize {
+        self.state.lock().expect("cpu queue poisoned").jobs.len()
+    }
+
     /// Stops the queue and returns the jobs still queued so their tickets can
     /// be failed.
     fn shutdown(&self) -> Vec<CpuJob> {
@@ -592,37 +667,78 @@ impl CpuQueue {
 // Shared prepared-query cache (lock-striped LRU)
 // ---------------------------------------------------------------------------
 
+/// The router's verdict on one prepared entry, memoised beside it. Routing is
+/// deterministic in the prepared query, the table and the runtime's
+/// [`RouteContext`], so it is computed once, by whoever inserts the entry,
+/// and every later hit reads it back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Route {
+    choice: EngineChoice,
+    /// Modelled latency of `choice` in microseconds: the LPT key of every
+    /// job that hits the entry.
+    cost_estimate_us: f64,
+}
+
+impl Route {
+    /// The CPU engine the route names; `None` for a device route.
+    fn cpu_engine(&self) -> Option<CpuEngine> {
+        match self.choice {
+            EngineChoice::CpuBcDfs => Some(CpuEngine::BcDfs),
+            EngineChoice::CpuJoin => Some(CpuEngine::Join),
+            EngineChoice::DeviceSingleCu | EngineChoice::DeviceMultiCu => None,
+        }
+    }
+}
+
+/// What a cache lookup hands out: the prepared query and its memoised route
+/// (`None` exactly when the runtime has no routing table).
+#[derive(Debug, Clone)]
+struct CacheHit {
+    prepared: Arc<PreparedQuery>,
+    route: Option<Route>,
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    /// LRU recency stamp.
+    stamp: u64,
+    /// The graph epoch the entry was prepared on. A job pinned to an older
+    /// epoch must not be served from it.
+    prepared_epoch: Epoch,
+    hit: CacheHit,
+}
+
 /// One stripe: an `(s, t, k)`-keyed LRU with its own lock.
 #[derive(Debug)]
 struct CacheShard {
     capacity: usize,
     tick: u64,
-    entries: HashMap<QueryRequest, (u64, Arc<PreparedQuery>)>,
+    entries: HashMap<QueryRequest, CacheEntry>,
 }
 
 impl CacheShard {
-    fn get(&mut self, key: &QueryRequest) -> Option<Arc<PreparedQuery>> {
+    /// The entry under `key` as a job pinned to epoch `pinned` may use it: an
+    /// entry prepared on a newer epoch is invisible to that job.
+    fn get(&mut self, key: &QueryRequest, pinned: Epoch) -> Option<CacheHit> {
         self.tick += 1;
         let tick = self.tick;
-        self.entries.get_mut(key).map(|(stamp, prep)| {
-            *stamp = tick;
-            Arc::clone(prep)
-        })
+        let entry = self.entries.get_mut(key).filter(|e| e.prepared_epoch <= pinned)?;
+        entry.stamp = tick;
+        Some(entry.hit.clone())
     }
 
-    fn insert(&mut self, key: QueryRequest, prep: Arc<PreparedQuery>) {
+    fn insert(&mut self, key: QueryRequest, hit: CacheHit, prepared_epoch: Epoch) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some(oldest) =
-                self.entries.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k)
+            if let Some(oldest) = self.entries.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k)
             {
                 self.entries.remove(&oldest);
             }
         }
-        self.entries.insert(key, (self.tick, prep));
+        self.entries.insert(key, CacheEntry { stamp: self.tick, prepared_epoch, hit });
     }
 
     /// Drops every entry whose BFS-touched vertex set intersects `touched`
@@ -631,7 +747,7 @@ impl CacheShard {
     /// epoch, so they survive.
     fn invalidate(&mut self, touched: &[VertexId]) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|_, (_, prep)| !prep.touched.intersects(touched));
+        self.entries.retain(|_, e| !e.hit.prepared.touched.intersects(touched));
         (before - self.entries.len()) as u64
     }
 }
@@ -667,48 +783,68 @@ impl SharedPreparedCache {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    fn get(&self, key: &QueryRequest) -> Option<Arc<PreparedQuery>> {
-        let hit = self.shards[self.shard_of(key)].lock().expect("cache shard poisoned").get(key);
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+    /// The admission lookup for a job pinned to epoch `pinned`. Counts a hit;
+    /// a miss is left uncounted because the job's lookup is not over — the
+    /// worker that pops it asks once more through [`SharedPreparedCache::get`],
+    /// which settles it. Together the two count exactly one hit or one miss
+    /// per served job.
+    fn get_at_admission(&self, key: &QueryRequest, pinned: Epoch) -> Option<CacheHit> {
+        let hit =
+            self.shards[self.shard_of(key)].lock().expect("cache shard poisoned").get(key, pinned);
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// The worker-side lookup of a job that missed at admission: counts a hit
+    /// or a miss.
+    fn get(&self, key: &QueryRequest, pinned: Epoch) -> Option<CacheHit> {
+        let hit = self.get_at_admission(key, pinned);
+        if hit.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         hit
     }
 
     /// Reads an entry without bumping its LRU recency or the hit/miss
-    /// counters. Used by the admission-time cost estimate and `EXPLAIN`,
-    /// which must not skew the serving statistics.
+    /// counters. Used by `EXPLAIN`, which must not skew the serving
+    /// statistics.
     fn peek(&self, key: &QueryRequest) -> Option<Arc<PreparedQuery>> {
         self.shards[self.shard_of(key)]
             .lock()
             .expect("cache shard poisoned")
             .entries
             .get(key)
-            .map(|(_, prep)| Arc::clone(prep))
+            .map(|e| Arc::clone(&e.hit.prepared))
     }
 
     #[cfg(test)]
     fn insert(&self, key: QueryRequest, prep: Arc<PreparedQuery>) {
-        self.shards[self.shard_of(&key)].lock().expect("cache shard poisoned").insert(key, prep);
+        self.shards[self.shard_of(&key)].lock().expect("cache shard poisoned").insert(
+            key,
+            CacheHit { prepared: prep, route: None },
+            0,
+        );
     }
 
-    /// Inserts `prep` only if the runtime is still on the epoch the entry was
+    /// Inserts `hit` only if the runtime is still on the epoch the entry was
     /// prepared under, checked *under the shard lock*. This closes the race
     /// with [`HostRuntime::apply_updates`], which stores the new epoch before
     /// sweeping the shards: if the worker sees the old epoch here, its insert
     /// lands before the sweep (same lock) and the sweep evicts it if stale; if
-    /// it sees the new epoch, the entry is simply dropped.
+    /// it sees the new epoch, the entry is simply dropped — which is also why
+    /// a job pinned to an old epoch can never overwrite a newer entry.
     fn insert_if_epoch(
         &self,
         key: QueryRequest,
-        prep: Arc<PreparedQuery>,
+        hit: CacheHit,
         prepared_epoch: Epoch,
         current: &AtomicU64,
     ) {
         let mut shard = self.shards[self.shard_of(&key)].lock().expect("cache shard poisoned");
         if current.load(Ordering::Acquire) == prepared_epoch {
-            shard.insert(key, prep);
+            shard.insert(key, hit, prepared_epoch);
         }
     }
 
@@ -988,11 +1124,12 @@ impl EngineLaneStats {
 pub struct RuntimeStats {
     /// Number of compute units (= persistent workers).
     pub compute_units: usize,
-    /// Jobs currently waiting in the admission queue.
+    /// Jobs currently waiting to be served (admission queue plus CPU queue).
     pub queue_depth: usize,
-    /// Admission queue capacity.
+    /// Capacity of the admission queue, and of the CPU queue for jobs
+    /// dispatched to it at admission.
     pub queue_capacity: usize,
-    /// Jobs accepted into the queue so far.
+    /// Jobs accepted into a queue so far.
     pub submitted: u64,
     /// Jobs that ran to a result (including early-terminated ones).
     pub completed: u64,
@@ -1174,11 +1311,15 @@ struct RuntimeShared {
     epoch: AtomicU64,
     cluster: CuCluster,
     queue: AdmissionQueue,
-    /// Handoff queue feeding the dedicated CPU worker pool (router-placed
-    /// jobs only; empty and unused when routing is disabled).
+    /// Queue feeding the dedicated CPU worker pool (router-placed jobs only;
+    /// empty and unused when routing is disabled).
     cpu_queue: CpuQueue,
     cache: SharedPreparedCache,
     counters: RuntimeCounters,
+    /// How often [`RuntimeShared::route`] ran, for the test that holds it to
+    /// once per prepared entry.
+    #[cfg(test)]
+    route_calls: AtomicU64,
     virt: Mutex<VirtualClock>,
     /// Per-CU circuit breaker state.
     health: CuHealth,
@@ -1186,6 +1327,37 @@ struct RuntimeShared {
     deadlines: Mutex<DeadlineState>,
     /// Wakes the watchdog on registration and shutdown.
     deadline_cv: Condvar,
+}
+
+impl RuntimeShared {
+    fn route_context(&self) -> RouteContext {
+        RouteContext {
+            compute_units: self.config.compute_units.max(1),
+            charge_banked: self.config.charge_banked,
+        }
+    }
+
+    /// Routes a freshly prepared query: the one `route_query` call of its
+    /// cache entry's lifetime, made by whoever is about to insert it. `None`
+    /// without a routing table (every job then runs on the device).
+    fn route(&self, prepared: &PreparedQuery) -> Option<Route> {
+        let table = self.config.routing.as_ref()?;
+        #[cfg(test)]
+        self.route_calls.fetch_add(1, Ordering::Relaxed);
+        let decision = route_query(prepared, table, &self.route_context());
+        Some(Route { choice: decision.choice, cost_estimate_us: decision.cost_estimate_us })
+    }
+}
+
+/// One submission on its way into the queues: [`HostRuntime::admit`] sorts
+/// each job into the half it belongs to, [`HostRuntime::enqueue`] pushes both
+/// halves all-or-nothing.
+#[derive(Default)]
+struct Admission {
+    /// Cached and CPU-routed: straight onto the CPU queue.
+    cpu: Vec<CpuJob>,
+    /// Everything else, with its LPT key: the admission queue.
+    queued: Vec<(Job, u64)>,
 }
 
 /// The long-lived multi-session host runtime. See the module docs for the
@@ -1201,7 +1373,7 @@ impl std::fmt::Debug for HostRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostRuntime")
             .field("compute_units", &self.shared.config.compute_units)
-            .field("queue_depth", &self.shared.queue.depth())
+            .field("queue_depth", &self.queue_depth())
             .finish()
     }
 }
@@ -1224,7 +1396,7 @@ impl HostRuntime {
         let versioned = VersionedGraph::new(Arc::clone(&graph.csr), Arc::clone(&graph.reverse));
         let shared = Arc::new(RuntimeShared {
             queue: AdmissionQueue::new(config.queue_capacity),
-            cpu_queue: CpuQueue::new(),
+            cpu_queue: CpuQueue::new(config.queue_capacity),
             cache: SharedPreparedCache::new(config.shared_cache_capacity, config.cache_stripes),
             epoch: AtomicU64::new(versioned.epoch()),
             versioned: Mutex::new(versioned),
@@ -1260,6 +1432,8 @@ impl HostRuntime {
             health: CuHealth::new(cus),
             deadlines: Mutex::new(DeadlineState { entries: Vec::new(), shutdown: false }),
             deadline_cv: Condvar::new(),
+            #[cfg(test)]
+            route_calls: AtomicU64::new(0),
             cluster,
             graph,
             config,
@@ -1356,9 +1530,10 @@ impl HostRuntime {
         self.shared.cache.len()
     }
 
-    /// Jobs currently waiting in the admission queue.
+    /// Jobs currently waiting to be served: the admission queue plus the
+    /// CPU queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.depth()
+        self.shared.queue.depth() + self.shared.cpu_queue.depth()
     }
 
     /// Snapshot of the runtime's counters.
@@ -1367,7 +1542,7 @@ impl HostRuntime {
         let virt = self.shared.virt.lock().expect("virtual clock poisoned");
         RuntimeStats {
             compute_units: self.compute_units(),
-            queue_depth: self.shared.queue.depth(),
+            queue_depth: self.queue_depth(),
             queue_capacity: self.shared.config.queue_capacity.max(1),
             submitted: c.submitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -1520,40 +1695,15 @@ impl HostRuntime {
         }
         let deduplicated = requests.len() - unique.len();
 
-        let mut jobs = Vec::with_capacity(unique.len());
+        let mut admission = Admission::default();
         let mut tickets = Vec::with_capacity(unique.len());
         for request in &unique {
             let ticket = TicketInner::new();
             tickets.push(JobTicket { inner: Arc::clone(&ticket), armed: true });
-            jobs.push((
-                Job {
-                    session,
-                    request: *request,
-                    kind: JobKind::Count,
-                    snapshot: Arc::clone(&snapshot),
-                    ticket,
-                },
-                self.admission_estimate(&snapshot, request),
-            ));
+            self.admit(&mut admission, session, *request, JobKind::Count, &snapshot, ticket);
         }
-        let n = jobs.len() as u64;
-        match self.shared.queue.submit_many(jobs) {
-            Ok(pruned) => {
-                self.shared.counters.cancelled.fetch_add(pruned, Ordering::Relaxed);
-                self.shared.counters.submitted.fetch_add(n, Ordering::Relaxed);
-                if let Some(deadline) = self.shared.config.default_deadline {
-                    for ticket in &tickets {
-                        self.register_deadline(&ticket.inner, deadline);
-                    }
-                }
-                Ok(BatchTicket { tickets, requests: unique, slot_of, deduplicated })
-            }
-            Err(HostError::QueueFull) => {
-                self.shared.counters.queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(HostError::QueueFull)
-            }
-            Err(e) => Err(e),
-        }
+        self.enqueue(admission, &tickets, self.shared.config.default_deadline)?;
+        Ok(BatchTicket { tickets, requests: unique, slot_of, deduplicated })
     }
 
     fn submit(
@@ -1570,44 +1720,86 @@ impl HostRuntime {
         }
         let inner = TicketInner::new();
         let ticket = JobTicket { inner: Arc::clone(&inner), armed: true };
-        let est = self.admission_estimate(&snapshot, &request);
-        let job = Job { session, request, kind, snapshot, ticket: inner };
-        match self.shared.queue.submit(job, est) {
-            Ok(pruned) => {
-                self.shared.counters.cancelled.fetch_add(pruned, Ordering::Relaxed);
-                self.shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                if let Some(deadline) = deadline {
-                    self.register_deadline(&ticket.inner, deadline);
-                }
-                Ok(ticket)
-            }
-            Err(HostError::QueueFull) => {
-                self.shared.counters.queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(HostError::QueueFull)
-            }
-            Err(e) => Err(e),
-        }
+        let mut admission = Admission::default();
+        self.admit(&mut admission, session, request, kind, &snapshot, inner);
+        self.enqueue(admission, std::slice::from_ref(&ticket), deadline)?;
+        Ok(ticket)
     }
 
-    /// Submission-time LPT estimate of one request. With the router
-    /// configured and the query already resident in the shared prepared
-    /// cache, the router's modelled cost (µs) is the ordering key — a real
-    /// latency prediction instead of the degree proxy. Unprepared queries
-    /// fall back to [`estimate`]: preprocessing at admission would serialise
-    /// every submitter on the caller's thread. The two keys only ever *rank*
-    /// jobs within one session's lane, so mixing the scales is benign.
-    fn admission_estimate(&self, snapshot: &GraphSnapshot, request: &QueryRequest) -> u64 {
-        if let Some(table) = &self.shared.config.routing {
-            if let Some(prepared) = self.shared.cache.peek(request) {
-                let ctx = RouteContext {
-                    compute_units: self.compute_units(),
-                    charge_banked: self.shared.config.charge_banked,
-                };
-                let decision = route_query(&prepared, table, &ctx);
-                return decision.cost_estimate_us as u64;
+    /// The admission step of one validated job: its single counted cache
+    /// lookup, directly after the snapshot pin, and the routing decision read
+    /// off the entry's memo. A hit the router placed on a CPU engine becomes a
+    /// [`CpuJob`] here, on the caller's thread; a device-routed hit is queued
+    /// carrying the entry, keyed by the memoised cost (µs) — a real latency
+    /// prediction; a miss (and any hit without a routing table) is keyed by
+    /// the degree proxy [`estimate`], because preparing at admission would
+    /// serialise every submitter on the caller's thread. The keys only ever
+    /// *rank* jobs within one session's lane, so mixing the scales is benign.
+    fn admit(
+        &self,
+        admission: &mut Admission,
+        session: SessionId,
+        request: QueryRequest,
+        kind: JobKind,
+        snapshot: &Arc<GraphSnapshot>,
+        ticket: Arc<TicketInner<QueryOutcome>>,
+    ) {
+        let started = Instant::now();
+        let hit = self.shared.cache.get_at_admission(&request, snapshot.epoch());
+        let key = match &hit {
+            Some(CacheHit { prepared, route: Some(route) }) => match route.cpu_engine() {
+                Some(engine) => {
+                    admission.cpu.push(CpuJob {
+                        request,
+                        kind,
+                        prepared: Arc::clone(prepared),
+                        engine,
+                        preprocess_millis: started.elapsed().as_secs_f64() * 1e3,
+                        cache_hit: true,
+                        ticket,
+                    });
+                    return;
+                }
+                None => route.cost_estimate_us as u64,
+            },
+            _ => estimate(snapshot, &request),
+        };
+        let snapshot = Arc::clone(snapshot);
+        admission.queued.push((Job { session, request, kind, snapshot, ticket, hit }, key));
+    }
+
+    /// Pushes an admitted submission onto its queues — both or neither: the
+    /// CPU queue checks its room first and pushes only once the admission
+    /// queue accepted its half — then books it: counters, and `deadline`
+    /// supervision for every ticket.
+    fn enqueue(
+        &self,
+        admission: Admission,
+        tickets: &[JobTicket<QueryOutcome>],
+        deadline: Option<Duration>,
+    ) -> Result<(), HostError> {
+        let shared = &self.shared;
+        let Admission { cpu, queued } = admission;
+        let cpu_routed = cpu.len() as u64;
+        match shared.cpu_queue.submit_many(cpu, || shared.queue.submit_many(queued)) {
+            Ok(pruned) => {
+                shared.counters.cancelled.fetch_add(pruned, Ordering::Relaxed);
+                shared.counters.submitted.fetch_add(tickets.len() as u64, Ordering::Relaxed);
+                shared.counters.cpu_routed.fetch_add(cpu_routed, Ordering::Relaxed);
+                if let Some(deadline) = deadline {
+                    for ticket in tickets {
+                        self.register_deadline(&ticket.inner, deadline);
+                    }
+                }
+                Ok(())
+            }
+            Err(e) => {
+                if matches!(e, HostError::QueueFull) {
+                    shared.counters.queue_full.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e)
             }
         }
-        estimate(snapshot, request)
     }
 
     /// Explains how the router would place `request`, without running it:
@@ -1621,30 +1813,21 @@ impl HostRuntime {
     pub fn explain(&self, request: QueryRequest) -> Result<RouteDecision, HostError> {
         let snapshot = self.current_snapshot();
         request.validate_for(snapshot.num_vertices())?;
-        let prepared = match self.shared.cache.peek(&request) {
-            Some(hit) => hit,
-            None => {
-                let mut ctx = PrepareContext::with_reverse(
-                    &self.shared.graph.csr,
-                    Arc::clone(&self.shared.graph.reverse),
-                );
-                let prep = Arc::new(prepare_snapshot_with(
-                    &mut ctx,
-                    &snapshot,
-                    request.s,
-                    request.t,
-                    request.k,
-                    self.shared.config.variant,
-                ));
-                self.shared.cache.insert_if_epoch(
-                    request,
-                    Arc::clone(&prep),
-                    snapshot.epoch(),
-                    &self.shared.epoch,
-                );
-                prep
-            }
-        };
+        let cached = self.shared.cache.peek(&request);
+        let prepared = cached.clone().unwrap_or_else(|| {
+            let mut ctx = PrepareContext::with_reverse(
+                &self.shared.graph.csr,
+                Arc::clone(&self.shared.graph.reverse),
+            );
+            Arc::new(prepare_snapshot_with(
+                &mut ctx,
+                &snapshot,
+                request.s,
+                request.t,
+                request.k,
+                self.shared.config.variant,
+            ))
+        });
         let builtin;
         let table = match &self.shared.config.routing {
             Some(table) => table,
@@ -1653,11 +1836,22 @@ impl HostRuntime {
                 &builtin
             }
         };
-        let ctx = RouteContext {
-            compute_units: self.compute_units(),
-            charge_banked: self.shared.config.charge_banked,
-        };
-        Ok(route_query(&prepared, table, &ctx))
+        let decision = route_query(&prepared, table, &self.shared.route_context());
+        if cached.is_none() {
+            // Real queries will hit this entry, so it carries its route like
+            // any other — when the table consulted is the runtime's own.
+            let route = self.shared.config.routing.is_some().then_some(Route {
+                choice: decision.choice,
+                cost_estimate_us: decision.cost_estimate_us,
+            });
+            self.shared.cache.insert_if_epoch(
+                request,
+                CacheHit { prepared, route },
+                snapshot.epoch(),
+                &self.shared.epoch,
+            );
+        }
+        Ok(decision)
     }
 
     /// Puts `ticket` under deadline supervision: the watchdog kills the job
@@ -2014,73 +2208,70 @@ fn execute_cpu_job(shared: &RuntimeShared, job: CpuJob) {
 }
 
 fn execute_job(shared: &RuntimeShared, ctx: &mut PrepareContext, dma: &mut DmaEngine, job: Job) {
-    let Job { session, request, kind, snapshot, ticket } = job;
+    let Job { session, request, kind, snapshot, ticket, hit } = job;
     if ticket.cancel.load(Ordering::Acquire) {
         shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         ticket.complete(Err(ticket.cancel_error()));
         return;
     }
 
-    // Stage: shared-cache lookup or fresh preprocessing against the snapshot
-    // the job pinned at admission. A cached entry may have been prepared on
-    // an older epoch; it is only still resident because no update since has
-    // touched its BFS frontier, which makes its answer identical on every
-    // epoch since — including this job's.
+    // Stage: the prepared query. A job that hit the cache at admission
+    // carries its entry and is neither looked up nor routed again. A job that
+    // missed there settles its one counted lookup here — another job may have
+    // prepared the query while this one queued — and otherwise preprocesses
+    // against the snapshot it pinned and routes the result, once, for every
+    // later hit. An entry prepared on an *older* epoch than the pin is only
+    // still resident because no update since touched its BFS frontier, so it
+    // answers identically on every epoch since, this job's included; an entry
+    // prepared on a *newer* epoch says nothing about this job's snapshot and
+    // the lookup does not return it.
     let stage_started = Instant::now();
-    let (prepared, cache_hit) = match shared.cache.get(&request) {
-        Some(hit) => (hit, true),
-        None => {
-            let prep = Arc::new(prepare_snapshot_with(
-                ctx,
-                &snapshot,
-                request.s,
-                request.t,
-                request.k,
-                shared.config.variant,
-            ));
-            (prep, false)
+    let cached = hit.or_else(|| shared.cache.get(&request, snapshot.epoch()));
+    let cache_hit = cached.is_some();
+    let entry = cached.unwrap_or_else(|| {
+        let prepared = Arc::new(prepare_snapshot_with(
+            ctx,
+            &snapshot,
+            request.s,
+            request.t,
+            request.k,
+            shared.config.variant,
+        ));
+        let route = shared.route(&prepared);
+        CacheHit { prepared, route }
+    });
+    let preprocess_millis = if cache_hit {
+        stage_started.elapsed().as_secs_f64() * 1e3
+    } else {
+        entry.prepared.host_millis
+    };
+    // The fresh entry goes into the cache with its route; where, depends on
+    // the route (oversized device payloads are never cached).
+    let insert_fresh = |entry: &CacheHit| {
+        if !cache_hit {
+            shared.cache.insert_if_epoch(request, entry.clone(), snapshot.epoch(), &shared.epoch);
         }
     };
-    let preprocess_millis =
-        if cache_hit { stage_started.elapsed().as_secs_f64() * 1e3 } else { prepared.host_millis };
 
-    // Stage: engine routing. With a routing table configured, a query whose
-    // modelled CPU latency beats the device (transfer included) skips the
-    // DRAM capacity check, the PCIe transfer and the CU lease entirely and
-    // is handed to the dedicated CPU pool. Routing is deterministic in the
-    // prepared query and the table, so a cached entry re-routes identically.
-    if let Some(table) = &shared.config.routing {
-        let ctx = RouteContext {
-            compute_units: shared.config.compute_units.max(1),
-            charge_banked: shared.config.charge_banked,
-        };
-        let decision = route_query(&prepared, table, &ctx);
-        if decision.choice.is_cpu() {
-            if !cache_hit {
-                shared.cache.insert_if_epoch(
-                    request,
-                    Arc::clone(&prepared),
-                    snapshot.epoch(),
-                    &shared.epoch,
-                );
-            }
-            let engine = match decision.choice {
-                EngineChoice::CpuJoin => CpuEngine::Join,
-                _ => CpuEngine::BcDfs,
-            };
-            shared.counters.cpu_routed.fetch_add(1, Ordering::Relaxed);
-            let job =
-                CpuJob { request, kind, prepared, engine, preprocess_millis, cache_hit, ticket };
-            if let Err(job) = shared.cpu_queue.push(job) {
-                job.ticket.complete(Err(HostError::Cancelled));
-            }
-            return;
+    // Stage: hand-off. A query whose modelled CPU latency beats the device
+    // (transfer included) skips the DRAM capacity check, the PCIe transfer
+    // and the CU lease entirely and goes to the dedicated CPU pool. Only a
+    // job that was not cached at admission can take this branch — a cached
+    // one was dispatched there by its submitter.
+    if let Some(engine) = entry.route.and_then(|route| route.cpu_engine()) {
+        insert_fresh(&entry);
+        shared.counters.cpu_routed.fetch_add(1, Ordering::Relaxed);
+        let CacheHit { prepared, .. } = entry;
+        let job = CpuJob { request, kind, prepared, engine, preprocess_millis, cache_hit, ticket };
+        if let Err(job) = shared.cpu_queue.push(job) {
+            job.ticket.complete(Err(HostError::Cancelled));
         }
+        return;
     }
 
     // Capacity check before the transfer; oversized (permanently rejectable)
     // payloads never occupy cache slots.
-    let bytes = payload_bytes(&prepared);
+    let bytes = payload_bytes(&entry.prepared);
     if bytes > shared.config.device.dram_bytes {
         shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
         ticket.complete(Err(HostError::DeviceCapacity(format!(
@@ -2089,14 +2280,8 @@ fn execute_job(shared: &RuntimeShared, ctx: &mut PrepareContext, dma: &mut DmaEn
         ))));
         return;
     }
-    if !cache_hit {
-        shared.cache.insert_if_epoch(
-            request,
-            Arc::clone(&prepared),
-            snapshot.epoch(),
-            &shared.epoch,
-        );
-    }
+    insert_fresh(&entry);
+    let CacheHit { prepared, .. } = entry;
     let transfer = dma.transfer(bytes);
 
     let mut base_options = if shared.config.use_planner {
@@ -2318,11 +2503,7 @@ fn degrade_to_cpu(
             // degradation engine. JOIN materialises half-depth prefixes, so
             // on saturated estimates its modelled cost blows up and the
             // streaming BC-DFS wins — exactly the memory-safe choice.
-            let ctx = RouteContext {
-                compute_units: shared.config.compute_units.max(1),
-                charge_banked: shared.config.charge_banked,
-            };
-            let decision = route_query(prepared, table, &ctx);
+            let decision = route_query(prepared, table, &shared.route_context());
             if decision.costs.bc_dfs_us <= decision.costs.join_us {
                 CpuEngine::BcDfs
             } else {
@@ -2360,6 +2541,7 @@ fn degrade_to_cpu(
 mod tests {
     use super::*;
     use pefp_core::prepare_with;
+    use pefp_graph::paths::canonicalize;
     use pefp_graph::CsrGraph;
 
     fn diamond_runtime(config: RuntimeConfig) -> Arc<HostRuntime> {
@@ -2382,6 +2564,7 @@ mod tests {
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
             ticket: TicketInner::new(),
+            hit: None,
         };
         // Session 0 queues estimates [5, 9, 1]; session 1 queues [7, 7].
         queue.submit(job(0, 100), 5).unwrap();
@@ -2406,6 +2589,7 @@ mod tests {
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
             ticket: TicketInner::new(),
+            hit: None,
         };
         queue.submit(job(), 1).unwrap();
         queue.submit(job(), 1).unwrap();
@@ -2430,6 +2614,7 @@ mod tests {
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
             ticket: TicketInner::new(),
+            hit: None,
         };
         let dead_a = job();
         let dead_b = job();
@@ -2457,9 +2642,9 @@ mod tests {
         for s in 0..2u32 {
             let req = QueryRequest::new(s, 3, 3);
             let prep = Arc::new(prepare_with(&mut ctx, &g, req.s, req.t, req.k, PefpVariant::Full));
-            assert!(cache.get(&req).is_none());
+            assert!(cache.get(&req, 0).is_none());
             cache.insert(req, prep);
-            assert!(cache.get(&req).is_some());
+            assert!(cache.get(&req, 0).is_some());
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits.load(Ordering::Relaxed), 2);
@@ -2905,5 +3090,335 @@ mod tests {
         assert!(matches!(err, HostError::DeviceCapacity(_)));
         assert_eq!(runtime.cached_prepared_queries(), 0);
         assert_eq!(runtime.stats().rejected, 1);
+    }
+
+    // -- Route at admission -------------------------------------------------
+
+    /// A 2 000-vertex Chung-Lu graph on which the builtin table splits hub
+    /// pairs by hop budget: at k = 6 they go to the device, at k = 4 to a CPU
+    /// engine.
+    fn mixed_graph() -> CsrGraph {
+        pefp_graph::generators::chung_lu(2000, 6.0, 2.2, 1).to_csr()
+    }
+    /// Device-routed, 1 535 paths.
+    const HEAVY: (u32, u32, u32) = (0, 1, 6);
+    /// CPU-routed, 69 paths: enough to park a stream on a small channel.
+    const CPU_STREAM: (u32, u32, u32) = (0, 1, 4);
+    /// CPU-routed, a handful of paths each.
+    const TINY: [(u32, u32, u32); 3] = [(0, 5, 4), (2, 3, 4), (1, 2, 4)];
+
+    fn req((s, t, k): (u32, u32, u32)) -> QueryRequest {
+        QueryRequest::new(s, t, k)
+    }
+
+    /// One CU, one CPU worker, the builtin routing table.
+    fn routed_runtime(g: &CsrGraph, queue_capacity: usize) -> Arc<HostRuntime> {
+        HostRuntime::launch(
+            GraphHandle::from_csr("mixed", g.clone()),
+            RuntimeConfig {
+                routing: Some(RoutingTable::builtin()),
+                cpu_workers: 1,
+                queue_capacity,
+                ..RuntimeConfig::default()
+            },
+        )
+    }
+
+    /// BC-DFS on the full graph: the answer every engine and placement owes.
+    fn oracle(g: &CsrGraph, q: QueryRequest) -> Vec<pefp_graph::paths::Path> {
+        canonicalize(BcDfs::new(g, q.t, q.k).enumerate(g, q.s, q.t, q.k))
+    }
+
+    /// Waits for an event another thread owes. The bound is a hang guard — a
+    /// broken runtime fails the test instead of wedging it — not a latency
+    /// threshold.
+    fn await_until(what: &str, done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Serves `q` once so it is prepared, routed and resident.
+    fn warm(runtime: &HostRuntime, session: SessionId, q: QueryRequest) {
+        let outcome = runtime.submit_query(session, q, false).unwrap().wait().unwrap();
+        assert!(!outcome.cache_hit, "{q:?} was already resident");
+    }
+
+    /// Submits `q` as a stream on a 1-path channel and waits for the first
+    /// path: from then on the serving worker is inside the enumeration and
+    /// parks on the full channel until the receiver is drained.
+    fn wedge_with_stream(
+        runtime: &HostRuntime,
+        session: SessionId,
+        q: QueryRequest,
+    ) -> (JobTicket<QueryOutcome>, Receiver<Vec<VertexId>>, Vec<VertexId>) {
+        let (ticket, rx) = runtime.submit_query_streaming(session, q, 1).unwrap();
+        let first = rx.recv().expect("the stream must start");
+        (ticket, rx, first)
+    }
+
+    #[test]
+    fn cached_cpu_routed_query_overtakes_a_wedged_cu() {
+        let g = mixed_graph();
+        let runtime = routed_runtime(&g, 16);
+        let session = runtime.register_session();
+        let (tiny, heavy) = (req(TINY[0]), req(HEAVY));
+        warm(&runtime, session, tiny);
+
+        // The only CU worker is parked inside a device-routed enumeration.
+        let (stream_ticket, rx, first) = wedge_with_stream(&runtime, session, heavy);
+
+        let ticket = runtime.submit_query(session, tiny, false).unwrap();
+        await_until("the cached tiny query", || ticket.is_finished());
+        assert!(!stream_ticket.is_finished(), "the CU is still wedged");
+        let outcome = ticket.wait().unwrap();
+        assert_eq!(outcome.num_paths, oracle(&g, tiny).len() as u64);
+        assert!(outcome.cache_hit);
+        assert_eq!(outcome.transfer.bytes, 0, "served by a CPU engine");
+
+        // Drain the stream: the enumeration it blocked is intact.
+        let mut streamed = vec![first];
+        streamed.extend(rx.iter());
+        let heavy_outcome = stream_ticket.wait().unwrap();
+        assert!(heavy_outcome.transfer.bytes > 0, "the heavy query ran on the device");
+        assert_eq!(heavy_outcome.num_paths, streamed.len() as u64);
+        assert_eq!(canonicalize(streamed), oracle(&g, heavy));
+    }
+
+    #[test]
+    fn admission_and_worker_paths_agree_and_the_memo_is_the_router() {
+        let g = mixed_graph();
+        // Seeded tiny pairs plus hub pairs at a budget that needs the device.
+        let mut pool: Vec<QueryRequest> =
+            pefp_graph::sampling::sample_reachable_pairs(&g, 4, 6, 0xAD_317)
+                .into_iter()
+                .map(|(s, t)| QueryRequest { s, t, k: 4 })
+                .collect();
+        pool.extend([(0, 1, 6), (0, 2, 6), (1, 2, 6), (3, 1, 6), (0, 1, 4)].map(req));
+        let expected: Vec<_> = pool.iter().map(|q| oracle(&g, *q)).collect();
+        let n = pool.len() as u64;
+
+        for kind in ["count", "collect", "stream"] {
+            let runtime = routed_runtime(&g, 16);
+            let session = runtime.register_session();
+            // Returns the answer (paths where the kind delivers them) and the
+            // outcome's path count.
+            let serve = |q: QueryRequest| match kind {
+                "stream" => {
+                    let (ticket, rx) = runtime.submit_query_streaming(session, q, 4).unwrap();
+                    let paths: Vec<_> = rx.iter().collect();
+                    (ticket.wait().unwrap(), Some(paths))
+                }
+                _ => {
+                    let outcome = runtime
+                        .submit_query(session, q, kind == "collect")
+                        .unwrap()
+                        .wait()
+                        .unwrap();
+                    let paths = (kind == "collect").then(|| outcome.paths.clone());
+                    (outcome, paths)
+                }
+            };
+            // First pass: every query misses and takes the worker path.
+            // Second pass: every query hits and takes the admission path.
+            let mut cpu_routed = Vec::new();
+            for hit in [false, true] {
+                for (q, want) in pool.iter().zip(&expected) {
+                    let (outcome, paths) = serve(*q);
+                    assert_eq!(outcome.cache_hit, hit, "{kind} {q:?}");
+                    assert_eq!(outcome.num_paths, want.len() as u64, "{kind} {q:?} hit={hit}");
+                    if let Some(paths) = paths {
+                        assert_eq!(&canonicalize(paths), want, "{kind} {q:?}");
+                    }
+                }
+                cpu_routed.push(runtime.stats().cpu_routed);
+            }
+            let stats = runtime.stats();
+            assert!(0 < cpu_routed[0] && cpu_routed[0] < n, "the pool is mixed: {cpu_routed:?}");
+            assert_eq!(cpu_routed[1], 2 * cpu_routed[0], "both paths reach the same engines");
+            assert_eq!(stats.submitted, 2 * n);
+            assert_eq!(stats.completed, 2 * n);
+            assert_eq!(
+                (stats.cache_misses, stats.cache_hits),
+                (n, n),
+                "one counted lookup per job"
+            );
+
+            // The router ran once per prepared entry, and what it said is
+            // what every entry still carries.
+            let shared = &runtime.shared;
+            assert_eq!(shared.route_calls.load(Ordering::Relaxed), n);
+            let table = shared.config.routing.as_ref().unwrap();
+            let mut resident = 0;
+            for shard in &shared.cache.shards {
+                for entry in shard.lock().unwrap().entries.values() {
+                    let fresh = route_query(&entry.hit.prepared, table, &shared.route_context());
+                    let memo = entry.hit.route.expect("routed runtimes memoise every entry");
+                    assert_eq!(memo.choice, fresh.choice);
+                    assert_eq!(memo.cost_estimate_us, fresh.cost_estimate_us);
+                    resident += 1;
+                }
+            }
+            assert_eq!(resident, n);
+        }
+    }
+
+    #[test]
+    fn admission_dispatched_cpu_jobs_honour_cancellation_and_deadlines() {
+        let g = mixed_graph();
+        let runtime = routed_runtime(&g, 16);
+        let session = runtime.register_session();
+        let (tiny, stream) = (req(TINY[0]), req(CPU_STREAM));
+        warm(&runtime, session, tiny);
+        warm(&runtime, session, stream);
+
+        // Both are cached and CPU-routed now, so both go to the CPU queue at
+        // admission: the stream parks the one CPU worker, the deadline job
+        // waits behind it until the watchdog kills it.
+        let (stream_ticket, rx, _first) = wedge_with_stream(&runtime, session, stream);
+        let doomed = runtime
+            .submit_query_with_deadline(session, tiny, false, Duration::from_millis(20))
+            .unwrap();
+        await_until("the deadline to fire", || runtime.stats().deadline_kills == 1);
+        let cancelled_before = runtime.stats().cancelled_jobs;
+
+        // Dropping the stream's ticket cancels it on the CPU worker, which
+        // then reaches the killed job and, after it, a live one.
+        drop(stream_ticket);
+        let err = doomed.wait().unwrap_err();
+        assert!(matches!(err, HostError::DeadlineExceeded { millis: 20 }), "{err}");
+        assert_eq!(runtime.stats().cancelled_jobs, cancelled_before + 2);
+        let next = runtime.submit_query(session, tiny, false).unwrap().wait().unwrap();
+        assert_eq!(next.num_paths, oracle(&g, tiny).len() as u64);
+        assert!(next.cache_hit);
+        assert!(rx.iter().count() < oracle(&g, stream).len(), "the stream was cut short");
+    }
+
+    #[test]
+    fn mixed_batches_are_admitted_to_both_queues_or_neither() {
+        let g = mixed_graph();
+        let runtime = routed_runtime(&g, 2);
+        let session = runtime.register_session();
+        let tiny = TINY.map(req);
+        let heavy = [req(HEAVY), req((0, 2, 6)), req((1, 2, 6))];
+        for q in tiny.into_iter().chain([heavy[0]]) {
+            warm(&runtime, session, q);
+        }
+        let before = runtime.stats();
+
+        // Three cached CPU-routed jobs do not fit a 2-slot CPU queue, and the
+        // device job riding with them is not admitted either.
+        let too_many_cpu = [tiny[0], tiny[1], tiny[2], heavy[0]];
+        assert!(matches!(runtime.submit_batch(session, &too_many_cpu), Err(HostError::QueueFull)));
+        // Three queued jobs do not fit a 2-slot admission queue, and the CPU
+        // job riding with them is not dispatched either.
+        let too_many_queued = [tiny[0], heavy[0], heavy[1], heavy[2]];
+        assert!(matches!(
+            runtime.submit_batch(session, &too_many_queued),
+            Err(HostError::QueueFull)
+        ));
+        let refused = runtime.stats();
+        assert_eq!(refused.queue_full_rejections, before.queue_full_rejections + 2);
+        assert_eq!(refused.submitted, before.submitted);
+        assert_eq!(refused.cpu_routed, before.cpu_routed);
+        assert_eq!(runtime.queue_depth(), 0);
+
+        // A batch that fits — a cached CPU job, a cached device job, an
+        // uncached one and a duplicate — answers every slot.
+        let batch = [tiny[0], heavy[0], heavy[1], tiny[0]];
+        let outcome = runtime.submit_batch(session, &batch).unwrap().wait().unwrap();
+        assert_eq!(outcome.deduplicated, 1);
+        assert_eq!(outcome.cache_hits, 2);
+        for (row, q) in outcome.results.iter().zip(&batch) {
+            assert_eq!(row.num_paths, oracle(&g, *q).len() as u64, "{q:?}");
+        }
+        assert_eq!(runtime.stats().submitted, before.submitted + 3);
+    }
+
+    #[test]
+    fn admission_dispatched_cpu_jobs_meet_backpressure() {
+        let g = mixed_graph();
+        let runtime = routed_runtime(&g, 2);
+        let session = runtime.register_session();
+        let (stream, cold) = (req(CPU_STREAM), req(TINY[2]));
+        warm(&runtime, session, stream);
+        warm(&runtime, session, req(TINY[0]));
+        warm(&runtime, session, req(TINY[1]));
+
+        // The CPU worker is parked on a full stream channel; its queue holds
+        // `queue_capacity` cached jobs and refuses the next one.
+        let (stream_ticket, rx, _first) = wedge_with_stream(&runtime, session, stream);
+        let queued: Vec<_> = [TINY[0], TINY[1]]
+            .map(|q| runtime.submit_query(session, req(q), false).unwrap())
+            .into_iter()
+            .collect();
+        assert_eq!(runtime.queue_depth(), 2);
+        let refused = runtime.submit_query(session, req(TINY[0]), false);
+        assert!(matches!(refused, Err(HostError::QueueFull)));
+        assert_eq!(runtime.stats().queue_full_rejections, 1);
+
+        // A job admitted through the admission queue is owed service: the CU
+        // worker prepares it, routes it to the CPU and hands it over although
+        // the CPU queue is at capacity.
+        let handed_over = runtime.submit_query(session, cold, false).unwrap();
+        await_until("the hand-off", || runtime.shared.cpu_queue.depth() == 3);
+
+        drop(rx);
+        stream_ticket.wait().unwrap();
+        for (ticket, q) in queued.into_iter().zip([TINY[0], TINY[1]]) {
+            assert_eq!(ticket.wait().unwrap().num_paths, oracle(&g, req(q)).len() as u64);
+        }
+        let outcome = handed_over.wait().unwrap();
+        assert_eq!(outcome.num_paths, oracle(&g, cold).len() as u64);
+        assert!(!outcome.cache_hit);
+        assert_eq!(runtime.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_job_is_never_served_an_entry_newer_than_its_snapshot() {
+        let runtime = diamond_runtime(RuntimeConfig::default());
+        let session = runtime.register_session();
+        let q = QueryRequest::new(0, 3, 3);
+        // J1 pins epoch 0. Before it runs, an update lands epoch 1 and J2,
+        // admitted there, prepares the same key and caches it.
+        let pinned = runtime.current_snapshot();
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(VertexId(0), VertexId(3));
+        assert_eq!(runtime.apply_updates(&delta), 1);
+        let j2 = runtime.submit_query(session, q, false).unwrap().wait().unwrap();
+        assert_eq!(j2.num_paths, 3, "epoch 1 has the direct edge");
+        let before = runtime.stats();
+
+        // J1 reaches a worker: the epoch-1 entry is not for it.
+        let ticket = TicketInner::new();
+        let j1 = Job {
+            session,
+            request: q,
+            kind: JobKind::Count,
+            snapshot: Arc::clone(&pinned),
+            ticket: Arc::clone(&ticket),
+            hit: None,
+        };
+        let shared = &runtime.shared;
+        let mut ctx =
+            PrepareContext::with_reverse(&shared.graph.csr, Arc::clone(&shared.graph.reverse));
+        let pcie = Pcie::new(shared.config.device.pcie_gbps, shared.config.device.pcie_setup_us);
+        execute_job(shared, &mut ctx, &mut DmaEngine::with_defaults(pcie), j1);
+        let j1 = ticket.slot.lock().unwrap().take().expect("executed").unwrap();
+        let epoch0 = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(j1.num_paths, oracle(&epoch0, q).len() as u64);
+        assert!(!j1.cache_hit);
+        let after = runtime.stats();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (before.cache_hits, before.cache_misses + 1)
+        );
+
+        // And J1's epoch-0 preparation did not replace the newer entry.
+        let j3 = runtime.submit_query(session, q, false).unwrap().wait().unwrap();
+        assert_eq!(j3.num_paths, 3);
+        assert!(j3.cache_hit);
     }
 }

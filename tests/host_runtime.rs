@@ -103,43 +103,34 @@ fn batch_scheduler_agrees_with_interactive_sessions() {
     }
 }
 
-/// N client threads × M queries against one shared 4-CU runtime produce path
-/// sets byte-identical to serial `HostSession` runs of the same queries.
-#[test]
-fn concurrent_sessions_match_serial_results_byte_for_byte() {
-    let handle = dataset_handle(Dataset::SocEpinions);
-    let k = 4;
-    let queries: Vec<QueryRequest> = sample_reachable_pairs(&handle.csr, k, 12, 0xC0FFEE)
-        .into_iter()
-        .map(|(s, t)| QueryRequest { s, t, k })
-        .collect();
-    assert!(queries.len() >= 4, "need a non-trivial workload");
+/// Client threads of the two concurrency tests below.
+const CLIENTS: usize = 4;
 
-    // Serial oracle: a classic private-runtime session, one query at a time.
-    let mut serial = HostSession::with_graph(handle.csr.clone(), SessionConfig::default());
-    let expected: Vec<Vec<pefp::graph::Path>> =
-        queries.iter().map(|q| canonicalize(serial.run_query(*q).unwrap().paths)).collect();
+type ClientResults = Vec<Vec<Vec<pefp::graph::Path>>>;
 
-    // Concurrent run: 4 client threads, each a session on one shared 4-CU
-    // runtime, every client running the full query list in a rotated order
-    // so the threads genuinely interleave on the cluster.
+/// Runs `queries` on [`CLIENTS`] threads — one session each on one shared
+/// 4-CU runtime — every client in a rotated order, so the threads genuinely
+/// interleave on the cluster. Returns the runtime and, per client, the
+/// canonical path set of every query it ran (`results[c][i]` answers
+/// `queries[(i + c) % len]`).
+fn run_rotated_clients(
+    handle: &GraphHandle,
+    queries: &[QueryRequest],
+) -> (Arc<HostRuntime>, ClientResults) {
     let runtime = HostRuntime::launch(
         handle.clone(),
         RuntimeConfig { compute_units: 4, ..RuntimeConfig::default() },
     );
-    let clients = 4;
-    let per_client: Vec<Vec<Vec<Vec<pefp::graph::VertexId>>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let runtime = Arc::clone(&runtime);
-                let queries = queries.clone();
                 scope.spawn(move || {
                     let mut session = HostSession::attach(runtime);
                     (0..queries.len())
                         .map(|i| {
                             let q = queries[(i + c) % queries.len()];
-                            let outcome = session.run_query(q).unwrap();
-                            canonicalize(outcome.paths)
+                            canonicalize(session.run_query(q).unwrap().paths)
                         })
                         .collect()
                 })
@@ -147,24 +138,60 @@ fn concurrent_sessions_match_serial_results_byte_for_byte() {
             .collect();
         handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
     });
+    (runtime, results)
+}
+
+fn concurrency_queries(handle: &GraphHandle) -> Vec<QueryRequest> {
+    let k = 4;
+    let queries: Vec<QueryRequest> = sample_reachable_pairs(&handle.csr, k, 12, 0xC0FFEE)
+        .into_iter()
+        .map(|(s, t)| QueryRequest { s, t, k })
+        .collect();
+    assert!(queries.len() >= 4, "need a non-trivial workload");
+    queries
+}
+
+/// N client threads × M queries against one shared 4-CU runtime produce path
+/// sets byte-identical to serial `HostSession` runs of the same queries.
+/// Answers only: nothing here depends on how the threads interleaved.
+#[test]
+fn concurrent_sessions_match_serial_results_byte_for_byte() {
+    let handle = dataset_handle(Dataset::SocEpinions);
+    let queries = concurrency_queries(&handle);
+
+    // Serial oracle: a classic private-runtime session, one query at a time.
+    let mut serial = HostSession::with_graph(handle.csr.clone(), SessionConfig::default());
+    let expected: Vec<Vec<pefp::graph::Path>> =
+        queries.iter().map(|q| canonicalize(serial.run_query(*q).unwrap().paths)).collect();
+
+    let (_runtime, per_client) = run_rotated_clients(&handle, &queries);
     for (c, results) in per_client.iter().enumerate() {
         for (i, got) in results.iter().enumerate() {
             let want = &expected[(i + c) % queries.len()];
             assert_eq!(got, want, "client {c}, slot {i}: concurrent != serial");
         }
     }
+}
+
+/// The counters of the same run, held only to bounds that every interleaving
+/// satisfies. (How *much* the shared cache absorbs and whether the tenants
+/// overlap in virtual time depend on scheduling; the `host_concurrency` bench
+/// reports and checks those.)
+#[test]
+fn concurrent_sessions_keep_interleaving_independent_stats() {
+    let handle = dataset_handle(Dataset::SocEpinions);
+    let queries = concurrency_queries(&handle);
+    let (runtime, _) = run_rotated_clients(&handle, &queries);
     let stats = runtime.stats();
-    let total = (clients * queries.len()) as u64;
-    assert_eq!(stats.completed, total);
-    assert_eq!(stats.cache_hits + stats.cache_misses, total);
-    // Every unique query misses at least once; two clients racing on the
-    // same cold key may both miss, but the shared cache still absorbs the
-    // bulk of the cross-tenant repetition.
-    assert!(stats.cache_misses as usize >= queries.len());
-    assert!(stats.cache_hits >= total / 2, "shared cache must serve most repeats");
+    let (unique, total) = (queries.len() as u64, (CLIENTS * queries.len()) as u64);
+    assert_eq!(stats.completed, total, "{stats:#?}");
+    // One counted lookup per job.
+    assert_eq!(stats.cache_hits + stats.cache_misses, total, "{stats:#?}");
+    // Every unique query misses at least once; clients racing on the same
+    // cold key may each miss, but no client misses a key twice.
     assert!(
-        stats.virtual_makespan_cycles < stats.total_device_cycles,
-        "4 tenants on 4 CUs must overlap in virtual time"
+        unique <= stats.cache_misses && stats.cache_misses <= CLIENTS as u64 * unique,
+        "{stats:#?}"
     );
 }
 
