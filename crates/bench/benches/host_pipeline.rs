@@ -44,6 +44,7 @@ fn bench_batch_scheduler(c: &mut Criterion) {
         return;
     }
 
+    let snapshot = handle.snapshot();
     let mut group = c.benchmark_group("host_batch");
     group.sample_size(10);
     for threads in [1usize, 4] {
@@ -57,7 +58,9 @@ fn bench_batch_scheduler(c: &mut Criterion) {
             &requests,
             |b, requests| {
                 b.iter(|| {
-                    let outcome = scheduler.run_batch(&handle, black_box(requests)).unwrap();
+                    let outcome = scheduler
+                        .run_batch(&snapshot, handle.placement, black_box(requests))
+                        .unwrap();
                     black_box(outcome.total_paths())
                 })
             },

@@ -25,8 +25,8 @@ use pefp_graph::generators::chung_lu;
 use pefp_graph::sink::CountingSink;
 use pefp_graph::VertexId;
 use pefp_host::{
-    BatchScheduler, FaultToleranceConfig, GraphHandle, HostRuntime, NetConfig, NetServer,
-    QueryRequest, RuntimeConfig, SchedulerConfig,
+    BatchOutcome, BatchScheduler, FaultToleranceConfig, GraphHandle, HostRuntime, NetConfig,
+    NetServer, QueryRequest, RuntimeConfig, SchedulerConfig,
 };
 use pefp_workload::JsonValue;
 use std::sync::Arc;
@@ -86,14 +86,22 @@ pub fn gate_batch(_handle: &GraphHandle) -> Vec<QueryRequest> {
     requests
 }
 
-/// A dispatch-mode scheduler for `cus` compute units at the default
-/// bandwidth share.
+/// A batch scheduler for `cus` compute units at the default bandwidth share.
 pub fn dispatch_scheduler(cus: usize) -> BatchScheduler {
     BatchScheduler::new(SchedulerConfig {
-        dispatch: true,
         multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
         ..SchedulerConfig::default()
     })
+}
+
+/// Runs `requests` as one [`BatchScheduler`] batch on `handle`'s epoch-0
+/// snapshot, under the handle's row placement.
+pub fn run_gate_batch(
+    scheduler: &BatchScheduler,
+    handle: &GraphHandle,
+    requests: &[QueryRequest],
+) -> BatchOutcome {
+    scheduler.run_batch(&handle.snapshot(), handle.placement, requests).expect("gate batch")
 }
 
 fn median_ns<F: FnMut()>(mut routine: F) -> f64 {
@@ -114,25 +122,22 @@ fn median_ns<F: FnMut()>(mut routine: F) -> f64 {
     }
 }
 
-/// Times the fixed calibration workload: one mid-size PEFP query, end to end.
-/// The ratio of this number between two machines rescales their wall-clock
-/// thresholds.
+/// Times the fixed calibration workload: generating [`gate_graph`]'s 10k
+/// Chung-Lu graph and building its CSR. The ratio of this number between two
+/// machines rescales their wall-clock thresholds.
 ///
-/// The probe runs the program's own Pre-BFS, engine and scheduler, so a
-/// change that speeds one of them up shrinks the probe — and with it every
-/// budget — on an unchanged machine. Such a change must rescale the recorded
-/// probe values (`calibration_ns` in each `BENCH_*.json`,
-/// [`TCP_LOAD_CALIBRATION_ANCHOR_NS`], `routing_fit::REFERENCE_CALIBRATION_NS`)
-/// by the probe's measured new/old ratio; the meet-in-the-middle Pre-BFS did,
-/// by 0.608.
+/// The probe deliberately times no serving-path code (Pre-BFS, engine,
+/// device model, scheduler, runtime): a change that speeds those up must
+/// show up against the budgets, not shrink them. Only a change to the
+/// generator or the CSR builder moves the probe on an unchanged machine;
+/// such a change must rescale every recorded probe value (`calibration_ns`
+/// in each `BENCH_*.json`, [`TCP_LOAD_CALIBRATION_ANCHOR_NS`],
+/// `routing_fit::REFERENCE_CALIBRATION_NS` and its copy in
+/// `docs/routing_table.json`) by the probe's measured new/old ratio. Moving
+/// to this probe from the earlier 4-query scheduler batch did, by 6.89.
 pub fn calibration_median_ns() -> f64 {
-    let handle = gate_graph();
-    let scheduler = BatchScheduler::new(SchedulerConfig::default());
-    let requests = gate_batch(&handle);
-    let probe = &requests[..4.min(requests.len())];
     median_ns(|| {
-        let outcome = scheduler.run_batch(&handle, probe).expect("calibration batch");
-        std::hint::black_box(outcome.total_paths());
+        std::hint::black_box(chung_lu(10_000, 8.0, 2.2, 3).to_csr());
     })
 }
 
@@ -150,10 +155,9 @@ pub fn run_gate_cases() -> Vec<GateCase> {
         let scheduler = dispatch_scheduler(cus);
         let mut last = None;
         let median = median_ns(|| {
-            last = Some(scheduler.run_batch(&handle, &requests).expect("dispatch batch"));
+            last = Some(run_gate_batch(&scheduler, &handle, &requests));
         });
-        let outcome = last.expect("at least one sample ran");
-        let measured = outcome.measured.as_ref().expect("dispatch is measured");
+        let measured = last.expect("at least one sample ran").measured;
         cases.push(GateCase {
             name: format!("multi_cu/dispatch_cus{cus}"),
             median_ns: median,
@@ -727,7 +731,7 @@ pub const TCP_LOAD_P999_BUDGET_MS: f64 = 75.0;
 
 /// Calibration median ([`calibration_median_ns`]) of the machine that set
 /// [`TCP_LOAD_P999_BUDGET_MS`], anchoring the budget's runner-speed scaling.
-pub const TCP_LOAD_CALIBRATION_ANCHOR_NS: f64 = 2.19e6;
+pub const TCP_LOAD_CALIBRATION_ANCHOR_NS: f64 = 1.50891e7;
 
 /// The fixed query pool a load round cycles through: the first 16 ordered
 /// pairs of [`gate_graph`]'s heaviest hubs at k=3 (the generator gives the
@@ -870,13 +874,12 @@ pub const BANK_CONFLICT_REDUCTION_FLOOR: f64 = 0.20;
 /// dispatch model is held to.
 pub const BANK_CHARGED_MODEL_ERROR_CAP: f64 = 0.30;
 
-/// A dispatch scheduler for the charged `BENCH_10` rounds: `cus` compute
+/// A batch scheduler for the charged `BENCH_10` rounds: `cus` compute
 /// units at the default bandwidth share, BRAM graph caching disabled (the
 /// adjacency rows stream from DRAM, so the CSR bank layout is what the banks
 /// actually see) and bank-conflict/turnaround charging on.
 pub fn charged_nocache_scheduler(cus: usize) -> BatchScheduler {
     BatchScheduler::new(SchedulerConfig {
-        dispatch: true,
         variant: pefp_core::PefpVariant::NoCache,
         multi_cu: MultiCuConfig {
             compute_units: cus,
@@ -901,8 +904,7 @@ fn charged_round(
     handle: &GraphHandle,
     requests: &[QueryRequest],
 ) -> (u64, u64, f64) {
-    let outcome = scheduler.run_batch(handle, requests).expect("bank-layout batch");
-    let measured = outcome.measured.as_ref().expect("dispatch is measured");
+    let measured = run_gate_batch(scheduler, handle, requests).measured;
     let conflicts: u64 = measured.per_cu_bank_conflict_cycles.iter().sum();
     (conflicts, measured.predicted.makespan_cycles, measured.model_error())
 }
@@ -950,8 +952,7 @@ pub fn run_bank_layout_cases(bench04_dispatch_cus1_cycles: Option<u64>) -> Vec<G
         let scheduler = dispatch_scheduler(1);
         let mut serial = 0u64;
         let median = median_ns(|| {
-            let outcome = scheduler.run_batch(&natural, &requests).expect("uncharged batch");
-            serial = outcome.measured.as_ref().expect("dispatch is measured").serial_cycles;
+            serial = run_gate_batch(&scheduler, &natural, &requests).measured.serial_cycles;
         });
         cases.push(GateCase {
             name: "bank_layout/banking_off_determinism".to_string(),

@@ -39,7 +39,7 @@ pub const SWEEP_COMPUTE_UNITS: usize = 4;
 /// Calibration median of the machine that wrote `BENCH_04.json`. CPU
 /// measurements are rescaled to this reference before fitting, so the
 /// committed coefficients are machine-independent up to rounding.
-pub const REFERENCE_CALIBRATION_NS: f64 = 1_642_794.0;
+pub const REFERENCE_CALIBRATION_NS: f64 = 11_318_851.0;
 
 /// CPU engines are only *timed* on queries whose work proxy stays below this
 /// (the fit only needs the linear region; past it the sweep still records

@@ -16,7 +16,7 @@
 //! cache-friendly workloads.
 //!
 //! The arbiter is shared across OS threads (one per CU in the host's
-//! dispatch mode), so all of its state is atomic; the accounting is
+//! batch scheduler and runtime), so all of its state is atomic; the accounting is
 //! intentionally lock-free and approximate in the same way real memory
 //! controllers are: the factor seen by a refill depends on the set of CUs
 //! active at that moment.

@@ -62,8 +62,8 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, Scr
 pub use fifo::{FifoChannel, FifoStats};
 pub use hls::{KernelReport, ModuleLatency};
 pub use multi_cu::{
-    max_compute_units, predict_dispatch, schedule_batch, CuCluster, CuLease, CuWorkload,
-    MultiCuConfig, MultiCuSchedule,
+    max_compute_units, predict_dispatch, CuCluster, CuLease, CuWorkload, MultiCuConfig,
+    MultiCuSchedule,
 };
 pub use pcie::Pcie;
 pub use pipeline::{dataflow_cycles, pipeline_cycles, PipelineSpec};

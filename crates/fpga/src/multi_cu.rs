@@ -8,17 +8,13 @@
 //! is shared, so the speedup saturates once the aggregated traffic of the CUs
 //! exceeds what the memory system can deliver.
 //!
-//! Two generations of that model live here:
-//!
-//! * [`schedule_batch`] (PR 3) — the closed-form *prediction*:
-//!   longest-processing-time scheduling of per-query kernel times onto `n`
-//!   CUs, inflated end-to-end by the bandwidth-sharing factor.
-//! * [`CuCluster`] + [`predict_dispatch`] (this PR) — *execution*: the
-//!   cluster instantiates `n` independent simulated devices (own BRAM
-//!   areas, counters and clock) behind one shared [`DramArbiter`] that
-//!   meters every refill, and the traffic-aware predictor inflates only the
-//!   DRAM-bus share of each CU's cycles, matching what the arbiter actually
-//!   charges when every CU is busy.
+//! [`CuCluster`] is the *execution* side: it instantiates `n` independent
+//! simulated devices (own BRAM areas, counters and clock) behind one shared
+//! [`DramArbiter`] that meters every refill. [`predict_dispatch`] is the
+//! matching *prediction*: longest-processing-time scheduling of the
+//! queries' uncontended cycles onto the CUs, inflating only the DRAM-bus
+//! share of each CU's cycles — what the arbiter actually charges when every
+//! CU is busy.
 //!
 //! [`max_compute_units`] is the resource check for how many CUs fit the card.
 
@@ -79,39 +75,6 @@ impl MultiCuSchedule {
     }
 }
 
-/// Schedules a batch of per-query kernel cycle counts onto the CUs of
-/// `config` using longest-processing-time-first assignment, then inflates the
-/// result by the DRAM-contention factor
-/// `max(1, active_cus × per_cu_bandwidth_share)`.
-pub fn schedule_batch(query_cycles: &[u64], config: &MultiCuConfig) -> MultiCuSchedule {
-    let cus = config.compute_units.max(1);
-    let serial_cycles: u64 = query_cycles.iter().sum();
-
-    // LPT: sort descending, always give the next query to the least-loaded CU.
-    let mut sorted: Vec<u64> = query_cycles.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut per_cu = vec![0u64; cus];
-    for cycles in sorted {
-        let min_idx =
-            per_cu.iter().enumerate().min_by_key(|(_, &load)| load).map(|(i, _)| i).unwrap_or(0);
-        per_cu[min_idx] += cycles;
-    }
-
-    let active_cus = per_cu.iter().filter(|&&load| load > 0).count().max(1);
-    let contention_factor = (active_cus as f64 * config.per_cu_bandwidth_share).max(1.0);
-    let per_cu_cycles: Vec<u64> =
-        per_cu.iter().map(|&c| (c as f64 * contention_factor).round() as u64).collect();
-    let makespan_cycles = per_cu_cycles.iter().copied().max().unwrap_or(0);
-
-    MultiCuSchedule {
-        compute_units: cus,
-        per_cu_cycles,
-        makespan_cycles,
-        serial_cycles,
-        contention_factor,
-    }
-}
-
 /// Uncontended cost of one query as observed on a single CU, used by the
 /// traffic-aware [`predict_dispatch`] model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -128,7 +91,7 @@ pub struct CuWorkload {
     pub bank_stall_cycles: u64,
 }
 
-/// Predicts a dispatch-mode batch execution: LPT assignment of the queries'
+/// Predicts a batch's execution on the CUs: LPT assignment of the queries'
 /// uncontended cycle counts onto the CUs, with the contention factor
 /// `max(1, active_cus × per_cu_bandwidth_share)` applied to each CU's
 /// *DRAM-bus cycles only* — the same per-refill law the [`DramArbiter`]
@@ -451,9 +414,19 @@ mod tests {
         }
     }
 
+    /// Workloads that spend every cycle on the DRAM bus: the prediction's
+    /// contention factor then scales each CU's whole LPT load.
+    fn all_dram(cycles: &[u64]) -> Vec<CuWorkload> {
+        cycles
+            .iter()
+            .map(|&c| CuWorkload { cycles: c, dram_cycles: c, bank_stall_cycles: 0 })
+            .collect()
+    }
+
     #[test]
     fn one_cu_schedule_is_just_the_serial_sum() {
-        let schedule = schedule_batch(&[100, 200, 300], &MultiCuConfig::default());
+        let schedule = predict_dispatch(&all_dram(&[100, 200, 300]), &MultiCuConfig::default());
+        assert_eq!(schedule.per_cu_cycles, vec![600]);
         assert_eq!(schedule.makespan_cycles, 600);
         assert_eq!(schedule.serial_cycles, 600);
         assert!((schedule.speedup() - 1.0).abs() < 1e-12);
@@ -463,7 +436,7 @@ mod tests {
     fn balanced_work_splits_evenly_without_contention() {
         let config =
             MultiCuConfig { compute_units: 4, per_cu_bandwidth_share: 0.0, charge_banked: false };
-        let schedule = schedule_batch(&[100; 8], &config);
+        let schedule = predict_dispatch(&all_dram(&[100; 8]), &config);
         assert_eq!(schedule.per_cu_cycles, vec![200; 4]);
         assert_eq!(schedule.makespan_cycles, 200);
         assert!((schedule.speedup() - 4.0).abs() < 1e-9);
@@ -474,7 +447,8 @@ mod tests {
         // One giant query dominates: the makespan cannot beat it.
         let config =
             MultiCuConfig { compute_units: 4, per_cu_bandwidth_share: 0.0, charge_banked: false };
-        let schedule = schedule_batch(&[1_000, 10, 10, 10, 10], &config);
+        let schedule = predict_dispatch(&all_dram(&[1_000, 10, 10, 10, 10]), &config);
+        assert_eq!(schedule.per_cu_cycles, vec![1_000, 20, 10, 10]);
         assert_eq!(schedule.makespan_cycles, 1_000);
         assert!(schedule.speedup() < 1.05);
     }
@@ -482,10 +456,10 @@ mod tests {
     #[test]
     fn bandwidth_contention_caps_the_speedup() {
         // With each CU able to absorb half the bandwidth, 4 active CUs double
-        // every CU's cycles: the ideal 4x speedup collapses to 2x.
+        // every all-DRAM CU's cycles: the ideal 4x speedup collapses to 2x.
         let config =
             MultiCuConfig { compute_units: 4, per_cu_bandwidth_share: 0.5, charge_banked: false };
-        let schedule = schedule_batch(&[100; 8], &config);
+        let schedule = predict_dispatch(&all_dram(&[100; 8]), &config);
         assert_eq!(schedule.contention_factor, 2.0);
         assert_eq!(schedule.makespan_cycles, 400);
         assert!((schedule.speedup() - 2.0).abs() < 1e-9);
@@ -493,12 +467,14 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let schedule = schedule_batch(
+        let schedule = predict_dispatch(
             &[],
             &MultiCuConfig { compute_units: 8, per_cu_bandwidth_share: 0.5, charge_banked: false },
         );
+        assert_eq!(schedule.per_cu_cycles, vec![0; 8]);
         assert_eq!(schedule.makespan_cycles, 0);
         assert_eq!(schedule.serial_cycles, 0);
+        assert_eq!(schedule.contention_factor, 1.0);
         assert_eq!(schedule.speedup(), 1.0);
     }
 
@@ -512,7 +488,7 @@ mod tests {
                 per_cu_bandwidth_share: 0.0,
                 charge_banked: false,
             };
-            let schedule = schedule_batch(&work, &config);
+            let schedule = predict_dispatch(&all_dram(&work), &config);
             assert!(schedule.makespan_cycles <= previous, "cus = {cus}");
             previous = schedule.makespan_cycles;
         }
@@ -558,24 +534,25 @@ mod tests {
         assert_eq!(predicted.per_cu_cycles, vec![2_200; 4]);
         assert_eq!(predicted.makespan_cycles, 2_200);
         assert_eq!(predicted.serial_cycles, 8_000);
-        // The closed form would have predicted 4_000 for the same batch.
-        let closed = schedule_batch(&[1_000; 8], &config);
-        assert_eq!(closed.makespan_cycles, 4_000);
-        assert!(predicted.makespan_cycles < closed.makespan_cycles);
+        // Were every cycle on the bus, factor 2 would double all of them.
+        let all_bus = predict_dispatch(&all_dram(&[1_000; 8]), &config);
+        assert_eq!(all_bus.makespan_cycles, 4_000);
     }
 
     #[test]
     fn dispatch_prediction_matches_closed_form_when_all_cycles_are_dram() {
-        let work: Vec<CuWorkload> = (1..=8)
-            .map(|i| CuWorkload { cycles: i * 100, dram_cycles: i * 100, bank_stall_cycles: 0 })
-            .collect();
+        // LPT over 800, 700, …, 100 on 2 CUs: {800, 500, 400, 100} and
+        // {700, 600, 300, 200}, 1_800 cycles each. Both CUs are active, so
+        // the factor is max(1, 2 x 0.75) = 1.5, and an all-DRAM load is
+        // scaled whole: 1_800 x 1.5 = 2_700 — the closed form.
+        let work = all_dram(&(1..=8).map(|i| i * 100).collect::<Vec<u64>>());
         let config =
             MultiCuConfig { compute_units: 2, per_cu_bandwidth_share: 0.75, charge_banked: false };
-        let cycles: Vec<u64> = work.iter().map(|w| w.cycles).collect();
-        let traffic = predict_dispatch(&work, &config);
-        let closed = schedule_batch(&cycles, &config);
-        assert_eq!(traffic.makespan_cycles, closed.makespan_cycles);
-        assert_eq!(traffic.contention_factor, closed.contention_factor);
+        let predicted = predict_dispatch(&work, &config);
+        assert_eq!(predicted.contention_factor, 1.5);
+        assert_eq!(predicted.per_cu_cycles, vec![2_700, 2_700]);
+        assert_eq!(predicted.makespan_cycles, 2_700);
+        assert_eq!(predicted.serial_cycles, 3_600);
     }
 
     #[test]

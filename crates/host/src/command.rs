@@ -56,7 +56,7 @@ pub const MAX_STREAM_LIMIT: u64 = 10_000;
 /// Most `(s t k)` queries one `BATCH` may carry, bounding the host-side
 /// staging work a single command can demand.
 pub const MAX_BATCH_QUERIES: usize = 4096;
-/// Ceiling a text `BATCH … CUS=n` is clamped to: dispatch mode spawns one OS
+/// Ceiling a text `BATCH … CUS=n` is clamped to: the batch runs one OS
 /// thread per CU, so the count must not be the client's to choose freely.
 pub const MAX_BATCH_CUS: usize = 64;
 /// Most `(u v)` edges one `UPDATE`/`EXPIRE` may carry, bounding the delta one

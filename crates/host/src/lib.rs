@@ -34,10 +34,12 @@
 //!   concurrent text or binary connections into one shared [`HostRuntime`],
 //!   with typed BUSY backpressure and cancellation on client disconnect.
 //! * [`scheduler`] — batch scheduling of many queries into a single transfer
-//!   (the methodology of Section VII-A), with optional parallel host-side
-//!   preprocessing, a streaming per-path callback form
-//!   (`run_batch_streaming`) and a modelled multi-compute-unit makespan next
-//!   to the single-CU total.
+//!   (the methodology of Section VII-A) against one graph snapshot, with
+//!   optional parallel host-side preprocessing. One execution loop runs the
+//!   batch on a [`pefp_fpga::CuCluster`] of one or more CUs (one CU is the
+//!   paper's single kernel) and reports the measured makespan next to its
+//!   prediction; `run_batch` counts, `run_batch_streaming` hands every path
+//!   to a callback.
 //!
 //! ## Quick example
 //!

@@ -9,7 +9,7 @@
 
 use crate::error::HostError;
 use pefp_graph::formats::{read_graph_auto, LoadedGraph};
-use pefp_graph::{CsrGraph, Dataset, GraphStats, PlacementPolicy, ScaleProfile};
+use pefp_graph::{CsrGraph, Dataset, GraphSnapshot, GraphStats, PlacementPolicy, ScaleProfile};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -64,6 +64,12 @@ impl GraphHandle {
     pub fn with_placement(mut self, placement: PlacementPolicy) -> GraphHandle {
         self.placement = placement;
         self
+    }
+
+    /// The epoch-0 [`GraphSnapshot`] over the shared CSR pair — what a
+    /// [`crate::BatchScheduler`] batch on this graph prepares against.
+    pub fn snapshot(&self) -> GraphSnapshot {
+        GraphSnapshot::initial(Arc::clone(&self.csr), Arc::clone(&self.reverse))
     }
 
     /// Number of vertices.

@@ -72,9 +72,8 @@ use crate::scheduler::BatchQueryResult;
 use crate::session::QueryOutcome;
 use pefp_baselines::{naive_dfs_stream, BcDfs, Join};
 use pefp_core::{
-    plan_query, prepare_snapshot_with, route_query, run_prepared_on_device, CancelToken,
-    EngineChoice, PefpVariant, PrepareContext, PreparedQuery, RouteContext, RouteDecision,
-    RoutingTable,
+    prepare_snapshot_with, route_query, run_prepared_on_device, CancelToken, EngineChoice,
+    PefpVariant, PrepareContext, PreparedQuery, RouteContext, RouteDecision, RoutingTable,
 };
 use pefp_fpga::{CuCluster, CuLease, DeviceConfig, FaultEvent, FaultPlan, MultiCuConfig, Pcie};
 use pefp_graph::sink::{CollectSink, CountingSink, FnSink};
@@ -102,9 +101,6 @@ pub struct RuntimeConfig {
     pub device: DeviceConfig,
     /// PEFP variant every job runs.
     pub variant: PefpVariant,
-    /// Size engine options per query with the host-side planner instead of
-    /// the variant's fixed defaults.
-    pub use_planner: bool,
     /// Number of simulated compute units — also the number of persistent
     /// worker threads (one per CU, created once at launch).
     pub compute_units: usize,
@@ -199,7 +195,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             device: DeviceConfig::alveo_u200(),
             variant: PefpVariant::Full,
-            use_planner: false,
             compute_units: 1,
             per_cu_bandwidth_share: MultiCuConfig::default().per_cu_bandwidth_share,
             queue_capacity: 1024,
@@ -223,7 +218,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             device: config.device.clone(),
             variant: config.variant,
-            use_planner: config.use_planner,
             compute_units: 1,
             shared_cache_capacity: config.prepared_cache_capacity,
             cache_stripes: 1,
@@ -2284,11 +2278,7 @@ fn execute_job(shared: &RuntimeShared, ctx: &mut PrepareContext, dma: &mut DmaEn
     let CacheHit { prepared, .. } = entry;
     let transfer = dma.transfer(bytes);
 
-    let mut base_options = if shared.config.use_planner {
-        plan_query(&prepared, &shared.config.device).options
-    } else {
-        shared.config.variant.engine_options()
-    };
+    let mut base_options = shared.config.variant.engine_options();
     // Wire the ticket's cancel flag into the engine: a dropped/cancelled
     // ticket (or a fired deadline) stops the enumeration at the next batch
     // boundary.

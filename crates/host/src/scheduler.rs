@@ -4,54 +4,44 @@
 //! queries and their corresponding data graphs (after preprocessing) from the
 //! host to FPGA DRAM at once", which amortises the PCIe setup cost to
 //! 0.1–0.3 ms per query. This module reproduces that batching: it runs the
-//! host-side Pre-BFS for a whole query set (optionally across host threads —
-//! preprocessing is embarrassingly parallel across queries), deduplicates
-//! identical requests, ships the concatenated payloads as a single DMA
-//! transfer and then runs the queries back to back on the device.
+//! host-side Pre-BFS for a whole query set against one graph snapshot
+//! (optionally across host threads — preprocessing is embarrassingly parallel
+//! across queries), deduplicates identical requests, ships the concatenated
+//! payloads as a single DMA transfer and then dispatches the unique queries
+//! onto the compute units of a [`CuCluster`]. The paper's single kernel is
+//! the one-CU case of that one dispatch loop.
 
 use crate::dma::{DmaEngine, DmaTransferReport};
 use crate::error::HostError;
-use crate::loader::GraphHandle;
 use crate::query::QueryRequest;
 use pefp_core::{
-    count_st_walks, prepare_with, run_prepared_on_device, run_prepared_with_sink, PefpVariant,
+    count_st_walks, prepare_snapshot_with, run_prepared_on_device, PefpRunResult, PefpVariant,
     PrepareContext, PreparedQuery,
 };
 use pefp_fpga::{
-    predict_dispatch, schedule_batch, ArbiterStats, CuCluster, CuWorkload, DeviceConfig,
-    MultiCuConfig, MultiCuSchedule, Pcie,
+    predict_dispatch, ArbiterStats, CuCluster, CuWorkload, DeviceConfig, MultiCuConfig,
+    MultiCuSchedule, Pcie,
 };
 use pefp_graph::sink::FnSink;
-use pefp_graph::VertexId;
+use pefp_graph::{GraphSnapshot, PlacementPolicy, VertexId};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Device profile.
+    /// Per-CU device profile.
     pub device: DeviceConfig,
     /// PEFP variant used for every query.
     pub variant: PefpVariant,
     /// Number of host threads used for preprocessing (1 = sequential).
     pub preprocess_threads: usize,
-    /// Collapse duplicate `(s, t, k)` requests into one execution.
-    pub dedup: bool,
-    /// Multi-compute-unit deployment for the batch: per-query kernel times
-    /// are LPT-scheduled onto the CUs (with the DRAM bandwidth-sharing
-    /// correction of [`pefp_fpga::multi_cu`]) and the predicted makespan is
-    /// reported next to the single-CU total in [`BatchOutcome::multi_cu`].
-    /// With [`SchedulerConfig::dispatch`] set, this is also the cluster the
-    /// batch *executes* on.
+    /// The compute units the batch executes on — one OS thread per CU, every
+    /// CU behind the cluster's shared DRAM arbiter. The default single CU is
+    /// the paper's one-kernel deployment.
     pub multi_cu: MultiCuConfig,
-    /// Execute batches on a real [`CuCluster`] — one OS thread per compute
-    /// unit pulling from an LPT-ordered work queue, contending for shared
-    /// DRAM bandwidth — instead of back-to-back on a single device.
-    /// [`BatchOutcome::measured`] then carries the measured per-CU busy
-    /// cycles and makespan next to the modelled prediction.
-    pub dispatch: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -60,16 +50,14 @@ impl Default for SchedulerConfig {
             device: DeviceConfig::alveo_u200(),
             variant: PefpVariant::Full,
             preprocess_threads: 1,
-            dedup: true,
             multi_cu: MultiCuConfig::default(),
-            dispatch: false,
         }
     }
 }
 
-/// Measured multi-CU execution of one batch (dispatch mode): what actually
-/// happened when the unique queries ran concurrently on the cluster, next to
-/// the traffic-aware prediction, so the model error is a first-class number.
+/// Measured execution of one batch on the cluster: what actually happened
+/// when the unique queries ran on the CUs, next to the traffic-aware
+/// prediction, so the model error is a first-class number.
 #[derive(Debug, Clone)]
 pub struct MeasuredMultiCu {
     /// Number of compute units the batch executed on.
@@ -81,7 +69,8 @@ pub struct MeasuredMultiCu {
     pub per_cu_queries: Vec<usize>,
     /// Measured batch makespan: the busiest CU's cycles.
     pub makespan_cycles: u64,
-    /// Sum of the queries' *uncontended* cycles — what one CU would need.
+    /// Sum of the queries' cycles without bus contention — what one CU
+    /// would need (charged bank stalls included).
     pub serial_cycles: u64,
     /// Total contention stalls the shared-DRAM arbiter injected.
     pub contention_cycles: u64,
@@ -101,8 +90,8 @@ pub struct MeasuredMultiCu {
 }
 
 impl MeasuredMultiCu {
-    /// Measured speedup over a single CU (uncontended serial cycles divided
-    /// by the measured makespan).
+    /// Measured speedup over a single CU (serial cycles divided by the
+    /// measured makespan).
     pub fn speedup(&self) -> f64 {
         if self.makespan_cycles == 0 {
             1.0
@@ -137,45 +126,25 @@ pub struct BatchQueryResult {
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// Per-query results, in the order the requests were submitted
-    /// (duplicates resolved to the same numbers when deduplication is on).
+    /// (duplicates resolved to the same numbers).
     pub results: Vec<BatchQueryResult>,
     /// Host wall-clock spent in preprocessing for the whole batch (ms).
     pub preprocess_millis: f64,
     /// The single batched DMA transfer.
     pub transfer: DmaTransferReport,
-    /// Total simulated device time (ms) summed over the queries — the
-    /// single-CU serial total (in dispatch mode, contention stalls included).
+    /// Total simulated device time (ms) summed over the unique queries,
+    /// contention stalls included.
     pub device_millis: f64,
     /// Number of requests that were served from a duplicate's result.
     pub deduplicated: usize,
-    /// Predicted multi-CU execution of the batch: the unique queries'
-    /// kernel-cycle counts scheduled onto [`SchedulerConfig::multi_cu`]. With
-    /// the default single-CU config the makespan equals the serial total.
-    pub multi_cu: MultiCuSchedule,
-    /// Measured multi-CU execution, present when the batch ran in dispatch
-    /// mode (real concurrent execution on a [`CuCluster`]).
-    pub measured: Option<MeasuredMultiCu>,
+    /// The measured execution on the cluster, next to its prediction.
+    pub measured: MeasuredMultiCu,
 }
 
 impl BatchOutcome {
     /// Total batch time in milliseconds (preprocess + transfer + device).
     pub fn total_millis(&self) -> f64 {
         self.preprocess_millis + self.transfer.total_millis + self.device_millis
-    }
-
-    /// Predicted device time of the batch on the configured multi-CU card, in
-    /// milliseconds: the single-CU total scaled by the modelled makespan.
-    pub fn multi_cu_device_millis(&self) -> f64 {
-        if self.multi_cu.serial_cycles == 0 {
-            return self.device_millis;
-        }
-        self.device_millis * self.multi_cu.makespan_cycles as f64
-            / self.multi_cu.serial_cycles as f64
-    }
-
-    /// Predicted speedup of the configured multi-CU card over one CU.
-    pub fn multi_cu_speedup(&self) -> f64 {
-        self.multi_cu.speedup()
     }
 
     /// Average per-query total time in milliseconds.
@@ -193,7 +162,7 @@ impl BatchOutcome {
     }
 }
 
-/// Runs batches of queries against one graph.
+/// Runs batches of queries against one graph snapshot.
 #[derive(Debug)]
 pub struct BatchScheduler {
     config: SchedulerConfig,
@@ -210,159 +179,47 @@ impl BatchScheduler {
         &self.config
     }
 
-    /// Preprocesses the unique queries, possibly across several host threads.
-    /// Each thread owns one [`PrepareContext`] seeded with the graph's
-    /// prebuilt reverse CSR, so scratch allocations amortise across the batch
-    /// and no worker ever recomputes `g.reverse()`.
-    fn preprocess_all(&self, graph: &GraphHandle, unique: &[QueryRequest]) -> Vec<PreparedQuery> {
-        let threads = self.config.preprocess_threads.max(1).min(unique.len().max(1));
-        if threads <= 1 || unique.len() <= 1 {
-            let mut ctx = PrepareContext::with_reverse(&graph.csr, Arc::clone(&graph.reverse));
-            return unique
-                .iter()
-                .map(|q| prepare_with(&mut ctx, &graph.csr, q.s, q.t, q.k, self.config.variant))
-                .collect();
-        }
-        // Static round-robin split across scoped threads; order is restored
-        // by index so the output lines up with `unique`.
-        let mut prepared: Vec<Option<PreparedQuery>> = vec![None; unique.len()];
-        let chunks: Vec<Vec<(usize, QueryRequest)>> = {
-            let mut chunks = vec![Vec::new(); threads];
-            for (i, q) in unique.iter().enumerate() {
-                chunks[i % threads].push((i, *q));
-            }
-            chunks
-        };
-        let csr = &graph.csr;
-        let reverse = &graph.reverse;
-        let variant = self.config.variant;
-        let results: Vec<Vec<(usize, PreparedQuery)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut ctx = PrepareContext::with_reverse(csr, Arc::clone(reverse));
-                        chunk
-                            .into_iter()
-                            .map(|(i, q)| (i, prepare_with(&mut ctx, csr, q.s, q.t, q.k, variant)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("preprocess thread panicked")).collect()
-        });
-        for chunk in results {
-            for (i, p) in chunk {
-                prepared[i] = Some(p);
-            }
-        }
-        prepared.into_iter().map(|p| p.expect("every query preprocessed")).collect()
-    }
-
     /// Runs a batch of queries against `graph` and returns the batch outcome.
     ///
     /// Every request is validated first; the whole batch is rejected if any
     /// request is invalid (matching the all-or-nothing transfer). Results are
     /// counted, never materialised — this is [`Self::run_batch_streaming`]
-    /// (or its dispatch-mode sibling, when [`SchedulerConfig::dispatch`] is
-    /// set) with a discard-everything callback.
+    /// with a discard-everything callback. `placement` is the DRAM row layout
+    /// of the graph's adjacency (see [`crate::GraphHandle::placement`]).
     pub fn run_batch(
         &self,
-        graph: &GraphHandle,
+        graph: &GraphSnapshot,
+        placement: PlacementPolicy,
         requests: &[QueryRequest],
     ) -> Result<BatchOutcome, HostError> {
-        if self.config.dispatch {
-            self.run_batch_dispatch_streaming(graph, requests, |_, _| ControlFlow::Continue(()))
-        } else {
-            self.run_batch_streaming(graph, requests, |_, _| ControlFlow::Continue(()))
-        }
+        self.run_batch_streaming(graph, placement, requests, |_, _| ControlFlow::Continue(()))
     }
 
-    /// Serial streaming batch: every result path (original graph vertex ids)
-    /// is pushed to `on_path` together with the request that produced it, so
-    /// the host never materialises a result set.
-    ///
-    /// This entry point always runs serially on a single device and ignores
-    /// [`SchedulerConfig::dispatch`] (the outcome's `measured` is `None`):
-    /// its callback need not be [`Send`], so it cannot be handed to the CU
-    /// worker threads. For dispatch-mode streaming use
-    /// [`Self::run_batch_dispatch_streaming`], whose callback bound is the
-    /// only difference. Only [`Self::run_batch`], with its trivially-`Send`
-    /// discard callback, switches between the two on the config flag.
-    ///
-    /// Returning [`ControlFlow::Break`] from the callback terminates *that
-    /// request's* enumeration early; the rest of the batch still runs. With
-    /// deduplication on, a duplicated request's paths are streamed once, for
-    /// the first occurrence; its [`BatchQueryResult`] rows still cover every
-    /// slot.
-    pub fn run_batch_streaming<F>(
-        &self,
-        graph: &GraphHandle,
-        requests: &[QueryRequest],
-        mut on_path: F,
-    ) -> Result<BatchOutcome, HostError>
-    where
-        F: FnMut(&QueryRequest, &[VertexId]) -> ControlFlow<()>,
-    {
-        let staged = self.stage_batch(graph, requests)?;
-
-        let mut options = self.config.variant.engine_options();
-        options.bank_placement = graph.placement;
-        let mut unique_results = Vec::with_capacity(staged.unique.len());
-        let mut unique_cycles = Vec::with_capacity(staged.unique.len());
-        let mut device_millis = 0.0;
-        for (q, prep) in staged.unique.iter().zip(&staged.prepared) {
-            let mut sink = FnSink(|path: &[VertexId]| on_path(q, path));
-            let result =
-                run_prepared_with_sink(prep, options.clone(), &self.config.device, &mut sink);
-            device_millis += result.query_millis;
-            unique_cycles.push(result.device.cycles);
-            unique_results.push(BatchQueryResult {
-                request: *q,
-                num_paths: result.num_paths,
-                device_millis: result.query_millis,
-            });
-        }
-
-        Ok(staged.into_outcome(
-            unique_results,
-            unique_cycles,
-            device_millis,
-            &self.config.multi_cu,
-            None,
-        ))
-    }
-
-    /// Dispatch-mode [`Self::run_batch`]: the unique queries execute
-    /// concurrently on a real [`CuCluster`], and the outcome additionally
-    /// carries [`BatchOutcome::measured`]. Results are counted, never
-    /// materialised.
-    pub fn run_batch_dispatch(
-        &self,
-        graph: &GraphHandle,
-        requests: &[QueryRequest],
-    ) -> Result<BatchOutcome, HostError> {
-        self.run_batch_dispatch_streaming(graph, requests, |_, _| ControlFlow::Continue(()))
-    }
-
-    /// Streaming dispatch: runs the batch's unique queries on
-    /// [`SchedulerConfig::multi_cu`] compute units, one OS thread per CU.
+    /// Runs the batch's unique queries on [`SchedulerConfig::multi_cu`]
+    /// compute units, one thread per CU (the calling thread is CU 0),
+    /// pushing every result path (original graph vertex ids) to `on_path`
+    /// together with the request that produced it, so the host never
+    /// materialises a result set.
     ///
     /// Each worker owns one CU of a [`CuCluster`] (its own simulated BRAM,
     /// counters and clock, behind the shared DRAM arbiter) and pulls the next
     /// query from a shared work queue ordered longest-estimated-first — the
-    /// greedy LPT policy [`pefp_fpga::schedule_batch`] models, driven by the
-    /// walk-count estimate on each prepared subgraph. Pops are gated on
+    /// greedy LPT policy [`pefp_fpga::predict_dispatch`] models, driven by
+    /// the walk-count estimate on each prepared subgraph. Pops are gated on
     /// *simulated* CU load (see [`DispatchQueue`]), so the assignment tracks
     /// the device clocks being co-simulated rather than the host scheduler's
     /// whims, while the engine runs themselves still execute concurrently.
-    /// Every result path is pushed to `on_path` (serialised through a mutex,
-    /// so the callback sees one path at a time even though queries run
-    /// concurrently); returning [`ControlFlow::Break`] terminates *that
-    /// request's* enumeration, as in [`Self::run_batch_streaming`].
-    pub fn run_batch_dispatch_streaming<F>(
+    ///
+    /// `on_path` is called from the CU threads, serialised through a mutex,
+    /// so it sees one path at a time. Returning [`ControlFlow::Break`]
+    /// terminates *that request's* enumeration early; the rest of the batch
+    /// still runs. A duplicated request's paths are streamed once, for the
+    /// first occurrence; its [`BatchQueryResult`] rows still cover every
+    /// slot.
+    pub fn run_batch_streaming<F>(
         &self,
-        graph: &GraphHandle,
+        graph: &GraphSnapshot,
+        placement: PlacementPolicy,
         requests: &[QueryRequest],
         on_path: F,
     ) -> Result<BatchOutcome, HostError>
@@ -373,13 +230,12 @@ impl BatchScheduler {
         let cus = self.config.multi_cu.compute_units.max(1);
         let cluster = CuCluster::new(self.config.device.clone(), self.config.multi_cu);
         let mut options = self.config.variant.engine_options();
-        options.bank_placement = graph.placement;
+        options.bank_placement = placement;
 
         // LPT work queue: longest estimated enumeration first. The estimate
         // is the k-hop s-t walk count on the prepared subgraph (an upper
         // bound on the result volume) plus its edge count, so heavyweight
         // queries start early and stragglers stay short.
-        let mut order: Vec<usize> = (0..staged.unique.len()).collect();
         let estimates: Vec<u64> = staged
             .prepared
             .iter()
@@ -391,146 +247,109 @@ impl BatchScheduler {
                     .saturating_add(prep.graph.num_edges() as u64)
             })
             .collect();
+        let mut order: Vec<usize> = (0..staged.unique.len()).collect();
         order.sort_by(|&a, &b| estimates[b].cmp(&estimates[a]).then(a.cmp(&b)));
-
         let queue = DispatchQueue::new(order, estimates, cus);
         let emit = Mutex::new(on_path);
-        let staged_ref = &staged;
-        let cluster_ref = &cluster;
-        let queue_ref = &queue;
-        let emit_ref = &emit;
-        let options_ref = &options;
+
+        // One CU's worker: drain the queue onto this CU's device. The CU
+        // counts as bus-active until it drains the queue: a worker parked on
+        // the queue gate is *busy in simulated time* (its next job just has
+        // not been wall-executed yet), so dropping activation there would
+        // understate contention whenever the host has fewer cores than CUs.
+        let work = |cu: usize| {
+            let _active = cluster.arbiter().activate();
+            let mut rows = Vec::new();
+            while let Some((job, estimate)) = queue.pop(cu) {
+                let request = staged.unique[job];
+                let mut sink = FnSink(|path: &[VertexId]| {
+                    let mut cb = emit.lock().expect("path callback poisoned");
+                    (*cb)(&request, path)
+                });
+                let result = run_prepared_on_device(
+                    &staged.prepared[job],
+                    options.clone(),
+                    cluster.device_for_cu(cu),
+                    &mut sink,
+                );
+                queue.complete(cu, estimate, result.device.cycles);
+                rows.push((job, result));
+            }
+            rows
+        };
 
         let wall_start = Instant::now();
-        let per_worker: Vec<Vec<(usize, pefp_core::PefpRunResult)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cus)
-                .map(|cu| {
-                    scope.spawn(move || {
-                        // The CU counts as bus-active until it drains
-                        // the queue: a worker parked on the queue gate
-                        // is *busy in simulated time* (its next job just
-                        // has not been wall-executed yet), so dropping
-                        // activation there would understate contention
-                        // whenever the host has fewer cores than CUs.
-                        let _active = cluster_ref.arbiter().activate();
-                        let mut rows = Vec::new();
-                        while let Some((job, estimate)) = queue_ref.pop(cu) {
-                            let request = staged_ref.unique[job];
-                            let prep = &staged_ref.prepared[job];
-                            let mut sink = FnSink(|path: &[VertexId]| {
-                                let mut cb = emit_ref.lock().expect("path callback poisoned");
-                                (*cb)(&request, path)
-                            });
-                            let result = run_prepared_on_device(
-                                prep,
-                                options_ref.clone(),
-                                cluster_ref.device_for_cu(cu),
-                                &mut sink,
-                            );
-                            queue_ref.complete(cu, estimate, result.device.cycles);
-                            rows.push((job, result));
-                        }
-                        rows
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("CU worker panicked")).collect()
+        let per_cu: Vec<Vec<(usize, PefpRunResult)>> = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..cus).map(|cu| scope.spawn(move || work(cu))).collect();
+            // The calling thread is CU 0, so a one-CU batch spawns nothing.
+            let mut per_cu = vec![work(0)];
+            per_cu.extend(others.into_iter().map(|h| h.join().expect("CU worker panicked")));
+            per_cu
         });
         let wall_millis = wall_start.elapsed().as_secs_f64() * 1e3;
 
-        // Fold the per-worker rows back into per-unique-query order and the
-        // measured per-CU accounting.
-        let mut unique_results: Vec<Option<BatchQueryResult>> = vec![None; staged.unique.len()];
-        let mut workloads: Vec<CuWorkload> = vec![CuWorkload::default(); staged.unique.len()];
-        let mut per_cu_busy_cycles = vec![0u64; cus];
-        let mut per_cu_queries = vec![0usize; cus];
-        let mut per_cu_bank_conflict_cycles = vec![0u64; cus];
-        let mut per_cu_turnaround_cycles = vec![0u64; cus];
-        let mut device_millis = 0.0;
-        let mut contention_cycles = 0u64;
-        for (cu, rows) in per_worker.into_iter().enumerate() {
-            for (job, result) in rows {
-                per_cu_busy_cycles[cu] += result.device.cycles;
-                per_cu_queries[cu] += 1;
-                per_cu_bank_conflict_cycles[cu] += result.device.bank_conflict_cycles;
-                per_cu_turnaround_cycles[cu] += result.device.turnaround_cycles;
-                device_millis += result.query_millis;
-                contention_cycles += result.device.contention_cycles;
-                // Uncontended cost: strip what the shared bus (contention)
-                // and the bank model (charged conflict + turnaround stalls)
-                // injected; the predictor adds both back from its own terms.
-                let bank_stall_cycles =
-                    result.device.bank_conflict_cycles + result.device.turnaround_cycles;
-                workloads[job] = CuWorkload {
-                    cycles: result.device.cycles
-                        - result.device.contention_cycles
-                        - bank_stall_cycles,
-                    dram_cycles: result.device.dram_cycles,
-                    bank_stall_cycles,
-                };
-                unique_results[job] = Some(BatchQueryResult {
-                    request: staged.unique[job],
-                    num_paths: result.num_paths,
-                    device_millis: result.query_millis,
-                });
-            }
-        }
-        let unique_results: Vec<BatchQueryResult> =
-            unique_results.into_iter().map(|r| r.expect("every unique query executed")).collect();
-        let unique_cycles: Vec<u64> = workloads.iter().map(|w| w.cycles).collect();
-
-        let makespan_cycles = per_cu_busy_cycles.iter().copied().max().unwrap_or(0);
-        let measured = MeasuredMultiCu {
-            compute_units: cus,
-            per_cu_busy_cycles,
-            per_cu_queries,
-            makespan_cycles,
-            serial_cycles: unique_cycles.iter().sum(),
-            contention_cycles,
-            per_cu_bank_conflict_cycles,
-            per_cu_turnaround_cycles,
-            arbiter: cluster.arbiter().stats(),
-            predicted: predict_dispatch(&workloads, &self.config.multi_cu),
-            wall_millis,
-        };
-
         Ok(staged.into_outcome(
-            unique_results,
-            unique_cycles,
-            device_millis,
+            per_cu,
+            cluster.arbiter().stats(),
             &self.config.multi_cu,
-            Some(measured),
+            wall_millis,
         ))
     }
 
-    /// The host-side work shared by the counting and streaming batch runs:
-    /// validation, deduplication, (parallel) preprocessing and the single
-    /// batched DMA transfer.
+    /// Preprocesses the unique queries against `graph`, possibly across
+    /// several host threads, each with its own [`PrepareContext`] so scratch
+    /// allocations amortise across the batch.
+    fn preprocess_all(&self, graph: &GraphSnapshot, unique: &[QueryRequest]) -> Vec<PreparedQuery> {
+        let variant = self.config.variant;
+        let prepare_chunk = |chunk: &[QueryRequest]| {
+            let mut ctx = PrepareContext::new();
+            chunk
+                .iter()
+                .map(|q| prepare_snapshot_with(&mut ctx, graph, q.s, q.t, q.k, variant))
+                .collect::<Vec<_>>()
+        };
+        let threads = self.config.preprocess_threads.clamp(1, unique.len().max(1));
+        if threads == 1 {
+            return prepare_chunk(unique);
+        }
+        // Contiguous chunks, joined in order, so the output lines up with
+        // `unique`.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = unique
+                .chunks(unique.len().div_ceil(threads))
+                .map(|chunk| scope.spawn(move || prepare_chunk(chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("preprocess thread panicked"))
+                .collect()
+        })
+    }
+
+    /// The host-side half of a batch: validation against `graph`,
+    /// deduplication, (parallel) preprocessing and the single batched DMA
+    /// transfer.
     fn stage_batch(
         &self,
-        graph: &GraphHandle,
+        graph: &GraphSnapshot,
         requests: &[QueryRequest],
     ) -> Result<StagedBatch, HostError> {
         for q in requests {
-            q.validate(&graph.csr)?;
+            q.validate_for(graph.num_vertices())?;
         }
 
         // Deduplicate while remembering each request's slot.
         let mut unique: Vec<QueryRequest> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-        if self.config.dedup {
-            let mut index: HashMap<QueryRequest, usize> = HashMap::new();
-            for q in requests {
-                let slot = *index.entry(*q).or_insert_with(|| {
+        let mut index: HashMap<QueryRequest, usize> = HashMap::new();
+        let slot_of: Vec<usize> = requests
+            .iter()
+            .map(|q| {
+                *index.entry(*q).or_insert_with(|| {
                     unique.push(*q);
                     unique.len() - 1
-                });
-                slot_of.push(slot);
-            }
-        } else {
-            unique = requests.to_vec();
-            slot_of = (0..requests.len()).collect();
-        }
+                })
+            })
+            .collect();
         let deduplicated = requests.len() - unique.len();
 
         // Host preprocessing (timed as a whole, like the paper's T1).
@@ -547,8 +366,7 @@ impl BatchScheduler {
             )));
         }
         let pcie = Pcie::new(self.config.device.pcie_gbps, self.config.device.pcie_setup_us);
-        let mut dma = DmaEngine::with_defaults(pcie);
-        let transfer = dma.transfer(total_bytes);
+        let transfer = DmaEngine::with_defaults(pcie).transfer(total_bytes);
 
         Ok(StagedBatch { unique, slot_of, prepared, preprocess_millis, transfer, deduplicated })
     }
@@ -648,26 +466,74 @@ struct StagedBatch {
 }
 
 impl StagedBatch {
-    /// Assembles the outcome: per-slot result rows plus the multi-CU schedule
-    /// of the unique queries' (uncontended) kernel cycles, and the measured
-    /// execution when the batch ran in dispatch mode.
+    /// Folds the CU workers' rows (`per_cu[cu]` = the unique-query indices
+    /// CU `cu` ran, with their results) into per-slot result rows and the
+    /// measured per-CU accounting, next to the prediction over the same
+    /// uncontended workloads.
     fn into_outcome(
         self,
-        unique_results: Vec<BatchQueryResult>,
-        unique_cycles: Vec<u64>,
-        device_millis: f64,
+        per_cu: Vec<Vec<(usize, PefpRunResult)>>,
+        arbiter: ArbiterStats,
         multi_cu: &MultiCuConfig,
-        measured: Option<MeasuredMultiCu>,
+        wall_millis: f64,
     ) -> BatchOutcome {
-        let results = self.slot_of.iter().map(|&slot| unique_results[slot]).collect();
-        let multi_cu = schedule_batch(&unique_cycles, multi_cu);
+        let cus = per_cu.len();
+        let mut unique_results: Vec<Option<BatchQueryResult>> = vec![None; self.unique.len()];
+        let mut workloads = vec![CuWorkload::default(); self.unique.len()];
+        let mut per_cu_busy_cycles = vec![0u64; cus];
+        let mut per_cu_queries = vec![0usize; cus];
+        let mut per_cu_bank_conflict_cycles = vec![0u64; cus];
+        let mut per_cu_turnaround_cycles = vec![0u64; cus];
+        let mut contention_cycles = 0u64;
+        for (cu, rows) in per_cu.into_iter().enumerate() {
+            for (job, result) in rows {
+                let device = &result.device;
+                per_cu_busy_cycles[cu] += device.cycles;
+                per_cu_queries[cu] += 1;
+                per_cu_bank_conflict_cycles[cu] += device.bank_conflict_cycles;
+                per_cu_turnaround_cycles[cu] += device.turnaround_cycles;
+                contention_cycles += device.contention_cycles;
+                // Uncontended cost: strip what the shared bus (contention)
+                // and the bank model (charged conflict + turnaround stalls)
+                // injected; the predictor adds both back from its own terms.
+                let bank_stall_cycles = device.bank_conflict_cycles + device.turnaround_cycles;
+                workloads[job] = CuWorkload {
+                    cycles: device.cycles - device.contention_cycles - bank_stall_cycles,
+                    dram_cycles: device.dram_cycles,
+                    bank_stall_cycles,
+                };
+                unique_results[job] = Some(BatchQueryResult {
+                    request: self.unique[job],
+                    num_paths: result.num_paths,
+                    device_millis: result.query_millis,
+                });
+            }
+        }
+        let unique_results: Vec<BatchQueryResult> =
+            unique_results.into_iter().map(|r| r.expect("every unique query executed")).collect();
+        // Summed in request order, not CU completion order, so the total does
+        // not depend on which CU ran which query.
+        let device_millis = unique_results.iter().map(|r| r.device_millis).sum();
+
+        let measured = MeasuredMultiCu {
+            compute_units: cus,
+            makespan_cycles: per_cu_busy_cycles.iter().copied().max().unwrap_or(0),
+            serial_cycles: workloads.iter().map(|w| w.cycles + w.bank_stall_cycles).sum(),
+            per_cu_busy_cycles,
+            per_cu_queries,
+            contention_cycles,
+            per_cu_bank_conflict_cycles,
+            per_cu_turnaround_cycles,
+            arbiter,
+            predicted: predict_dispatch(&workloads, multi_cu),
+            wall_millis,
+        };
         BatchOutcome {
-            results,
+            results: self.slot_of.iter().map(|&slot| unique_results[slot]).collect(),
             preprocess_millis: self.preprocess_millis,
             transfer: self.transfer,
             device_millis,
             deduplicated: self.deduplicated,
-            multi_cu,
             measured,
         }
     }
@@ -676,8 +542,10 @@ impl StagedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loader::GraphHandle;
     use pefp_baselines::naive_dfs_enumerate;
     use pefp_graph::generators::chung_lu;
+    use pefp_graph::paths::canonicalize;
     use pefp_graph::sampling::sample_reachable_pairs;
     use pefp_graph::CsrGraph;
 
@@ -692,13 +560,27 @@ mod tests {
             .collect()
     }
 
+    fn on_cus(cus: usize) -> BatchScheduler {
+        BatchScheduler::new(SchedulerConfig {
+            multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
+            ..SchedulerConfig::default()
+        })
+    }
+
+    fn run(
+        scheduler: &BatchScheduler,
+        handle: &GraphHandle,
+        reqs: &[QueryRequest],
+    ) -> Result<BatchOutcome, HostError> {
+        scheduler.run_batch(&handle.snapshot(), handle.placement, reqs)
+    }
+
     #[test]
     fn batch_results_match_the_naive_oracle() {
         let handle = handle();
         let reqs = requests(&handle, 3, 10);
         assert!(!reqs.is_empty());
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-        let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
+        let outcome = run(&on_cus(1), &handle, &reqs).unwrap();
         assert_eq!(outcome.results.len(), reqs.len());
         for (req, res) in reqs.iter().zip(&outcome.results) {
             let oracle = naive_dfs_enumerate(&handle.csr, req.s, req.t, req.k).len() as u64;
@@ -715,139 +597,26 @@ mod tests {
         assert!(base.len() >= 2);
         let mut reqs = base.clone();
         reqs.extend_from_slice(&base); // every query twice
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-        let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
+        let outcome = run(&on_cus(1), &handle, &reqs).unwrap();
         assert_eq!(outcome.deduplicated, base.len());
         assert_eq!(outcome.results.len(), reqs.len());
+        assert_eq!(outcome.measured.per_cu_queries, vec![base.len()]);
         for i in 0..base.len() {
             assert_eq!(outcome.results[i].num_paths, outcome.results[i + base.len()].num_paths);
         }
     }
 
     #[test]
-    fn dedup_can_be_disabled() {
-        let handle = handle();
-        let base = requests(&handle, 3, 2);
-        let mut reqs = base.clone();
-        reqs.extend_from_slice(&base);
-        let scheduler = BatchScheduler::new(SchedulerConfig { dedup: false, ..Default::default() });
-        let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
-        assert_eq!(outcome.deduplicated, 0);
-        assert_eq!(outcome.results.len(), reqs.len());
-    }
-
-    #[test]
     fn parallel_preprocessing_gives_identical_results() {
         let handle = handle();
         let reqs = requests(&handle, 4, 12);
-        let sequential =
-            BatchScheduler::new(SchedulerConfig { preprocess_threads: 1, ..Default::default() })
-                .run_batch(&handle, &reqs)
-                .unwrap();
-        let parallel =
-            BatchScheduler::new(SchedulerConfig { preprocess_threads: 4, ..Default::default() })
-                .run_batch(&handle, &reqs)
-                .unwrap();
-        let seq_counts: Vec<u64> = sequential.results.iter().map(|r| r.num_paths).collect();
-        let par_counts: Vec<u64> = parallel.results.iter().map(|r| r.num_paths).collect();
-        assert_eq!(seq_counts, par_counts);
-    }
-
-    #[test]
-    fn batch_reports_a_multi_cu_schedule_next_to_the_serial_total() {
-        let handle = handle();
-        let reqs = requests(&handle, 4, 8);
-        assert!(reqs.len() >= 4, "need a few queries to schedule");
-
-        // Default config: one CU, makespan == serial total, speedup 1.
-        let single =
-            BatchScheduler::new(SchedulerConfig::default()).run_batch(&handle, &reqs).unwrap();
-        assert_eq!(single.multi_cu.compute_units, 1);
-        assert_eq!(single.multi_cu.makespan_cycles, single.multi_cu.serial_cycles);
-        assert!((single.multi_cu_speedup() - 1.0).abs() < 1e-12);
-        assert!((single.multi_cu_device_millis() - single.device_millis).abs() < 1e-9);
-
-        // Four contention-free CUs: strictly faster on a multi-query batch.
-        let multi = BatchScheduler::new(SchedulerConfig {
-            multi_cu: MultiCuConfig {
-                compute_units: 4,
-                per_cu_bandwidth_share: 0.0,
-                charge_banked: false,
-            },
-            ..SchedulerConfig::default()
-        })
-        .run_batch(&handle, &reqs)
-        .unwrap();
-        assert_eq!(multi.multi_cu.compute_units, 4);
-        assert_eq!(multi.multi_cu.serial_cycles, single.multi_cu.serial_cycles);
-        assert!(
-            multi.multi_cu.makespan_cycles < multi.multi_cu.serial_cycles,
-            "4 CUs must beat 1 on {} queries",
-            reqs.len()
-        );
-        assert!(multi.multi_cu_speedup() > 1.0);
-        assert!(multi.multi_cu_device_millis() < multi.device_millis);
-        // The serial numbers are untouched by the model.
-        assert_eq!(multi.total_paths(), single.total_paths());
-    }
-
-    #[test]
-    fn streaming_batch_delivers_every_path_with_its_request() {
-        use pefp_graph::paths::canonicalize;
-        use std::collections::HashMap;
-
-        let handle = handle();
-        let reqs = requests(&handle, 3, 6);
-        assert!(!reqs.is_empty());
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-
-        let mut streamed: HashMap<QueryRequest, Vec<Vec<VertexId>>> = HashMap::new();
-        let outcome = scheduler
-            .run_batch_streaming(&handle, &reqs, |req, path| {
-                streamed.entry(*req).or_default().push(path.to_vec());
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-        assert_eq!(outcome.results.len(), reqs.len());
-
-        for req in &reqs {
-            let oracle = naive_dfs_enumerate(&handle.csr, req.s, req.t, req.k);
-            let got = streamed.remove(req).unwrap_or_default();
-            assert_eq!(canonicalize(got), canonicalize(oracle), "query {req:?}");
-        }
-
-        // The counting and streaming paths agree on every aggregate.
-        let counted = scheduler.run_batch(&handle, &reqs).unwrap();
-        assert_eq!(outcome.total_paths(), counted.total_paths());
-        assert_eq!(outcome.multi_cu.serial_cycles, counted.multi_cu.serial_cycles);
-    }
-
-    #[test]
-    fn streaming_batch_break_only_stops_one_request() {
-        let handle = handle();
-        let reqs = requests(&handle, 3, 4);
-        assert!(reqs.len() >= 2);
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-        let full = scheduler.run_batch(&handle, &reqs).unwrap();
-        let victim = full.results.iter().find(|r| r.num_paths > 1).map(|r| r.request);
-        let Some(victim) = victim else { return };
-
-        let outcome = scheduler
-            .run_batch_streaming(&handle, &reqs, |req, _path| {
-                if *req == victim {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-            .unwrap();
-        for (got, want) in outcome.results.iter().zip(&full.results) {
-            if got.request == victim {
-                assert_eq!(got.num_paths, 1, "the break lands after the first path");
-            } else {
-                assert_eq!(got.num_paths, want.num_paths, "other requests run to completion");
-            }
-        }
+        let with_threads = |preprocess_threads| {
+            let config = SchedulerConfig { preprocess_threads, ..Default::default() };
+            run(&BatchScheduler::new(config), &handle, &reqs).unwrap()
+        };
+        let (sequential, parallel) = (with_threads(1), with_threads(4));
+        assert_eq!(sequential.results, parallel.results);
+        assert_eq!(sequential.measured.serial_cycles, parallel.measured.serial_cycles);
     }
 
     #[test]
@@ -855,83 +624,67 @@ mod tests {
         let handle = handle();
         let reqs = requests(&handle, 4, 10);
         assert!(reqs.len() >= 4);
-        let serial =
-            BatchScheduler::new(SchedulerConfig::default()).run_batch(&handle, &reqs).unwrap();
-        for cus in [1usize, 2, 4] {
-            let scheduler = BatchScheduler::new(SchedulerConfig {
-                dispatch: true,
-                multi_cu: MultiCuConfig {
-                    compute_units: cus,
-                    per_cu_bandwidth_share: 0.5,
-                    charge_banked: false,
-                },
-                ..SchedulerConfig::default()
-            });
-            let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
+        let single = run(&on_cus(1), &handle, &reqs).unwrap();
+        for (req, row) in reqs.iter().zip(&single.results) {
+            let oracle = naive_dfs_enumerate(&handle.csr, req.s, req.t, req.k).len() as u64;
+            assert_eq!(row.num_paths, oracle, "1 CU vs the naive oracle on {req:?}");
+        }
+        // A single CU cannot contend with itself: measured == serial.
+        assert_eq!(single.measured.makespan_cycles, single.measured.serial_cycles);
+        assert_eq!(single.measured.contention_cycles, 0);
+        for cus in [2usize, 4] {
+            let outcome = run(&on_cus(cus), &handle, &reqs).unwrap();
             assert_eq!(outcome.results.len(), reqs.len());
-            for (got, want) in outcome.results.iter().zip(&serial.results) {
+            for (got, want) in outcome.results.iter().zip(&single.results) {
                 assert_eq!(got.request, want.request);
                 assert_eq!(got.num_paths, want.num_paths, "cus = {cus}");
             }
-            let measured = outcome.measured.as_ref().expect("dispatch reports measurements");
+            let measured = &outcome.measured;
             assert_eq!(measured.compute_units, cus);
             assert_eq!(
                 measured.per_cu_queries.iter().sum::<usize>(),
-                serial.results.len() - serial.deduplicated
+                reqs.len() - single.deduplicated
             );
             assert!(measured.makespan_cycles <= measured.serial_cycles);
             assert_eq!(
-                measured.serial_cycles, serial.multi_cu.serial_cycles,
+                measured.serial_cycles, single.measured.serial_cycles,
                 "uncontended cycles are deterministic"
             );
-            // A single CU cannot contend with itself: measured == serial.
-            if cus == 1 {
-                assert_eq!(measured.makespan_cycles, measured.serial_cycles);
-                assert_eq!(measured.contention_cycles, 0);
-            }
         }
     }
 
     #[test]
     fn dispatch_streams_every_path_and_honours_break() {
-        use pefp_graph::paths::canonicalize;
-        use std::collections::HashMap;
-
         let handle = handle();
         let reqs = requests(&handle, 3, 6);
         assert!(!reqs.is_empty());
-        let scheduler = BatchScheduler::new(SchedulerConfig {
-            dispatch: true,
-            multi_cu: MultiCuConfig {
-                compute_units: 2,
-                per_cu_bandwidth_share: 0.5,
-                charge_banked: false,
-            },
-            ..SchedulerConfig::default()
-        });
-        let streamed = Mutex::new(HashMap::<QueryRequest, Vec<Vec<VertexId>>>::new());
+        let scheduler = on_cus(2);
+        let snapshot = handle.snapshot();
+        let mut streamed = HashMap::<QueryRequest, Vec<Vec<VertexId>>>::new();
         let outcome = scheduler
-            .run_batch_dispatch_streaming(&handle, &reqs, |req, path| {
-                streamed.lock().unwrap().entry(*req).or_default().push(path.to_vec());
+            .run_batch_streaming(&snapshot, handle.placement, &reqs, |req, path| {
+                streamed.entry(*req).or_default().push(path.to_vec());
                 ControlFlow::Continue(())
             })
             .unwrap();
         assert_eq!(outcome.results.len(), reqs.len());
-        let mut streamed = streamed.into_inner().unwrap();
         for req in &reqs {
             let oracle = naive_dfs_enumerate(&handle.csr, req.s, req.t, req.k);
             let got = streamed.remove(req).unwrap_or_default();
             assert_eq!(canonicalize(got), canonicalize(oracle), "query {req:?}");
         }
+        // The counting run agrees on every aggregate.
+        let counted = run(&scheduler, &handle, &reqs).unwrap();
+        assert_eq!(outcome.total_paths(), counted.total_paths());
+        assert_eq!(outcome.measured.serial_cycles, counted.measured.serial_cycles);
 
         // Break terminates only the victim request's enumeration.
-        let full =
-            BatchScheduler::new(SchedulerConfig::default()).run_batch(&handle, &reqs).unwrap();
-        let Some(victim) = full.results.iter().find(|r| r.num_paths > 1).map(|r| r.request) else {
+        let Some(victim) = counted.results.iter().find(|r| r.num_paths > 1).map(|r| r.request)
+        else {
             return;
         };
         let outcome = scheduler
-            .run_batch_dispatch_streaming(&handle, &reqs, |req, _path| {
+            .run_batch_streaming(&snapshot, handle.placement, &reqs, |req, _path| {
                 if *req == victim {
                     ControlFlow::Break(())
                 } else {
@@ -939,11 +692,11 @@ mod tests {
                 }
             })
             .unwrap();
-        for (got, want) in outcome.results.iter().zip(&full.results) {
+        for (got, want) in outcome.results.iter().zip(&counted.results) {
             if got.request == victim {
-                assert_eq!(got.num_paths, 1);
+                assert_eq!(got.num_paths, 1, "the break lands after the first path");
             } else {
-                assert_eq!(got.num_paths, want.num_paths);
+                assert_eq!(got.num_paths, want.num_paths, "other requests run to completion");
             }
         }
     }
@@ -958,17 +711,7 @@ mod tests {
         let handle = handle();
         let reqs = requests(&handle, 4, 16);
         assert!(reqs.len() >= 8);
-        let scheduler = BatchScheduler::new(SchedulerConfig {
-            dispatch: true,
-            multi_cu: MultiCuConfig {
-                compute_units: 2,
-                per_cu_bandwidth_share: 0.5,
-                charge_banked: false,
-            },
-            ..SchedulerConfig::default()
-        });
-        let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
-        let measured = outcome.measured.unwrap();
+        let measured = run(&on_cus(2), &handle, &reqs).unwrap().measured;
         // Two CUs at share 0.5 never saturate the bus: no contention, so the
         // per-CU busy cycles partition the serial total exactly.
         assert_eq!(measured.contention_cycles, 0);
@@ -989,19 +732,19 @@ mod tests {
         let handle = handle();
         let mut reqs = requests(&handle, 3, 3);
         reqs.push(QueryRequest::new(0, 999_999, 3));
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-        assert!(matches!(scheduler.run_batch(&handle, &reqs), Err(HostError::QueryInvalid(_))));
+        let scheduler = on_cus(1);
+        assert!(matches!(run(&scheduler, &handle, &reqs), Err(HostError::QueryInvalid(_))));
     }
 
     #[test]
     fn empty_batch_is_a_cheap_no_op() {
         let handle = handle();
-        let scheduler = BatchScheduler::new(SchedulerConfig::default());
-        let outcome = scheduler.run_batch(&handle, &[]).unwrap();
+        let outcome = run(&on_cus(1), &handle, &[]).unwrap();
         assert!(outcome.results.is_empty());
         assert_eq!(outcome.total_paths(), 0);
         assert_eq!(outcome.avg_query_millis(), 0.0);
         assert_eq!(outcome.deduplicated, 0);
+        assert_eq!(outcome.measured.makespan_cycles, 0);
     }
 
     #[test]
@@ -1010,17 +753,22 @@ mod tests {
             "dense",
             CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5), (1, 4)]),
         );
-        let reqs: Vec<QueryRequest> = (0..50).map(|_| QueryRequest::new(0, 5, 4)).collect();
-        let scheduler = BatchScheduler::new(SchedulerConfig { dedup: false, ..Default::default() });
-        let outcome = scheduler.run_batch(&handle, &reqs).unwrap();
+        let reqs: Vec<QueryRequest> = (0..6u32)
+            .flat_map(|s| {
+                (0..6u32).filter(move |&t| t != s).map(move |t| QueryRequest::new(s, t, 4))
+            })
+            .collect();
+        let scheduler = on_cus(1);
+        let outcome = run(&scheduler, &handle, &reqs).unwrap();
+        assert_eq!(outcome.deduplicated, 0, "every request is distinct");
         // One transfer for the whole batch, so the per-query share of the
         // setup cost is far below the standalone setup cost.
         assert!(outcome.transfer.descriptors >= 1);
         let per_query_transfer = outcome.transfer.total_millis / reqs.len() as f64;
         let single = {
-            let pcie =
-                Pcie::new(scheduler.config.device.pcie_gbps, scheduler.config.device.pcie_setup_us);
-            let mut dma = DmaEngine::with_defaults(pcie);
+            let device = &scheduler.config().device;
+            let mut dma =
+                DmaEngine::with_defaults(Pcie::new(device.pcie_gbps, device.pcie_setup_us));
             dma.transfer(outcome.transfer.bytes / reqs.len()).total_millis
         };
         assert!(per_query_transfer < single);

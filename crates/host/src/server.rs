@@ -18,8 +18,9 @@
 //! full command table — syntax, opcode, reply and limits of every command —
 //! is in the [`crate::command`] module docs. Three commands have no binary
 //! counterpart and are this codec's own arms: `HELP`, `GRAPH` and
-//! `BATCH … CUS=n`, the measured-dispatch report on a private
-//! [`BatchScheduler`] cluster.
+//! `BATCH … CUS=n`, which runs the batch as one [`BatchScheduler`] dispatch
+//! on a private cluster of `n` CUs against the runtime's current graph
+//! epoch and reports the measured makespan next to its prediction.
 //!
 //! Every reply line starts with `OK` or `ERR`, so the protocol is trivially
 //! scriptable; `STREAM` is the one command whose reply spans several lines
@@ -96,10 +97,10 @@ enum Command {
 enum TextOnly {
     Help,
     Graph,
-    /// `BATCH … CUS=n`: the *measured* dispatch mode on a private
-    /// [`BatchScheduler`] cluster of `cus` CUs — an explicit benchmarking
-    /// request that bypasses the shared runtime and the session's per-query
-    /// bookkeeping.
+    /// `BATCH … CUS=n`: a *measured* [`BatchScheduler`] dispatch on a
+    /// private cluster of `cus` CUs over the runtime's current snapshot — an
+    /// explicit benchmarking request that bypasses the shared runtime's
+    /// queue, cache and the session's per-query bookkeeping.
     BatchOnCus {
         cus: usize,
         requests: Vec<QueryRequest>,
@@ -259,22 +260,24 @@ fn json_label(request: &Request) -> &'static str {
 
 /// Runs one of the commands only the text protocol has.
 fn run_text_only(session: &HostSession, command: TextOnly) -> Reply {
-    let graph = || session.graph().ok_or(HostError::NoGraphLoaded).map_err(|e| e.to_string());
+    let runtime = || session.runtime().ok_or(HostError::NoGraphLoaded).map_err(|e| e.to_string());
     let payload = match command {
         TextOnly::Help => Ok(HELP.to_string()),
-        TextOnly::Graph => graph().map(|handle| handle.summary()),
-        TextOnly::BatchOnCus { cus, requests } => graph().and_then(|handle| {
+        TextOnly::Graph => runtime().map(|runtime| runtime.graph().summary()),
+        TextOnly::BatchOnCus { cus, requests } => runtime().and_then(|runtime| {
             check_batch_size(requests.len())?;
             let scheduler = BatchScheduler::new(SchedulerConfig {
                 device: session.config().device.clone(),
                 variant: session.config().variant,
-                dispatch: true,
                 multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
                 ..SchedulerConfig::default()
             });
-            let outcome =
-                scheduler.run_batch_dispatch(handle, &requests).map_err(|e| e.to_string())?;
-            let measured = outcome.measured.as_ref().expect("dispatch batches are measured");
+            // The live epoch, like every other command's: the batch sees
+            // (and validates against) the updates applied so far.
+            let outcome = scheduler
+                .run_batch(&runtime.current_snapshot(), runtime.graph().placement, &requests)
+                .map_err(|e| e.to_string())?;
+            let measured = &outcome.measured;
             Ok(format!(
                 "queries={} unique={} paths={} cus={} makespan_cycles={} serial_cycles={} \
                  measured_speedup={:.2}x predicted_makespan_cycles={} model_err={:.1}% \
@@ -602,9 +605,31 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         // The runtime batch shows up in the session's own statistics (the
-        // dispatch-mode batches above bypassed them).
+        // CUS= batch above bypassed them).
         assert_eq!(s.stats().queries, 2);
         assert_eq!(s.stats().total_paths, 4);
+    }
+
+    #[test]
+    fn batch_on_cus_answers_on_the_live_epoch() {
+        let mut s = HostSession::with_graph(
+            CsrGraph::from_edges(5, &[(0, 1), (1, 3)]),
+            SessionConfig::default(),
+        );
+        let ok = |reply: Reply| match reply {
+            Reply::Ok(msg) => msg,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        assert_eq!(ok(handle_line(&mut s, "UPDATE 0 2 2 3")), "epoch=1 edges=2");
+        assert!(ok(handle_line(&mut s, "QUERY 0 3 3")).contains("paths=2"));
+        assert!(ok(handle_line(&mut s, "BATCH 0 3 3 0 3 3")).contains("paths=4"));
+        let on_cus = ok(handle_line(&mut s, "BATCH 0 3 3 CUS=1"));
+        assert!(on_cus.contains("paths=2"), "the second path is an epoch-1 edge: {on_cus}");
+        // An insert that grows the vertex set: v7 is in range at epoch 2.
+        assert_eq!(ok(handle_line(&mut s, "UPDATE 3 7")), "epoch=2 edges=1");
+        assert!(ok(handle_line(&mut s, "BATCH 0 7 4")).contains("paths=2"));
+        let grown = ok(handle_line(&mut s, "BATCH 0 7 4 CUS=1"));
+        assert!(grown.contains("paths=2"), "{grown}");
     }
 
     #[test]

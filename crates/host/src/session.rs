@@ -36,9 +36,6 @@ pub struct SessionConfig {
     /// Which PEFP variant to run (the full system by default; the ablation
     /// variants are exposed for experimentation).
     pub variant: PefpVariant,
-    /// Use the host-side planner to size the engine per query instead of the
-    /// variant's fixed defaults.
-    pub use_planner: bool,
     /// Materialise result paths (`true`) or only count them.
     pub collect_paths: bool,
     /// Capacity of the `(s, t, k)`-keyed [`pefp_core::PreparedQuery`] LRU:
@@ -51,7 +48,6 @@ impl Default for SessionConfig {
         SessionConfig {
             device: DeviceConfig::alveo_u200(),
             variant: PefpVariant::Full,
-            use_planner: false,
             collect_paths: true,
             prepared_cache_capacity: 128,
         }
@@ -180,7 +176,6 @@ impl HostSession {
         let config = SessionConfig {
             device: rc.device.clone(),
             variant: rc.variant,
-            use_planner: rc.use_planner,
             collect_paths: true,
             prepared_cache_capacity: rc.shared_cache_capacity,
         };
@@ -484,20 +479,6 @@ mod tests {
             assert_eq!(outcome.num_paths, oracle.len() as u64, "query {s}->{t} k={k}");
             assert_eq!(canonicalize(outcome.paths.clone()), canonicalize(oracle));
         }
-    }
-
-    #[test]
-    fn planner_mode_returns_the_same_results() {
-        let g = chung_lu(200, 5.0, 2.2, 43).to_csr();
-        let mut default_session = HostSession::with_graph(g.clone(), SessionConfig::default());
-        let mut planner_session = HostSession::with_graph(
-            g,
-            SessionConfig { use_planner: true, ..SessionConfig::default() },
-        );
-        let q = QueryRequest::new(0, 120, 4);
-        let a = default_session.run_query(q).unwrap();
-        let b = planner_session.run_query(q).unwrap();
-        assert_eq!(a.num_paths, b.num_paths);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use pefp_core::PefpVariant;
 use pefp_fpga::MultiCuConfig;
 use pefp_graph::generators::chung_lu;
 use pefp_graph::PlacementPolicy;
-use pefp_host::{BatchScheduler, GraphHandle, QueryRequest, SchedulerConfig};
+use pefp_host::{BatchScheduler, GraphHandle, MeasuredMultiCu, QueryRequest, SchedulerConfig};
 use std::ops::ControlFlow;
 
 /// Fixed seed pool: small enough to keep the suite quick, varied enough to
@@ -41,15 +41,23 @@ fn hub_batch(k: u32) -> Vec<QueryRequest> {
     requests
 }
 
-/// Dispatch-mode scheduler with BRAM graph caching off (rows stream from
-/// DRAM) so the bank model sees every adjacency fetch.
+/// A batch scheduler with BRAM graph caching off (rows stream from DRAM) so
+/// the bank model sees every adjacency fetch.
 fn nocache_scheduler(cus: usize, charge_banked: bool) -> BatchScheduler {
     BatchScheduler::new(SchedulerConfig {
-        dispatch: true,
         variant: PefpVariant::NoCache,
         multi_cu: MultiCuConfig { compute_units: cus, charge_banked, ..MultiCuConfig::default() },
         ..SchedulerConfig::default()
     })
+}
+
+/// One counting batch of `requests` on `handle`'s epoch-0 snapshot.
+fn run(
+    scheduler: &BatchScheduler,
+    handle: &GraphHandle,
+    requests: &[QueryRequest],
+) -> MeasuredMultiCu {
+    scheduler.run_batch(&handle.snapshot(), handle.placement, requests).expect("batch").measured
 }
 
 #[test]
@@ -61,11 +69,8 @@ fn charged_makespan_never_drops_below_uncharged() {
 
         // One CU: a single worker drains the queue serially, so the measured
         // makespan is deterministic and directly comparable across runs.
-        let free = nocache_scheduler(1, false).run_batch(&handle, &requests).expect("uncharged");
-        let charged = nocache_scheduler(1, true).run_batch(&handle, &requests).expect("charged");
-
-        let free_measured = free.measured.as_ref().expect("dispatch is measured");
-        let charged_measured = charged.measured.as_ref().expect("dispatch is measured");
+        let free_measured = run(&nocache_scheduler(1, false), &handle, &requests);
+        let charged_measured = run(&nocache_scheduler(1, true), &handle, &requests);
         let stall: u64 = charged_measured.per_cu_bank_conflict_cycles.iter().sum::<u64>()
             + charged_measured.per_cu_turnaround_cycles.iter().sum::<u64>();
         assert!(
@@ -86,10 +91,8 @@ fn charged_makespan_never_drops_below_uncharged() {
         // but the LPT model over the measured workloads is deterministic —
         // charging adds per-query stall, so the modelled makespan and the
         // serial total are monotone in it.
-        let free2 = nocache_scheduler(2, false).run_batch(&handle, &requests).expect("uncharged");
-        let charged2 = nocache_scheduler(2, true).run_batch(&handle, &requests).expect("charged");
-        let free2_predicted = &free2.measured.as_ref().expect("measured").predicted;
-        let charged2_predicted = &charged2.measured.as_ref().expect("measured").predicted;
+        let free2_predicted = run(&nocache_scheduler(2, false), &handle, &requests).predicted;
+        let charged2_predicted = run(&nocache_scheduler(2, true), &handle, &requests).predicted;
         assert!(
             charged2_predicted.makespan_cycles >= free2_predicted.makespan_cycles,
             "seed {seed}: charged LPT makespan fell below uncharged"
@@ -114,7 +117,7 @@ fn sorted_paths(
     let scheduler = nocache_scheduler(cus, true);
     let mut paths: Vec<(u32, u32, Vec<u32>)> = Vec::new();
     let outcome = scheduler
-        .run_batch_dispatch_streaming(handle, requests, |req, path| {
+        .run_batch_streaming(&handle.snapshot(), handle.placement, requests, |req, path| {
             paths.push((req.s.0, req.t.0, path.iter().map(|v| v.0).collect()));
             ControlFlow::Continue(())
         })

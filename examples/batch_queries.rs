@@ -48,10 +48,11 @@ fn main() {
     // Deployment B: the batch scheduler — dedup, parallel Pre-BFS, one DMA.
     let scheduler = BatchScheduler::new(SchedulerConfig {
         preprocess_threads: 4,
-        dedup: true,
         ..SchedulerConfig::default()
     });
-    let outcome = scheduler.run_batch(&handle, &queries).expect("batch accepted");
+    let outcome = scheduler
+        .run_batch(&handle.snapshot(), handle.placement, &queries)
+        .expect("batch accepted");
     println!("\n== batched transfer (Section VII-A methodology) ==");
     println!("queries served        : {}", outcome.results.len());
     println!("duplicates collapsed  : {}", outcome.deduplicated);

@@ -125,7 +125,9 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         preprocess_threads: 4,
         ..SchedulerConfig::default()
     });
-    let outcome = scheduler.run_batch(&handle, &requests).map_err(|e| e.to_string())?;
+    let outcome = scheduler
+        .run_batch(&handle.snapshot(), handle.placement, &requests)
+        .map_err(|e| e.to_string())?;
     println!("total paths           : {}", outcome.total_paths());
     println!("preprocessing (T1)    : {:9.2} ms (4 threads)", outcome.preprocess_millis);
     println!(

@@ -91,7 +91,7 @@ fn batch_scheduler_agrees_with_interactive_sessions() {
         preprocess_threads: 2,
         ..SchedulerConfig::default()
     });
-    let outcome = scheduler.run_batch(&handle, &requests).unwrap();
+    let outcome = scheduler.run_batch(&handle.snapshot(), handle.placement, &requests).unwrap();
 
     let mut session = HostSession::with_graph(
         handle.csr.clone(),
@@ -285,7 +285,7 @@ fn invalid_input_is_rejected_at_every_layer() {
     // Scheduler layer (whole batch rejected).
     let scheduler = BatchScheduler::new(SchedulerConfig::default());
     let bad = vec![QueryRequest::new(0, 1, 3), QueryRequest::new(0, n + 1, 3)];
-    assert!(scheduler.run_batch(&handle, &bad).is_err());
+    assert!(scheduler.run_batch(&handle.snapshot(), handle.placement, &bad).is_err());
 }
 
 /// Snapshot isolation under live updates: a STREAM job admitted in epoch N

@@ -23,6 +23,7 @@ use pefp::graph::generators::{layered_dag, layered_full_path_count, layered_sink
 use pefp::graph::{CollectSink, CountingSink, FirstN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Forwards to the system allocator while counting allocated bytes.
 struct CountingAllocator;
@@ -47,6 +48,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Held by each test for its whole run: the counter is process-wide, so two
+/// tests measuring at once would count each other's allocations.
+static MEASURING: Mutex<()> = Mutex::new(());
 
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
@@ -75,6 +80,7 @@ fn measure(prep: &PreparedQuery) -> (u64, u64, u64) {
 
 #[test]
 fn streaming_skips_the_per_path_materialisation_cost() {
+    let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Two sizes of the fully connected layered DAG: 6^5 = 7,776 and
     // 6^6 = 46,656 result paths (6 and 7 vertices each).
     let small = layered_dag(5, 6, 6, 7).to_csr();
@@ -115,6 +121,7 @@ fn streaming_skips_the_per_path_materialisation_cost() {
 
 #[test]
 fn first_n_streaming_allocates_a_small_fraction_of_a_full_collect() {
+    let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // 6^6 = 46,656 paths: big enough for the materialised result set to
     // dominate the collect side's allocations.
     let g = layered_dag(6, 6, 6, 7).to_csr();
