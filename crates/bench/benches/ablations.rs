@@ -8,10 +8,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_bench::{bench_scale, make_runner};
-use pefp_core::{prepare, run_prepared, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CountingSink;
 use pefp_graph::Dataset;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_ablations(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
@@ -32,18 +34,22 @@ fn bench_ablations(c: &mut Criterion) {
         if runner.exceeds_budget(dataset, k) {
             continue;
         }
-        let g = runner.graph(dataset).clone();
+        let g = Arc::clone(runner.snapshot(dataset));
         let queries = runner.queries(dataset, k);
         let Some(q) = queries.first().copied() else { continue };
 
         let mut group = c.benchmark_group(figure);
         group.sample_size(10);
         for variant in [PefpVariant::Full, degraded] {
-            let prep = prepare(&g, q.s, q.t, k, variant);
-            let mut opts = variant.engine_options();
-            opts.collect_paths = false;
+            let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, q.s, q.t, k, variant);
+            let opts = variant.engine_options();
             group.bench_with_input(BenchmarkId::new(variant.name(), dataset.code()), &k, |b, _| {
-                b.iter(|| black_box(run_prepared(&prep, opts.clone(), &device).device.cycles))
+                b.iter(|| {
+                    let cu = Device::new(device.clone());
+                    let run =
+                        run_prepared_on_device(&prep, opts.clone(), cu, &mut CountingSink::new());
+                    black_box(run.device.cycles)
+                })
             });
         }
         group.finish();

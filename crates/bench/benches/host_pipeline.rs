@@ -6,19 +6,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_bench::bench_scale;
-use pefp_core::{pre_bfs, pre_bfs_with, PefpVariant, PrepareContext};
+use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext};
 use pefp_graph::sampling::sample_reachable_pairs;
-use pefp_graph::{Dataset, VertexId};
+use pefp_graph::{Dataset, GraphSnapshot};
 use pefp_host::binfmt::{decode_payload, encode_payload};
 use pefp_host::{BatchScheduler, GraphHandle, QueryRequest, SchedulerConfig};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_payload_codec(c: &mut Criterion) {
-    let g = Dataset::SocEpinions.generate(bench_scale()).to_csr();
-    let pairs = sample_reachable_pairs(&g, 5, 1, 3);
+    let g = GraphSnapshot::from_csr(Dataset::SocEpinions.generate(bench_scale()).to_csr());
+    let pairs = sample_reachable_pairs(g.base(), 5, 1, 3);
     let Some(&(s, t)) = pairs.first() else { return };
-    let prepared = pre_bfs(&g, s, t, 5);
+    let prepared =
+        prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 5, PefpVariant::Full);
     let encoded = encode_payload(&prepared);
 
     let mut group = c.benchmark_group("host_payload");
@@ -73,22 +73,24 @@ fn bench_prebfs_vs_graph_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("host_prebfs");
     group.sample_size(10);
     for dataset in [Dataset::Amazon, Dataset::WikiTalk, Dataset::Skitter] {
-        let g = Arc::new(dataset.generate(bench_scale()).to_csr());
-        let pairs = sample_reachable_pairs(&g, 5, 1, 13);
+        let g = GraphSnapshot::from_csr(dataset.generate(bench_scale()).to_csr());
+        let pairs = sample_reachable_pairs(g.base(), 5, 1, 13);
         let Some(&(s, t)) = pairs.first() else { continue };
+        // "k5" pays fresh BFS scratch per query; "k5_ctx" reuses one context.
         group.bench_with_input(BenchmarkId::new("k5", dataset.code()), &g, |b, g| {
             b.iter(|| {
-                black_box(pre_bfs(black_box(g), VertexId(s.0), VertexId(t.0), 5).graph.num_edges())
+                let mut ctx = PrepareContext::new();
+                let prep =
+                    prepare_snapshot_with(&mut ctx, black_box(g), s, t, 5, PefpVariant::Full);
+                black_box(prep.graph.num_edges())
             })
         });
         let mut ctx = PrepareContext::new();
         group.bench_with_input(BenchmarkId::new("k5_ctx", dataset.code()), &g, |b, g| {
             b.iter(|| {
-                black_box(
-                    pre_bfs_with(&mut ctx, black_box(g), VertexId(s.0), VertexId(t.0), 5)
-                        .graph
-                        .num_edges(),
-                )
+                let prep =
+                    prepare_snapshot_with(&mut ctx, black_box(g), s, t, 5, PefpVariant::Full);
+                black_box(prep.graph.num_edges())
             })
         });
     }

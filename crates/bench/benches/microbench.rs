@@ -7,11 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pefp_core::engine::verify::{verify, Verdict};
-use pefp_core::{pre_bfs, pre_bfs_with, PrepareContext, TempPath};
+use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext, TempPath};
 use pefp_graph::bfs::{khop_bfs, BfsScratch};
-use pefp_graph::{generators, CsrBuilder, VertexId};
+use pefp_graph::{generators, CsrBuilder, GraphSnapshot, VertexId};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench_csr_construction(c: &mut Criterion) {
     let graph = generators::chung_lu(5_000, 8.0, 2.2, 1);
@@ -53,36 +52,22 @@ fn bench_khop_bfs(c: &mut Criterion) {
 }
 
 fn bench_prebfs(c: &mut Criterion) {
-    let g = Arc::new(generators::chung_lu(10_000, 8.0, 2.2, 3).to_csr());
-    let mut group = c.benchmark_group("pre_bfs");
-    for k in [3u32, 5] {
-        group.bench_function(format!("k{k}"), |b| {
-            b.iter(|| black_box(pre_bfs(&g, VertexId(0), VertexId(5_000), k).graph.num_edges()))
-        });
-        // The repeated-query path: scratch and the reverse CSR amortised
-        // across queries by a reused PrepareContext.
-        let mut ctx = PrepareContext::new();
-        group.bench_function(format!("k{k}_ctx"), |b| {
-            b.iter(|| {
-                black_box(
-                    pre_bfs_with(&mut ctx, &g, VertexId(0), VertexId(5_000), k).graph.num_edges(),
-                )
-            })
-        });
-    }
-    // Vertex 5_000 has no edges, so the cases above end as soon as one side
-    // runs out of vertices. These two reach a hub: the heaviest in-degree
-    // vertex as the target of a narrow source (the expensive frontier is on
-    // the backward side) and of vertex 0, the heaviest out-degree hub (both
-    // are), which together exercise Pre-BFS's cheaper-side choice.
-    let rev = g.reverse();
+    let g = GraphSnapshot::from_csr(generators::chung_lu(10_000, 8.0, 2.2, 3).to_csr());
+    let mut group = c.benchmark_group("prebfs");
+    // Both cases reach a hub, through a reused PrepareContext: the heaviest
+    // in-degree vertex as the target of a narrow source (the expensive
+    // frontier is on the backward side) and of vertex 0, the heaviest
+    // out-degree hub (both are), which together exercise Pre-BFS's
+    // cheaper-side choice.
+    let rev = g.base_reverse();
     let hub_target =
-        g.vertices().max_by_key(|&v| rev.out_degree(v)).expect("the graph has vertices");
+        g.base().vertices().max_by_key(|&v| rev.out_degree(v)).expect("the graph has vertices");
     let mut ctx = PrepareContext::new();
     for (name, source) in [("k5_ctx_hub_target", 300u32), ("k5_ctx_hub_to_hub", 0)] {
+        let s = VertexId(source);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let prep = pre_bfs_with(&mut ctx, &g, VertexId(source), hub_target, 5);
+                let prep = prepare_snapshot_with(&mut ctx, &g, s, hub_target, 5, PefpVariant::Full);
                 black_box(prep.graph.num_edges())
             })
         });
@@ -111,8 +96,9 @@ fn bench_path_rows(c: &mut Criterion) {
 }
 
 fn bench_verification_throughput(c: &mut Criterion) {
-    let g = generators::chung_lu(1_000, 8.0, 2.2, 5).to_csr();
-    let prep = pre_bfs(&g, VertexId(0), VertexId(500), 5);
+    let g = GraphSnapshot::from_csr(generators::chung_lu(1_000, 8.0, 2.2, 5).to_csr());
+    let (s, t) = (VertexId(0), VertexId(500));
+    let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 5, PefpVariant::Full);
     let path = TempPath::initial(&prep.graph, prep.s);
     let successors: Vec<VertexId> = prep.graph.successors(prep.s).to_vec();
     if successors.is_empty() {

@@ -8,9 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_baselines::Join;
 use pefp_bench::{bench_scale, make_runner};
-use pefp_core::{pre_bfs, pre_bfs_with, PrepareContext};
+use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext};
 use pefp_graph::Dataset;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_preprocess_time(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
@@ -24,22 +25,31 @@ fn bench_preprocess_time(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_preprocess_time");
     group.sample_size(20);
     for (dataset, k) in cases {
-        let g = runner.graph(dataset).clone();
+        let g = Arc::clone(runner.snapshot(dataset));
         let queries = runner.queries(dataset, k);
         let Some(q) = queries.first().copied() else { continue };
 
-        // One-shot Pre-BFS: pays the reverse CSR and fresh O(|V|) scratch
-        // per call (the pre-PrepareContext behaviour).
+        // Fresh context per call: pays O(|V|) scratch allocation per query.
+        // The snapshot carries the reverse CSR, so neither case builds it.
         group.bench_with_input(BenchmarkId::new("PEFP_PreBFS", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(pre_bfs(&g, q.s, q.t, k).graph.num_vertices()))
+            b.iter(|| {
+                let mut ctx = PrepareContext::new();
+                let prep = prepare_snapshot_with(&mut ctx, &g, q.s, q.t, k, PefpVariant::Full);
+                black_box(prep.graph.num_vertices())
+            })
         });
         // Reused context: the repeated-query server/batch path.
         let mut ctx = PrepareContext::new();
         group.bench_with_input(BenchmarkId::new("PEFP_PreBFS_ctx", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(pre_bfs_with(&mut ctx, &g, q.s, q.t, k).graph.num_vertices()))
+            b.iter(|| {
+                let prep = prepare_snapshot_with(&mut ctx, &g, q.s, q.t, k, PefpVariant::Full);
+                black_box(prep.graph.num_vertices())
+            })
         });
         group.bench_with_input(BenchmarkId::new("JOIN_preprocess", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(Join::new().preprocess(&g, q.s, q.t, k).middle_vertices.len()))
+            b.iter(|| {
+                black_box(Join::new().preprocess(g.base(), q.s, q.t, k).middle_vertices.len())
+            })
         });
     }
     group.finish();

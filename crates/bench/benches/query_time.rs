@@ -8,10 +8,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_baselines::Join;
 use pefp_bench::{bench_scale, make_runner};
-use pefp_core::{prepare, run_prepared, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CountingSink;
 use pefp_graph::Dataset;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_query_time(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
@@ -29,24 +31,29 @@ fn bench_query_time(c: &mut Criterion) {
         if runner.exceeds_budget(dataset, k) {
             continue;
         }
-        let g = runner.graph(dataset).clone();
+        let g = Arc::clone(runner.snapshot(dataset));
         let queries = runner.queries(dataset, k);
         let Some(q) = queries.first().copied() else { continue };
 
         // PEFP: preprocessing hoisted out, device run measured.
-        let prep = prepare(&g, q.s, q.t, k, PefpVariant::Full);
-        let mut opts = PefpVariant::Full.engine_options();
-        opts.collect_paths = false;
+        let prep =
+            prepare_snapshot_with(&mut PrepareContext::new(), &g, q.s, q.t, k, PefpVariant::Full);
+        let opts = PefpVariant::Full.engine_options();
         group.bench_with_input(BenchmarkId::new("PEFP", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(run_prepared(&prep, opts.clone(), &device).num_paths))
+            b.iter(|| {
+                let cu = Device::new(device.clone());
+                let run = run_prepared_on_device(&prep, opts.clone(), cu, &mut CountingSink::new());
+                black_box(run.num_paths)
+            })
         });
 
         // JOIN: preprocessing hoisted out, query phase measured.
-        let join_prep = Join::new().preprocess(&g, q.s, q.t, k);
+        let g = g.base();
+        let join_prep = Join::new().preprocess(g, q.s, q.t, k);
         group.bench_with_input(BenchmarkId::new("JOIN", dataset.code()), &k, |b, _| {
             b.iter(|| {
                 let mut join = Join::new();
-                black_box(join.query(&g, q.s, q.t, k, &join_prep).len())
+                black_box(join.query(g, q.s, q.t, k, &join_prep).len())
             })
         });
     }

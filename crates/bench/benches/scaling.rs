@@ -9,20 +9,35 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_bench::{bench_scale, make_runner};
-use pefp_core::{prepare, run_prepared, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use pefp_core::{
+    prepare_snapshot_with, run_prepared_on_device, EngineOptions, PefpVariant, PrepareContext,
+    PreparedQuery,
+};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CountingSink;
 use pefp_graph::Dataset;
+use pefp_workload::Runner;
 use std::hint::black_box;
+
+/// Pre-BFS of the first `(dataset, k)` workload query, if there is one.
+fn first_query(runner: &mut Runner, dataset: Dataset, k: u32) -> Option<PreparedQuery> {
+    let q = runner.queries(dataset, k).first().copied()?;
+    let g = runner.snapshot(dataset);
+    Some(prepare_snapshot_with(&mut PrepareContext::new(), g, q.s, q.t, k, PefpVariant::Full))
+}
+
+/// Simulated cycles of one device run of `prep`.
+fn cycles(prep: &PreparedQuery, opts: &EngineOptions, device: &DeviceConfig) -> u64 {
+    let cu = Device::new(device.clone());
+    run_prepared_on_device(prep, opts.clone(), cu, &mut CountingSink::new()).device.cycles
+}
 
 fn bench_verification_lanes(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
     let dataset = Dataset::BerkStan;
     let k = 5;
-    let g = runner.graph(dataset).clone();
-    let Some(q) = runner.queries(dataset, k).first().copied() else { return };
-    let prep = prepare(&g, q.s, q.t, k, PefpVariant::Full);
-    let mut opts = PefpVariant::Full.engine_options();
-    opts.collect_paths = false;
+    let Some(prep) = first_query(&mut runner, dataset, k) else { return };
+    let opts = PefpVariant::Full.engine_options();
 
     let mut group = c.benchmark_group("scaling_lanes");
     group.sample_size(10);
@@ -30,7 +45,7 @@ fn bench_verification_lanes(c: &mut Criterion) {
         let mut device = DeviceConfig::alveo_u200();
         device.verification_lanes = lanes;
         group.bench_with_input(BenchmarkId::new("BS_k5", lanes), &lanes, |b, _| {
-            b.iter(|| black_box(run_prepared(&prep, opts.clone(), &device).device.cycles))
+            b.iter(|| black_box(cycles(&prep, &opts, &device)))
         });
     }
     group.finish();
@@ -40,9 +55,7 @@ fn bench_buffer_capacity(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
     let dataset = Dataset::Baidu;
     let k = 6;
-    let g = runner.graph(dataset).clone();
-    let Some(q) = runner.queries(dataset, k).first().copied() else { return };
-    let prep = prepare(&g, q.s, q.t, k, PefpVariant::Full);
+    let Some(prep) = first_query(&mut runner, dataset, k) else { return };
     let device = DeviceConfig::alveo_u200();
 
     let mut group = c.benchmark_group("scaling_buffer");
@@ -51,9 +64,8 @@ fn bench_buffer_capacity(c: &mut Criterion) {
         let mut opts = PefpVariant::Full.engine_options();
         opts.buffer_capacity = buffer;
         opts.dram_fetch_batch = (buffer / 2).max(1);
-        opts.collect_paths = false;
         group.bench_with_input(BenchmarkId::new("BD_k6", buffer), &buffer, |b, _| {
-            b.iter(|| black_box(run_prepared(&prep, opts.clone(), &device).device.cycles))
+            b.iter(|| black_box(cycles(&prep, &opts, &device)))
         });
     }
     group.finish();
@@ -63,9 +75,7 @@ fn bench_processing_capacity(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
     let dataset = Dataset::WikiTalk;
     let k = 5;
-    let g = runner.graph(dataset).clone();
-    let Some(q) = runner.queries(dataset, k).first().copied() else { return };
-    let prep = prepare(&g, q.s, q.t, k, PefpVariant::Full);
+    let Some(prep) = first_query(&mut runner, dataset, k) else { return };
     let device = DeviceConfig::alveo_u200();
 
     let mut group = c.benchmark_group("scaling_theta2");
@@ -73,9 +83,8 @@ fn bench_processing_capacity(c: &mut Criterion) {
     for theta2 in [64u32, 256, 1_024, 4_096] {
         let mut opts = PefpVariant::Full.engine_options();
         opts.processing_capacity = theta2;
-        opts.collect_paths = false;
         group.bench_with_input(BenchmarkId::new("WT_k5", theta2), &theta2, |b, _| {
-            b.iter(|| black_box(run_prepared(&prep, opts.clone(), &device).device.cycles))
+            b.iter(|| black_box(cycles(&prep, &opts, &device)))
         });
     }
     group.finish();

@@ -6,20 +6,22 @@
 //! result pipelines on high-volume queries over the 10k Chung-Lu profile used
 //! by `microbench`:
 //!
-//! * `collect` — the legacy pipeline: every path materialised and translated.
+//! * `collect` — `CollectSink`: every path materialised and translated.
 //! * `counting` — `CountingSink`: full enumeration, zero materialisation.
 //! * `firstn` — `FirstN(16)`: early termination after the first 16 paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pefp_core::{pre_bfs, run_prepared, run_prepared_with_sink, EngineOptions, PefpVariant};
-use pefp_fpga::DeviceConfig;
-use pefp_graph::sink::{CollectSink, CountingSink, FirstN};
-use pefp_graph::{generators, VertexId};
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::{CollectSink, CountingSink, FirstN, PathSink};
+use pefp_graph::{generators, GraphSnapshot, VertexId};
 use std::hint::black_box;
 
 fn bench_streaming_results(c: &mut Criterion) {
-    let g = generators::chung_lu(10_000, 8.0, 2.2, 3).to_csr();
+    let g = GraphSnapshot::from_csr(generators::chung_lu(10_000, 8.0, 2.2, 3).to_csr());
     let cfg = DeviceConfig::alveo_u200();
+    let opts = PefpVariant::Full.engine_options();
+    let mut ctx = PrepareContext::new();
     // Hub-to-hub queries with large result sets (probed: ~4.5k and ~26.5k
     // paths respectively).
     let cases = [(VertexId(0), VertexId(3), 7u32), (VertexId(0), VertexId(3), 8)];
@@ -27,30 +29,29 @@ fn bench_streaming_results(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_results");
     group.sample_size(10);
     for (s, t, k) in cases {
-        let prep = pre_bfs(&g, s, t, k);
-        let collect_opts =
-            EngineOptions { collect_paths: true, ..PefpVariant::Full.engine_options() };
-        let counting_opts =
-            EngineOptions { collect_paths: false, ..PefpVariant::Full.engine_options() };
+        let prep = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
+        let run = |sink: &mut dyn PathSink| {
+            run_prepared_on_device(&prep, opts.clone(), Device::new(cfg.clone()), sink)
+        };
 
-        group.bench_with_input(BenchmarkId::new("collect", k), &prep, |b, prep| {
-            b.iter(|| black_box(run_prepared(prep, collect_opts.clone(), &cfg).paths.len()))
+        group.bench_with_input(BenchmarkId::new("collect", k), &k, |b, _| {
+            b.iter(|| {
+                let mut sink = CollectSink::new();
+                run(&mut sink);
+                black_box(sink.paths().len())
+            })
         });
-        group.bench_with_input(BenchmarkId::new("counting", k), &prep, |b, prep| {
-            b.iter(|| black_box(run_prepared(prep, counting_opts.clone(), &cfg).num_paths))
-        });
-        // Explicit sink forms of the same pipelines.
-        group.bench_with_input(BenchmarkId::new("counting_sink", k), &prep, |b, prep| {
+        group.bench_with_input(BenchmarkId::new("counting", k), &k, |b, _| {
             b.iter(|| {
                 let mut sink = CountingSink::new();
-                run_prepared_with_sink(prep, counting_opts.clone(), &cfg, &mut sink);
+                run(&mut sink);
                 black_box(sink.count())
             })
         });
-        group.bench_with_input(BenchmarkId::new("firstn16", k), &prep, |b, prep| {
+        group.bench_with_input(BenchmarkId::new("firstn16", k), &k, |b, _| {
             b.iter(|| {
                 let mut sink = FirstN::new(16, CollectSink::new());
-                run_prepared_with_sink(prep, counting_opts.clone(), &cfg, &mut sink);
+                run(&mut sink);
                 black_box(sink.emitted())
             })
         });

@@ -9,10 +9,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pefp_baselines::Join;
 use pefp_bench::{bench_scale, make_runner};
-use pefp_core::{run_query, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CollectSink;
 use pefp_graph::Dataset;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_total_time(c: &mut Criterion) {
     let mut runner = make_runner(bench_scale(), 3);
@@ -33,15 +35,23 @@ fn bench_total_time(c: &mut Criterion) {
         if runner.exceeds_budget(dataset, k) {
             continue;
         }
-        let g = runner.graph(dataset).clone();
+        let g = Arc::clone(runner.snapshot(dataset));
         let queries = runner.queries(dataset, k);
         let Some(q) = queries.first().copied() else { continue };
 
         group.bench_with_input(BenchmarkId::new("PEFP", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(run_query(&g, q.s, q.t, k, PefpVariant::Full, &device).num_paths))
+            b.iter(|| {
+                let variant = PefpVariant::Full;
+                let prep =
+                    prepare_snapshot_with(&mut PrepareContext::new(), &g, q.s, q.t, k, variant);
+                let mut sink = CollectSink::new();
+                let cu = Device::new(device.clone());
+                run_prepared_on_device(&prep, variant.engine_options(), cu, &mut sink);
+                black_box(sink.paths().len())
+            })
         });
         group.bench_with_input(BenchmarkId::new("JOIN", dataset.code()), &k, |b, _| {
-            b.iter(|| black_box(Join::new().enumerate(&g, q.s, q.t, k).len()))
+            b.iter(|| black_box(Join::new().enumerate(g.base(), q.s, q.t, k).len()))
         });
     }
     group.finish();

@@ -173,17 +173,28 @@ pub fn run_gate_cases() -> Vec<GateCase> {
     // Streaming cases: the k=7 hub-to-hub query of the streaming_results
     // bench, in counting and collect-equivalent (streamed) form.
     {
-        use pefp_core::{pre_bfs, run_prepared_with_sink, EngineOptions, PefpVariant};
-        use pefp_fpga::DeviceConfig;
+        use pefp_core::{
+            prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext,
+        };
+        use pefp_fpga::{Device, DeviceConfig};
         use pefp_graph::VertexId;
 
         let cfg = DeviceConfig::alveo_u200();
-        let prep = pre_bfs(&handle.csr, VertexId(0), VertexId(3), 7);
-        let opts = EngineOptions { collect_paths: false, ..PefpVariant::Full.engine_options() };
+        let (s, t) = (VertexId(0), VertexId(3));
+        let prep = prepare_snapshot_with(
+            &mut PrepareContext::new(),
+            &handle.snapshot(),
+            s,
+            t,
+            7,
+            PefpVariant::Full,
+        );
+        let opts = PefpVariant::Full.engine_options();
         let mut cycles = 0u64;
         let median = median_ns(|| {
             let mut sink = CountingSink::new();
-            let result = run_prepared_with_sink(&prep, opts.clone(), &cfg, &mut sink);
+            let device = Device::new(cfg.clone());
+            let result = run_prepared_on_device(&prep, opts.clone(), device, &mut sink);
             cycles = result.device.cycles;
             std::hint::black_box(sink.count());
         });
@@ -528,9 +539,11 @@ pub const MIXED_TINY_SPEEDUP_FLOOR: f64 = 5.0;
 /// generator — keeping feasible queries under [`MIXED_TINY_WORK_CAP`]) and a
 /// heavy pool of hub-to-hub queries at k = 6..7.
 pub fn mixed_workload_pools() -> (GraphHandle, Vec<QueryRequest>, Vec<QueryRequest>) {
-    use pefp_core::{pre_bfs, RouteFeatures};
+    use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext, RouteFeatures};
 
     let handle = gate_graph();
+    let snapshot = handle.snapshot();
+    let mut ctx = PrepareContext::new();
     let mut tiny = Vec::new();
     let mut i = 0u32;
     while tiny.len() < MIXED_TINY_QUERIES && i < 2_000 {
@@ -541,7 +554,8 @@ pub fn mixed_workload_pools() -> (GraphHandle, Vec<QueryRequest>, Vec<QueryReque
         if s == t {
             continue;
         }
-        let prep = pre_bfs(&handle.csr, VertexId(s), VertexId(t), k);
+        let (vs, vt) = (VertexId(s), VertexId(t));
+        let prep = prepare_snapshot_with(&mut ctx, &snapshot, vs, vt, k, PefpVariant::Full);
         if !prep.feasible {
             continue;
         }
@@ -869,7 +883,7 @@ pub const BANK_LAYOUT_CUS: [usize; 2] = [2, 4];
 /// CSR placement must deliver over the natural layout on the hub-pair batch.
 pub const BANK_CONFLICT_REDUCTION_FLOOR: f64 = 0.20;
 
-/// Maximum LPT model error ([`MeasuredMultiCu::model_error`]) allowed while
+/// Maximum LPT model error ([`pefp_host::MeasuredMultiCu::model_error`]) allowed while
 /// bank-conflict charging is on — the same ≤30% bound the uncharged
 /// dispatch model is held to.
 pub const BANK_CHARGED_MODEL_ERROR_CAP: f64 = 0.30;
@@ -934,7 +948,7 @@ fn median_u64(mut samples: Vec<u64>) -> u64 {
 ///   exact conflict total) is scheduling-dependent;
 /// * `bank_layout/makespan_win_cusN` — natural-over-aware charged LPT
 ///   makespan ratio (the model schedule over the measured workloads; see
-///   [`charged_round`] for why not the noisy greedy figure), floored at
+///   `charged_round` for why not the noisy greedy figure), floored at
 ///   1.0: the placement must win (or at worst tie) the schedule-level
 ///   figure, not just the conflict counter;
 /// * `bank_layout/model_error` — worst observed LPT model accuracy under
@@ -1281,11 +1295,14 @@ mod tests {
 
     #[test]
     fn forcing_tables_validate_and_force_their_engine() {
-        use pefp_core::{pre_bfs, route_query, EngineChoice, RouteContext};
-        use pefp_graph::CsrGraph;
+        use pefp_core::{prepare_snapshot_with, route_query, EngineChoice, PefpVariant};
+        use pefp_core::{PrepareContext, RouteContext};
+        use pefp_graph::{CsrGraph, GraphSnapshot};
 
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let prepared = pre_bfs(&g, VertexId(0), VertexId(3), 3);
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+        let (s, t) = (VertexId(0), VertexId(3));
+        let prepared =
+            prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 3, PefpVariant::Full);
         let ctx = RouteContext { compute_units: 2, charge_banked: false };
         for (table, want) in [
             (bcdfs_forcing_table(), EngineChoice::CpuBcDfs),

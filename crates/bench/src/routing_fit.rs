@@ -22,13 +22,13 @@
 //!   mixed-workload floors.
 
 use pefp_core::{
-    pre_bfs, route_query, run_prepared_with_sink, EngineOptions, PefpVariant, RouteContext,
-    RouteFeatures, RoutingTable,
+    prepare_snapshot_with, route_query, run_prepared_on_device, PefpVariant, PrepareContext,
+    PreparedQuery, RouteContext, RouteFeatures, RoutingTable,
 };
-use pefp_fpga::{DeviceConfig, Pcie};
+use pefp_fpga::{Device, DeviceConfig, Pcie};
 use pefp_graph::generators::chung_lu;
 use pefp_graph::sink::CountingSink;
-use pefp_graph::{CsrGraph, VertexId};
+use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
 use pefp_host::DmaEngine;
 use pefp_workload::{routing_io, JsonValue, ToJson};
 use std::time::Instant;
@@ -101,6 +101,15 @@ pub struct SweepSpec {
     k: u32,
 }
 
+impl SweepSpec {
+    /// Pre-BFS of this query on its freshly built graph.
+    fn prepared(&self) -> PreparedQuery {
+        let g = GraphSnapshot::from_csr(self.graph.build());
+        let (s, t) = (VertexId(self.s), VertexId(self.t));
+        prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, self.k, PefpVariant::Full)
+    }
+}
+
 /// The fixed calibration sweep, in a deterministic order. Covers every
 /// routing regime: infeasible, trivial-CPU, mid-size, device-tier hub work
 /// and saturated walk bounds.
@@ -167,8 +176,7 @@ pub fn measure_sweep(cpu_scale: f64) -> Vec<FitMeasurement> {
     sweep_specs()
         .into_iter()
         .map(|spec| {
-            let g = spec.graph.build();
-            let prepared = pre_bfs(&g, VertexId(spec.s), VertexId(spec.t), spec.k);
+            let prepared = spec.prepared();
             let features = RouteFeatures::compute(&prepared);
             let feasible = features.feasible && !features.estimate.saturated;
             let pg = prepared.graph.as_ref();
@@ -201,10 +209,10 @@ pub fn measure_sweep(cpu_scale: f64) -> Vec<FitMeasurement> {
                     })
             });
             let device_us = (features.feasible && !features.estimate.saturated).then(|| {
-                let opts =
-                    EngineOptions { collect_paths: false, ..PefpVariant::Full.engine_options() };
+                let opts = PefpVariant::Full.engine_options();
+                let device = Device::new(device_cfg.clone());
                 let mut sink = CountingSink::new();
-                let result = run_prepared_with_sink(&prepared, opts, &device_cfg, &mut sink);
+                let result = run_prepared_on_device(&prepared, opts, device, &mut sink);
                 result.query_millis * 1e3
             });
 
@@ -291,8 +299,7 @@ pub fn sweep_decisions(table: &RoutingTable) -> Vec<(String, &'static str)> {
     sweep_specs()
         .into_iter()
         .map(|spec| {
-            let g = spec.graph.build();
-            let prepared = pre_bfs(&g, VertexId(spec.s), VertexId(spec.t), spec.k);
+            let prepared = spec.prepared();
             let decision = route_query(&prepared, table, &ctx);
             (spec.name, decision.choice.name())
         })

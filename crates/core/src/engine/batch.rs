@@ -97,7 +97,7 @@ impl PefpEngine<'_> {
 mod tests {
     use crate::engine::PefpEngine;
     use crate::options::{BatchStrategy, EngineOptions};
-    use crate::preprocess::pre_bfs;
+    use crate::preprocess::prepare_csr;
     use pefp_fpga::{Device, DeviceConfig};
     use pefp_graph::generators::chung_lu;
     use pefp_graph::paths::canonicalize;
@@ -110,7 +110,7 @@ mod tests {
         k: u32,
         opts: EngineOptions,
     ) -> (Vec<Vec<VertexId>>, pefp_fpga::DeviceReport, crate::result::EngineStats) {
-        let prep = pre_bfs(g, VertexId(s), VertexId(t), k);
+        let prep = prepare_csr(g, VertexId(s), VertexId(t), k);
         let device = Device::new(DeviceConfig::alveo_u200());
         let mut engine =
             PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, k, opts, device);

@@ -220,7 +220,7 @@ impl<'a> PefpEngine<'a> {
     ///
     /// The returned [`EngineOutput`] carries the counters only
     /// (`paths` is empty); `num_paths` counts emissions into the sink (see
-    /// [`Self::emit_result_path`] for the breaking-path convention). When the
+    /// `emit_result_path` for the breaking-path convention). When the
     /// sink breaks — or the [`EngineOptions::max_results`] cap is hit — the
     /// engine stops expanding immediately and
     /// [`EngineStats::early_terminated`] is set.
@@ -499,12 +499,12 @@ impl<'a> PefpEngine<'a> {
 mod tests {
     use super::*;
     use crate::options::VerificationPipeline;
-    use crate::preprocess::pre_bfs;
+    use crate::preprocess::prepare_csr;
     use pefp_fpga::DeviceConfig;
     use pefp_graph::paths::{canonicalize, validate_result};
 
     fn run_engine(g: &CsrGraph, s: u32, t: u32, k: u32, opts: EngineOptions) -> EngineOutput {
-        let prep = pre_bfs(g, VertexId(s), VertexId(t), k);
+        let prep = prepare_csr(g, VertexId(s), VertexId(t), k);
         let device = Device::new(DeviceConfig::alveo_u200());
         let mut engine =
             PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, k, opts, device);
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn sink_run_matches_collect_run() {
         let g = pefp_graph::generators::chung_lu(120, 6.0, 2.1, 99).to_csr();
-        let prep = pre_bfs(&g, VertexId(0), VertexId(60), 5);
+        let prep = prepare_csr(&g, VertexId(0), VertexId(60), 5);
         let collected = {
             let device = Device::new(DeviceConfig::alveo_u200());
             let mut engine = PefpEngine::new(
@@ -643,7 +643,7 @@ mod tests {
             dram_fetch_batch: 16,
             ..EngineOptions::default()
         };
-        let prep = pre_bfs(&g, s, t, 6);
+        let prep = prepare_csr(&g, s, t, 6);
         let full = {
             let device = Device::new(DeviceConfig::alveo_u200());
             let mut engine = PefpEngine::new(
@@ -707,7 +707,7 @@ mod tests {
         let g = pefp_graph::generators::layered_dag(5, 4, 4, 1).to_csr();
         let s = pefp_graph::generators::layered_source();
         let t = pefp_graph::generators::layered_sink(5, 4);
-        let prep = pre_bfs(&g, s, t, 6);
+        let prep = prepare_csr(&g, s, t, 6);
         let token = CancelToken::new();
         let opts = EngineOptions {
             processing_capacity: 8,
@@ -748,7 +748,7 @@ mod tests {
         let g = pefp_graph::generators::layered_dag(5, 4, 4, 1).to_csr();
         let s = pefp_graph::generators::layered_source();
         let t = pefp_graph::generators::layered_sink(5, 4);
-        let prep = pre_bfs(&g, s, t, 6);
+        let prep = prepare_csr(&g, s, t, 6);
         let plan = FaultPlan::scripted(1);
         plan.push_script(0, ScriptedFault { after_ops: 3, kind: FaultKind::DramCorruption });
         let mut device = Device::new(DeviceConfig::alveo_u200());
@@ -775,7 +775,7 @@ mod tests {
         let g = pefp_graph::generators::layered_dag(5, 4, 4, 1).to_csr();
         let s = pefp_graph::generators::layered_source();
         let t = pefp_graph::generators::layered_sink(5, 4);
-        let prep = pre_bfs(&g, s, t, 6);
+        let prep = prepare_csr(&g, s, t, 6);
         // Every DRAM refill stalls for far longer than the budget: the CU
         // stops making progress and the watchdog must catch it.
         let rates = FaultRates { cu_stall: 1.0, stall_cycles: 10_000_000, ..FaultRates::NONE };

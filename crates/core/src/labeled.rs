@@ -9,12 +9,14 @@
 //! query like "paths between user A and user B passing only through verified
 //! accounts" maps directly onto [`run_labeled_query`].
 
-use crate::preprocess::PreparedQuery;
+use crate::preprocess::{prepare_snapshot_with, PrepareContext};
 use crate::result::PefpRunResult;
-use crate::variants::{run_prepared, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use crate::variants::{run_prepared_on_device, PefpVariant};
+use pefp_fpga::{Device, DeviceConfig};
 use pefp_graph::labels::{LabelConstraint, VertexLabels};
-use pefp_graph::{induce_subgraph, CsrGraph, VertexId};
+use pefp_graph::sink::CollectSink;
+use pefp_graph::{induce_subgraph, CsrGraph, GraphSnapshot, VertexId};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Applies the label constraint to `g`, keeping the endpoints regardless of
@@ -51,22 +53,33 @@ pub fn run_labeled_query(
     device: &DeviceConfig,
 ) -> PefpRunResult {
     let filter_start = Instant::now();
-    // Fast path: a trivial constraint leaves the graph untouched.
-    if constraint.is_trivial() {
-        return crate::variants::run_query(g, s, t, k, variant, device);
-    }
-    let filtered = filter_by_labels(g, labels, constraint, s, t);
+    // A trivial constraint admits every vertex: the graph is used as is.
+    let filtered =
+        (!constraint.is_trivial()).then(|| filter_by_labels(g, labels, constraint, s, t));
+    let (graph, new_s, new_t) = match &filtered {
+        Some(f) => (
+            Arc::clone(&f.graph),
+            f.to_new(s).expect("s is force-kept by the label filter"),
+            f.to_new(t).expect("t is force-kept by the label filter"),
+        ),
+        None => (Arc::new(g.clone()), s, t),
+    };
     let filter_millis = filter_start.elapsed().as_secs_f64() * 1e3;
 
-    let new_s = filtered.to_new(s).expect("s is force-kept by the label filter");
-    let new_t = filtered.to_new(t).expect("t is force-kept by the label filter");
-    let prep: PreparedQuery = crate::variants::prepare(&filtered.graph, new_s, new_t, k, variant);
-    let mut result = run_prepared(&prep, variant.engine_options(), device);
+    let snapshot = GraphSnapshot::from_csr(graph);
+    let prep =
+        prepare_snapshot_with(&mut PrepareContext::new(), &snapshot, new_s, new_t, k, variant);
+    let mut sink = CollectSink::new();
+    let device = Device::new(device.clone());
+    let mut result = run_prepared_on_device(&prep, variant.engine_options(), device, &mut sink);
 
     // Fold the label-filter time into the preprocessing phase and translate
     // the result paths back through both id mappings (label filter ∘ Pre-BFS).
     result.preprocess_millis += filter_millis;
-    result.paths = result.paths.iter().map(|p| filtered.translate_path(p)).collect();
+    result.paths = match &filtered {
+        Some(f) => sink.paths().iter().map(|p| f.translate_path(p)).collect(),
+        None => sink.into_paths(),
+    };
     result
 }
 
@@ -157,9 +170,8 @@ mod tests {
             PefpVariant::Full,
             &device,
         );
-        let plain =
-            crate::variants::run_query(&g, VertexId(0), VertexId(5), 4, PefpVariant::Full, &device);
-        assert_eq!(canonicalize(constrained.paths), canonicalize(plain.paths));
+        let oracle = canonicalize(naive_dfs_enumerate(&g, VertexId(0), VertexId(5), 4));
+        assert_eq!(canonicalize(constrained.paths), oracle);
     }
 
     #[test]

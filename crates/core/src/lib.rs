@@ -17,29 +17,31 @@
 //!   batching, BRAM caching, and the basic / data-separated verification
 //!   pipelines, all charged against the simulated device.
 //! * [`variants`] — the full system plus the four ablation variants
-//!   (No-Pre-BFS, No-Batch-DFS, No-Cache, No-DataSep) and the high-level
-//!   [`run_query`] / [`run_query_with_sink`] entry points. The `_with_sink`
-//!   forms stream results through a [`PathSink`] instead of materialising
-//!   `Vec<Vec<VertexId>>` at every layer boundary.
+//!   (No-Pre-BFS, No-Batch-DFS, No-Cache, No-DataSep) and
+//!   [`run_prepared_on_device`], the device run of a prepared query.
+//!
+//! A query takes two calls: [`prepare_snapshot_with`] prepares it on the host
+//! against a [`pefp_graph::GraphSnapshot`], and [`run_prepared_on_device`]
+//! runs it, streaming results through a [`PathSink`] instead of materialising
+//! `Vec<Vec<VertexId>>` at every layer boundary.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use pefp_core::{run_query, PefpVariant};
-//! use pefp_fpga::DeviceConfig;
-//! use pefp_graph::{CsrGraph, VertexId};
+//! use pefp_core::{prepare_snapshot_with, run_prepared_on_device, CountingSink};
+//! use pefp_core::{PefpVariant, PrepareContext};
+//! use pefp_fpga::{Device, DeviceConfig};
+//! use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
 //!
 //! // A diamond: two 2-hop paths from 0 to 3.
-//! let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-//! let result = run_query(
-//!     &g,
-//!     VertexId(0),
-//!     VertexId(3),
-//!     3,
-//!     PefpVariant::Full,
-//!     &DeviceConfig::alveo_u200(),
-//! );
-//! assert_eq!(result.num_paths, 2);
+//! let g = GraphSnapshot::from_csr(CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+//! let variant = PefpVariant::Full;
+//! let mut ctx = PrepareContext::new();
+//! let prep = prepare_snapshot_with(&mut ctx, &g, VertexId(0), VertexId(3), 3, variant);
+//! let device = Device::new(DeviceConfig::alveo_u200());
+//! let mut sink = CountingSink::new();
+//! let result = run_prepared_on_device(&prep, variant.engine_options(), device, &mut sink);
+//! assert_eq!((result.num_paths, sink.count()), (2, 2));
 //! ```
 
 #![warn(missing_docs)]
@@ -66,18 +68,14 @@ pub use options::{BatchStrategy, CancelToken, EngineOptions, VerificationPipelin
 pub use path::{TempPath, MAX_K};
 pub use planner::{plan_query, QueryPlan};
 pub use preprocess::{
-    no_prebfs_preprocess, no_prebfs_snapshot_with, no_prebfs_with, pre_bfs, pre_bfs_snapshot_with,
-    pre_bfs_with, PrepareContext, PrepareStats, PreparedQuery, TouchedSet,
+    prepare_snapshot_with, PrepareContext, PrepareStats, PreparedQuery, TouchedSet,
 };
 pub use result::{EngineOutput, EngineStats, PefpRunResult};
 pub use routing::{
     route_query, EngineChoice, EngineCosts, RouteContext, RouteDecision, RouteFeatures,
     RoutingTable,
 };
-pub use variants::{
-    prepare, prepare_snapshot_with, prepare_with, run_prepared, run_prepared_on_device,
-    run_prepared_with_sink, run_query, run_query_with_options, run_query_with_sink, PefpVariant,
-};
+pub use variants::{run_prepared_on_device, PefpVariant};
 
 // The streaming-result vocabulary used by the sink-generic entry points,
 // re-exported so `pefp-core` callers need not name `pefp-graph` directly.

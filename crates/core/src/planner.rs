@@ -154,13 +154,15 @@ pub fn plan_query(prepared: &PreparedQuery, config: &DeviceConfig) -> QueryPlan 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::pre_bfs;
-    use crate::variants::{run_prepared, PefpVariant};
+    use crate::preprocess::prepare_csr;
+    use crate::variants::{run_prepared_on_device, PefpVariant};
+    use pefp_fpga::Device;
     use pefp_graph::generators::chung_lu;
+    use pefp_graph::sink::CountingSink;
     use pefp_graph::{CsrGraph, VertexId};
 
     fn prepared_on(g: &CsrGraph, s: u32, t: u32, k: u32) -> PreparedQuery {
-        pre_bfs(g, VertexId(s), VertexId(t), k)
+        prepare_csr(g, VertexId(s), VertexId(t), k)
     }
 
     #[test]
@@ -225,9 +227,11 @@ mod tests {
         let prepared = prepared_on(&g, 3, 120, 4);
         let device = DeviceConfig::alveo_u200();
         let plan = plan_query(&prepared, &device);
-        let planned = run_prepared(&prepared, plan.options.clone(), &device);
-        let default = run_prepared(&prepared, PefpVariant::Full.engine_options(), &device);
-        assert_eq!(planned.num_paths, default.num_paths);
+        let run = |opts| {
+            let cu = Device::new(device.clone());
+            run_prepared_on_device(&prepared, opts, cu, &mut CountingSink::new()).num_paths
+        };
+        assert_eq!(run(plan.options.clone()), run(PefpVariant::Full.engine_options()));
     }
 
     #[test]

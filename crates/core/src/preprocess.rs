@@ -56,22 +56,21 @@
 //! * two epoch-stamped [`BfsScratch`] instances (forward from `s`, backward
 //!   from `t` on `G_rev`) whose allocations persist across queries and whose
 //!   touched-vertex lists replace full-vertex scans,
-//! * a build-once-share-many reverse CSR (`Arc<CsrGraph>`), either installed
-//!   by the caller (the host loader already builds one per graph) or computed
-//!   lazily on the first query and reused for every subsequent query on the
-//!   same graph,
 //! * Theorem 1's cut evaluated over the smaller of the two reached sets,
 //!   feeding `induce_subgraph_from_vertices` so `G'` is built from the kept
 //!   list.
 //!
-//! [`pre_bfs_with`] / [`no_prebfs_with`] are the real implementations;
-//! [`pre_bfs`] and [`no_prebfs_preprocess`] remain as one-shot wrappers with
-//! their original signatures. The module also provides the *no-Pre-BFS*
-//! preprocessing used by the ablation in Fig. 12 (barrier from a full k-hop
-//! reverse BFS, no subgraph extraction).
+//! Both directions come from the [`GraphSnapshot`] being prepared against: a
+//! snapshot carries its reverse CSR, built once per graph when the snapshot
+//! is constructed, so no query pays for `G_rev`.
+//!
+//! [`prepare_snapshot_with`] is the one entry point. It runs Pre-BFS, or, for
+//! the ablation of Fig. 12, the *no-Pre-BFS* preprocessing (barrier from a
+//! full k-hop reverse BFS, no subgraph extraction).
 
+use crate::variants::PefpVariant;
 use pefp_graph::bfs::{BfsScratch, UNREACHED};
-use pefp_graph::delta::GraphSnapshot;
+use pefp_graph::delta::{GraphSnapshot, SnapshotView};
 use pefp_graph::induced::{induce_subgraph_from_vertices_with, InducedSubgraph, RemapScratch};
 use pefp_graph::view::GraphView;
 use pefp_graph::{CsrGraph, VertexId};
@@ -141,7 +140,7 @@ impl TouchedSet {
 ///
 /// The graph is held behind an `Arc`: the Pre-BFS path shares it with the
 /// mapping (one copy of `G'`, not two), and the no-Pre-BFS / trivial paths
-/// share the caller's data graph instead of cloning all of `G`.
+/// share the snapshot's whole-graph CSR instead of cloning all of `G`.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     /// The graph the device will search (the induced subgraph `G'` for
@@ -192,12 +191,6 @@ impl PreparedQuery {
 pub struct PrepareStats {
     /// Queries prepared through this context.
     pub queries: u64,
-    /// Reverse-CSR constructions paid by this context (0 when the caller
-    /// installed a prebuilt reverse). The cache holds one graph's reverse —
-    /// the context-per-served-graph design — so this counts one build per
-    /// *graph switch*: a context alternating between two graphs rebuilds on
-    /// every alternation and wants to be split into one context per graph.
-    pub reverse_builds: u64,
     /// Vertices reached by the searches of the most recent preparation: the
     /// forward and backward counts added up for Pre-BFS (seeds included, a
     /// vertex both sides reached counted twice), the backward `k`-hop ball
@@ -205,17 +198,16 @@ pub struct PrepareStats {
     pub last_touched: usize,
 }
 
-/// Reusable preprocessing state: BFS scratch, kept-list buffer and the shared
-/// reverse CSR for the graph currently being served.
+/// Reusable preprocessing state: BFS scratch and the kept-list buffer.
 ///
 /// One context per worker thread; it is deliberately `!Sync`-free (plain owned
-/// buffers), so batch runners hand each thread its own.
+/// buffers), so batch runners hand each thread its own. A context is not tied
+/// to one graph: the graph comes with each call's [`GraphSnapshot`].
 #[derive(Debug, Default)]
 pub struct PrepareContext {
     forward: BfsScratch,
     backward: BfsScratch,
     remap: RemapScratch,
-    reverse: Option<(Arc<CsrGraph>, Arc<CsrGraph>)>,
     stats: PrepareStats,
 }
 
@@ -225,103 +217,64 @@ impl PrepareContext {
         PrepareContext::default()
     }
 
-    /// A context that already knows the reverse CSR of `g` — the host loader
-    /// builds one per loaded graph; wiring it here means no query ever pays
-    /// for `g.reverse()` again.
-    pub fn with_reverse(g: &Arc<CsrGraph>, reverse: Arc<CsrGraph>) -> Self {
-        let mut ctx = PrepareContext::new();
-        ctx.install_reverse(g, reverse);
-        ctx
-    }
-
-    /// Installs (or replaces) the shared reverse CSR for `g`. A no-op when
-    /// the same graph's reverse is already installed.
-    pub fn install_reverse(&mut self, g: &Arc<CsrGraph>, reverse: Arc<CsrGraph>) {
-        debug_assert_eq!(g.num_vertices(), reverse.num_vertices());
-        if !matches!(&self.reverse, Some((cached, _)) if Arc::ptr_eq(cached, g)) {
-            self.reverse = Some((Arc::clone(g), reverse));
-        }
-    }
-
-    /// The reverse CSR for `g`: the installed/cached one when it matches,
-    /// otherwise computed once and cached for subsequent queries.
-    fn reverse_for(&mut self, g: &Arc<CsrGraph>) -> Arc<CsrGraph> {
-        if let Some((cached, rev)) = &self.reverse {
-            if Arc::ptr_eq(cached, g) {
-                return Arc::clone(rev);
-            }
-        }
-        let rev = Arc::new(g.reverse());
-        self.stats.reverse_builds += 1;
-        self.reverse = Some((Arc::clone(g), Arc::clone(&rev)));
-        rev
-    }
-
     /// Work counters accumulated by this context.
     pub fn stats(&self) -> PrepareStats {
         self.stats
     }
 }
 
-/// Pre-BFS preprocessing (the paper's Algorithm in Section V) against a
-/// reusable [`PrepareContext`]; cost is proportional to the BFS frontier.
-pub fn pre_bfs_with(
+/// Prepares `(s, t, k)` for the device against an epoch-versioned
+/// [`GraphSnapshot`]: Pre-BFS (the paper's Section V) for every variant but
+/// [`PefpVariant::NoPreBfs`], whose ablation (Fig. 12) ships the whole graph
+/// and computes only the barrier.
+///
+/// The searches traverse the snapshot's copy-on-write overlay directly (both
+/// directions are first-class views), so updates to newer epochs never show
+/// through and no full CSR is materialised for Pre-BFS; cost is proportional
+/// to the BFS frontier. The produced `G'` is a fresh dense CSR either way, so
+/// the device side is oblivious to where the preparation read from. Queries
+/// with `s == t` or `k == 0` run no search and, like the ablation, ship
+/// [`GraphSnapshot::full_csr`]: the snapshot's own base when it carries no
+/// overlay, so nothing is cloned.
+pub fn prepare_snapshot_with(
     ctx: &mut PrepareContext,
-    g: &Arc<CsrGraph>,
+    snapshot: &GraphSnapshot,
     s: VertexId,
     t: VertexId,
     k: u32,
+    variant: PefpVariant,
 ) -> PreparedQuery {
     let start = Instant::now();
-    assert!(s.index() < g.num_vertices(), "source {s} out of range");
-    assert!(t.index() < g.num_vertices(), "target {t} out of range");
+    let n = snapshot.num_vertices();
+    assert!(s.index() < n, "source {s} out of range");
+    assert!(t.index() < n, "target {t} out of range");
     ctx.stats.queries += 1;
 
     // Degenerate hop budgets: k = 0 only ever admits the trivial s == t path.
     if k == 0 || s == t {
         ctx.stats.last_touched = 0;
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        return trivial_prepared(Arc::clone(g), s, t, k, elapsed);
+        let barrier = vec![k + 1; n];
+        return whole_graph(snapshot, s, t, k, barrier, s == t, start);
     }
-    let rev = ctx.reverse_for(g);
-    pre_bfs_core(ctx, g, &rev, s, t, k, start)
-}
-
-/// Pre-BFS preprocessing (the paper's Algorithm in Section V), one-shot form:
-/// allocates fresh scratch and recomputes the reverse CSR. Kept for callers
-/// that prepare a single query; batch and server workloads should reuse a
-/// [`PrepareContext`] via [`pre_bfs_with`].
-pub fn pre_bfs(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> PreparedQuery {
-    let start = Instant::now();
-    assert!(s.index() < g.num_vertices(), "source {s} out of range");
-    assert!(t.index() < g.num_vertices(), "target {t} out of range");
-
-    if k == 0 || s == t {
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        return trivial_prepared(Arc::new(g.clone()), s, t, k, elapsed);
+    if variant.uses_prebfs() {
+        pre_bfs_core(ctx, snapshot, s, t, k, start)
+    } else {
+        no_prebfs_core(ctx, snapshot, s, t, k, start)
     }
-    let mut ctx = PrepareContext::new();
-    ctx.stats.queries += 1;
-    let rev = g.reverse();
-    pre_bfs_core(&mut ctx, g, &rev, s, t, k, start)
 }
 
 /// Shared non-trivial Pre-BFS implementation: the two mutually pruned
 /// searches of the module docs, then the Theorem 1 cut over what both sides
 /// reached and the subgraph induced from the kept list.
-fn pre_bfs_core<GF, GR>(
+fn pre_bfs_core(
     ctx: &mut PrepareContext,
-    g: &GF,
-    rev: &GR,
+    snapshot: &GraphSnapshot,
     s: VertexId,
     t: VertexId,
     k: u32,
     start: Instant,
-) -> PreparedQuery
-where
-    GF: GraphView + ?Sized,
-    GR: GraphView + ?Sized,
-{
+) -> PreparedQuery {
+    let (g, rev) = (&snapshot.forward(), &snapshot.reverse());
     let (forward, backward) = (&mut ctx.forward, &mut ctx.backward);
     forward.seed(g, &[s]);
     backward.seed(rev, &[t]);
@@ -406,12 +359,7 @@ where
 /// Phase B for one side: continues `side` to level `k-1`, expanding only
 /// from, and admitting only, vertices `other` holds close enough to its own
 /// seed that the two distances fit in `k` hops.
-fn continue_pruned<G: GraphView + ?Sized>(
-    side: &mut BfsScratch,
-    other: &BfsScratch,
-    g: &G,
-    k: u32,
-) {
+fn continue_pruned(side: &mut BfsScratch, other: &BfsScratch, g: &SnapshotView<'_>, k: u32) {
     // `UNREACHED` is `u32::MAX`, so an unheld vertex fails every budget.
     let budget = k - side.level();
     side.retain_frontier(|v| other.dist(v) <= budget);
@@ -421,114 +369,44 @@ fn continue_pruned<G: GraphView + ?Sized>(
     }
 }
 
-/// Preprocessing for the PEFP-No-Pre-BFS ablation (Fig. 12) against a
-/// reusable [`PrepareContext`]: the device receives the *full* graph (shared,
-/// not cloned); only the barrier array is computed (k-hop BFS from `t` on the
-/// reverse graph), because the barrier check is part of the core algorithm
-/// rather than of the Pre-BFS optimisation.
-pub fn no_prebfs_with(
+/// Preprocessing for the PEFP-No-Pre-BFS ablation (Fig. 12): the device
+/// receives the *full* graph; only the barrier array is computed (k-hop BFS
+/// from `t` over the reverse view), because the barrier check is part of the
+/// core algorithm rather than of the Pre-BFS optimisation.
+fn no_prebfs_core(
     ctx: &mut PrepareContext,
-    g: &Arc<CsrGraph>,
+    snapshot: &GraphSnapshot,
     s: VertexId,
     t: VertexId,
     k: u32,
+    start: Instant,
 ) -> PreparedQuery {
-    let start = Instant::now();
-    assert!(s.index() < g.num_vertices(), "source {s} out of range");
-    assert!(t.index() < g.num_vertices(), "target {t} out of range");
-    ctx.stats.queries += 1;
-    if k == 0 || s == t {
-        ctx.stats.last_touched = 0;
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        return trivial_prepared(Arc::clone(g), s, t, k, elapsed);
-    }
-    let rev = ctx.reverse_for(g);
-    ctx.backward.run(&rev, t, k);
+    ctx.backward.run(&snapshot.reverse(), t, k);
     ctx.stats.last_touched = ctx.backward.touched_len();
 
     // The ablation ships a full-length barrier by design; fill the clamp
     // default and overwrite only the reached vertices.
-    let mut barrier = vec![k + 1; g.num_vertices()];
+    let mut barrier = vec![k + 1; snapshot.num_vertices()];
     for &v in ctx.backward.touched() {
         barrier[v.index()] = ctx.backward.dist(v);
     }
     let feasible = barrier[s.index()] <= k;
-    let host_millis = start.elapsed().as_secs_f64() * 1e3;
-    PreparedQuery {
-        graph: Arc::clone(g),
-        mapping: None,
-        s,
-        t,
-        k,
-        barrier,
-        feasible,
-        touched: TouchedSet::All,
-        host_millis,
-    }
+    whole_graph(snapshot, s, t, k, barrier, feasible, start)
 }
 
-/// One-shot form of [`no_prebfs_with`] with the original borrowed-graph
-/// signature; clones `g` once into shared ownership (the ablation ships the
-/// full graph, so that copy existed before the context API too).
-pub fn no_prebfs_preprocess(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> PreparedQuery {
-    no_prebfs_with(&mut PrepareContext::new(), &Arc::new(g.clone()), s, t, k)
-}
-
-/// Pre-BFS preprocessing against an epoch-versioned [`GraphSnapshot`]: the
-/// bidirectional BFS and the induced-subgraph extraction traverse the
-/// snapshot's copy-on-write overlay directly (both directions are first-class
-/// views), so no full CSR is ever materialised on this path. The produced
-/// `G'` is a fresh dense CSR either way, so the device side is oblivious to
-/// where the preparation read from.
-pub fn pre_bfs_snapshot_with(
-    ctx: &mut PrepareContext,
+/// A preparation that ships the snapshot's whole graph unchanged: the
+/// no-Pre-BFS ablation and the trivial `s == t` / `k == 0` queries.
+/// [`GraphSnapshot::full_csr`] is cached per snapshot, so an overlay is
+/// materialised once per epoch, not per query.
+fn whole_graph(
     snapshot: &GraphSnapshot,
     s: VertexId,
     t: VertexId,
     k: u32,
+    barrier: Vec<u32>,
+    feasible: bool,
+    start: Instant,
 ) -> PreparedQuery {
-    let start = Instant::now();
-    let n = snapshot.num_vertices();
-    assert!(s.index() < n, "source {s} out of range");
-    assert!(t.index() < n, "target {t} out of range");
-    ctx.stats.queries += 1;
-    if k == 0 || s == t {
-        ctx.stats.last_touched = 0;
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        return trivial_prepared(snapshot.full_csr(), s, t, k, elapsed);
-    }
-    pre_bfs_core(ctx, &snapshot.forward(), &snapshot.reverse(), s, t, k, start)
-}
-
-/// No-Pre-BFS preprocessing against an epoch-versioned [`GraphSnapshot`].
-/// The ablation ships the whole graph, so this path materialises the
-/// snapshot once via [`GraphSnapshot::full_csr`] (cached per snapshot — the
-/// cost is paid once per epoch, not per query); the barrier BFS still runs
-/// over the overlay view.
-pub fn no_prebfs_snapshot_with(
-    ctx: &mut PrepareContext,
-    snapshot: &GraphSnapshot,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-) -> PreparedQuery {
-    let start = Instant::now();
-    let n = snapshot.num_vertices();
-    assert!(s.index() < n, "source {s} out of range");
-    assert!(t.index() < n, "target {t} out of range");
-    ctx.stats.queries += 1;
-    if k == 0 || s == t {
-        ctx.stats.last_touched = 0;
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        return trivial_prepared(snapshot.full_csr(), s, t, k, elapsed);
-    }
-    ctx.backward.run(&snapshot.reverse(), t, k);
-    ctx.stats.last_touched = ctx.backward.touched_len();
-    let mut barrier = vec![k + 1; n];
-    for &v in ctx.backward.touched() {
-        barrier[v.index()] = ctx.backward.dist(v);
-    }
-    let feasible = barrier[s.index()] <= k;
     let host_millis = start.elapsed().as_secs_f64() * 1e3;
     PreparedQuery {
         graph: snapshot.full_csr(),
@@ -543,26 +421,12 @@ pub fn no_prebfs_snapshot_with(
     }
 }
 
-/// Shared handling of `k == 0` and `s == t`.
-fn trivial_prepared(
-    graph: Arc<CsrGraph>,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    host_millis: f64,
-) -> PreparedQuery {
-    let barrier = vec![k + 1; graph.num_vertices()];
-    PreparedQuery {
-        graph,
-        mapping: None,
-        s,
-        t,
-        k,
-        barrier,
-        feasible: s == t,
-        touched: TouchedSet::All,
-        host_millis,
-    }
+/// Full-variant preparation of `(s, t, k)` on a snapshot of a copy of `g`,
+/// with a fresh context: the shorthand the crate's unit tests prepare with.
+#[cfg(test)]
+pub(crate) fn prepare_csr(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> PreparedQuery {
+    let snapshot = GraphSnapshot::from_csr(g.clone());
+    prepare_snapshot_with(&mut PrepareContext::new(), &snapshot, s, t, k, PefpVariant::Full)
 }
 
 #[cfg(test)]
@@ -570,10 +434,10 @@ mod tests {
     use super::*;
     use pefp_graph::generators::chung_lu;
 
-    fn sample() -> CsrGraph {
+    fn sample() -> GraphSnapshot {
         // The Fig. 3 example in miniature: a short s->t corridor plus a bundle
         // of vertices reachable from s that can never reach t.
-        CsrGraph::from_edges(
+        GraphSnapshot::from_csr(CsrGraph::from_edges(
             10,
             &[
                 (0, 1),
@@ -586,24 +450,31 @@ mod tests {
                 (6, 7),
                 (7, 8), // dead-end tail
             ],
-        )
+        ))
+    }
+
+    /// `variant`'s preparation of `(s, t, k)` on a fresh context.
+    fn prepare_fresh(
+        g: &GraphSnapshot,
+        s: u32,
+        t: u32,
+        k: u32,
+        variant: PefpVariant,
+    ) -> PreparedQuery {
+        prepare_snapshot_with(&mut PrepareContext::new(), g, VertexId(s), VertexId(t), k, variant)
     }
 
     /// The search this module used to run — two unrestricted `(k-1)`-hop
     /// balls, the paper's formulation — kept as the oracle the pruned search
     /// is compared against.
-    fn pre_bfs_core_reference<GF, GR>(
+    fn pre_bfs_core_reference(
         ctx: &mut PrepareContext,
-        g: &GF,
-        rev: &GR,
+        snapshot: &GraphSnapshot,
         s: VertexId,
         t: VertexId,
         k: u32,
-    ) -> PreparedQuery
-    where
-        GF: GraphView + ?Sized,
-        GR: GraphView + ?Sized,
-    {
+    ) -> PreparedQuery {
+        let (g, rev) = (&snapshot.forward(), &snapshot.reverse());
         let bound = k - 1;
         ctx.forward.run(g, s, bound);
         ctx.backward.run(rev, t, bound);
@@ -669,8 +540,7 @@ mod tests {
         assert_eq!((a.s, a.t, a.k, a.feasible), (b.s, b.t, b.k, b.feasible), "{label}");
     }
 
-    /// The two searches, each with its own reused (dirty) context, on one
-    /// forward/reverse pair of views.
+    /// The two searches, each with its own reused (dirty) context.
     #[derive(Default)]
     struct Differential {
         pruned: PrepareContext,
@@ -681,21 +551,16 @@ mod tests {
     impl Differential {
         /// Prepares `(s, t, k)` both ways and checks every output plus the
         /// two inclusions `kept ⊆ touched(pruned) ⊆ touched(reference)`.
-        fn check<GF, GR>(
+        fn check(
             &mut self,
-            g: &GF,
-            rev: &GR,
+            snapshot: &GraphSnapshot,
             (s, t, k): (u32, u32, u32),
             label: &str,
-        ) -> PreparedQuery
-        where
-            GF: GraphView + ?Sized,
-            GR: GraphView + ?Sized,
-        {
+        ) -> PreparedQuery {
             let label = format!("{label} ({s},{t},k={k})");
             let (s, t) = (VertexId(s), VertexId(t));
-            let pruned = pre_bfs_core(&mut self.pruned, g, rev, s, t, k, Instant::now());
-            let reference = pre_bfs_core_reference(&mut self.reference, g, rev, s, t, k);
+            let pruned = pre_bfs_core(&mut self.pruned, snapshot, s, t, k, Instant::now());
+            let reference = pre_bfs_core_reference(&mut self.reference, snapshot, s, t, k);
             assert_same_outputs(&pruned, &reference, &label);
             let read = touched_vertices(&pruned);
             let reference_read = touched_vertices(&reference);
@@ -738,16 +603,15 @@ mod tests {
         let mut diff = Differential::default();
         let mut rng = 0x5EED_0014u64;
         for (n, queries) in [(50usize, 1_500usize), (300, 1_500), (2_000, 1_500), (5_000, 1_000)] {
-            let g = chung_lu(n, 6.0, 2.2, n as u64).to_csr();
-            let rev = g.reverse();
+            let g = GraphSnapshot::from_csr(chung_lu(n, 6.0, 2.2, n as u64).to_csr());
             for _ in 0..queries {
-                diff.check(&g, &rev, random_query(&mut rng, n), &format!("chung_lu({n})"));
+                diff.check(&g, random_query(&mut rng, n), &format!("chung_lu({n})"));
             }
             // Hub endpoints: low ids carry the heaviest out-degrees.
             for other in 1..=40u32 {
                 for k in 1..=7 {
-                    diff.check(&g, &rev, (0, other, k), "hub source");
-                    diff.check(&g, &rev, (other, 0, k), "hub target");
+                    diff.check(&g, (0, other, k), "hub source");
+                    diff.check(&g, (other, 0, k), "hub target");
                 }
             }
         }
@@ -755,27 +619,28 @@ mod tests {
 
         // Hand-built corners. The chain 0 -> 1 -> 2 -> 3 -> 4 with a shortcut
         // 0 -> 4, a dead-end tail 1 -> 5 -> 6, and 7, 8 isolated.
-        let g = CsrGraph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 5), (5, 6)]);
-        let rev = g.reverse();
-        let direct = diff.check(&g, &rev, (0, 4, 1), "direct edge at k = 1");
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(
+            9,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 5), (5, 6)],
+        ));
+        let direct = diff.check(&g, (0, 4, 1), "direct edge at k = 1");
         assert!(direct.feasible);
-        assert!(!diff.check(&g, &rev, (0, 3, 1), "no direct edge at k = 1").feasible);
+        assert!(!diff.check(&g, (0, 3, 1), "no direct edge at k = 1").feasible);
         for k in 1..=7 {
-            let exact = diff.check(&g, &rev, (1, 4, k), "sd(s,t) = 3");
+            let exact = diff.check(&g, (1, 4, k), "sd(s,t) = 3");
             assert_eq!(exact.feasible, k >= 3);
-            assert!(!diff.check(&g, &rev, (6, 0, k), "t unreachable").feasible);
-            assert!(!diff.check(&g, &rev, (7, 4, k), "isolated s").feasible);
-            assert!(!diff.check(&g, &rev, (0, 8, k), "isolated t").feasible);
-            assert!(!diff.check(&g, &rev, (7, 8, k), "both isolated").feasible);
+            assert!(!diff.check(&g, (6, 0, k), "t unreachable").feasible);
+            assert!(!diff.check(&g, (7, 4, k), "isolated s").feasible);
+            assert!(!diff.check(&g, (0, 8, k), "isolated t").feasible);
+            assert!(!diff.check(&g, (7, 8, k), "both isolated").feasible);
         }
         // A star: the hub reaches every leaf, one leaf reaches the sink.
         let mut edges: Vec<(u32, u32)> = (1..200).map(|leaf| (0, leaf)).collect();
         edges.extend([(57, 200), (200, 201), (201, 0)]);
-        let star = CsrGraph::from_edges(202, &edges);
-        let star_rev = star.reverse();
+        let star = GraphSnapshot::from_csr(CsrGraph::from_edges(202, &edges));
         for k in 1..=7 {
-            diff.check(&star, &star_rev, (0, 201, k), "hub source, narrow target");
-            diff.check(&star, &star_rev, (200, 3, k), "narrow source, hub on the way");
+            diff.check(&star, (0, 201, k), "hub source, narrow target");
+            diff.check(&star, (200, 3, k), "narrow source, hub on the way");
         }
     }
 
@@ -806,14 +671,16 @@ mod tests {
                 live.insert((a, b));
             }
             let snapshot = versioned.apply(&delta);
-            let rebuilt = CsrGraph::from_edges(n, &live.iter().copied().collect::<Vec<_>>());
+            let rebuilt = GraphSnapshot::from_csr(CsrGraph::from_edges(
+                n,
+                &live.iter().copied().collect::<Vec<_>>(),
+            ));
             for _ in 0..25 {
                 let query = random_query(&mut rng, n);
                 let label = format!("overlay round {round}");
-                let on_overlay =
-                    diff.check(&snapshot.forward(), &snapshot.reverse(), query, &label);
+                let on_overlay = diff.check(&snapshot, query, &label);
                 let (s, t, k) = query;
-                let from_scratch = pre_bfs(&rebuilt, VertexId(s), VertexId(t), k);
+                let from_scratch = prepare_fresh(&rebuilt, s, t, k, PefpVariant::Full);
                 assert_same_outputs(&on_overlay, &from_scratch, &label);
             }
         }
@@ -822,8 +689,7 @@ mod tests {
 
     #[test]
     fn prebfs_removes_vertices_that_cannot_reach_t() {
-        let g = sample();
-        let prep = pre_bfs(&g, VertexId(0), VertexId(9), 5);
+        let prep = prepare_fresh(&sample(), 0, 9, 5, PefpVariant::Full);
         assert!(prep.feasible);
         // Only the corridor 0,1,2,9 can satisfy sds + sdt <= 5.
         assert_eq!(prep.graph.num_vertices(), 4);
@@ -835,8 +701,7 @@ mod tests {
 
     #[test]
     fn barrier_equals_distance_to_t_in_new_ids() {
-        let g = sample();
-        let prep = pre_bfs(&g, VertexId(0), VertexId(9), 5);
+        let prep = prepare_fresh(&sample(), 0, 9, 5, PefpVariant::Full);
         let mapping = prep.mapping.as_ref().unwrap();
         let new2 = mapping.to_new(VertexId(2)).unwrap();
         assert_eq!(prep.barrier[new2.index()], 1);
@@ -846,8 +711,8 @@ mod tests {
     #[test]
     fn exact_distance_k_keeps_the_endpoints() {
         // Chain of length 4; k = 4 means sd(s, t) == k exactly.
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let prep = pre_bfs(&g, VertexId(0), VertexId(4), 4);
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]));
+        let prep = prepare_fresh(&g, 0, 4, 4, PefpVariant::Full);
         assert!(prep.feasible);
         assert_eq!(prep.graph.num_vertices(), 5);
         // s itself is outside the (k-1)-hop reverse frontier, so its barrier is
@@ -857,15 +722,14 @@ mod tests {
 
     #[test]
     fn infeasible_query_is_detected() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let prep = pre_bfs(&g, VertexId(0), VertexId(3), 6);
-        assert!(!prep.feasible);
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(4, &[(0, 1), (2, 3)]));
+        assert!(!prepare_fresh(&g, 0, 3, 6, PefpVariant::Full).feasible);
     }
 
     #[test]
     fn no_prebfs_keeps_the_whole_graph() {
         let g = sample();
-        let prep = no_prebfs_preprocess(&g, VertexId(0), VertexId(9), 5);
+        let prep = prepare_fresh(&g, 0, 9, 5, PefpVariant::NoPreBfs);
         assert_eq!(prep.graph.num_vertices(), g.num_vertices());
         assert!(prep.mapping.is_none());
         assert_eq!(prep.barrier[9], 0);
@@ -875,10 +739,10 @@ mod tests {
 
     #[test]
     fn prebfs_subgraph_is_never_larger_than_no_prebfs() {
-        let g = chung_lu(300, 6.0, 2.2, 5).to_csr();
+        let g = GraphSnapshot::from_csr(chung_lu(300, 6.0, 2.2, 5).to_csr());
         for &(s, t, k) in &[(0u32, 100u32, 4u32), (5, 200, 5), (10, 20, 3)] {
-            let a = pre_bfs(&g, VertexId(s), VertexId(t), k);
-            let b = no_prebfs_preprocess(&g, VertexId(s), VertexId(t), k);
+            let a = prepare_fresh(&g, s, t, k, PefpVariant::Full);
+            let b = prepare_fresh(&g, s, t, k, PefpVariant::NoPreBfs);
             assert!(a.graph.num_vertices() <= b.graph.num_vertices());
             assert!(a.graph.num_edges() <= b.graph.num_edges());
         }
@@ -887,24 +751,20 @@ mod tests {
     #[test]
     fn trivial_queries_short_circuit() {
         let g = sample();
-        let same = pre_bfs(&g, VertexId(3), VertexId(3), 4);
-        assert!(same.feasible);
-        let zero = pre_bfs(&g, VertexId(0), VertexId(9), 0);
-        assert!(!zero.feasible);
+        assert!(prepare_fresh(&g, 3, 3, 4, PefpVariant::Full).feasible);
+        assert!(!prepare_fresh(&g, 0, 9, 0, PefpVariant::Full).feasible);
     }
 
     #[test]
     fn transfer_bytes_counts_graph_and_barrier() {
-        let g = sample();
-        let prep = pre_bfs(&g, VertexId(0), VertexId(9), 5);
+        let prep = prepare_fresh(&sample(), 0, 9, 5, PefpVariant::Full);
         let expected = prep.graph.byte_size() + prep.barrier.len() * 4 + 16;
         assert_eq!(prep.transfer_bytes(), expected);
     }
 
     #[test]
     fn translate_path_maps_back_to_original_ids() {
-        let g = sample();
-        let prep = pre_bfs(&g, VertexId(0), VertexId(9), 5);
+        let prep = prepare_fresh(&sample(), 0, 9, 5, PefpVariant::Full);
         let m = prep.mapping.as_ref().unwrap();
         let device_path: Vec<VertexId> =
             [0u32, 1, 2, 9].iter().map(|&v| m.to_new(VertexId(v)).unwrap()).collect();
@@ -917,63 +777,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_source_panics() {
-        let g = sample();
-        pre_bfs(&g, VertexId(99), VertexId(9), 5);
+        prepare_fresh(&sample(), 99, 9, 5, PefpVariant::Full);
     }
 
     #[test]
     fn reused_context_matches_one_shot_across_queries() {
-        let g = Arc::new(chung_lu(400, 6.0, 2.2, 7).to_csr());
+        let g = GraphSnapshot::from_csr(chung_lu(400, 6.0, 2.2, 7).to_csr());
         let mut ctx = PrepareContext::new();
         for &(s, t, k) in
             &[(0u32, 200u32, 4u32), (3, 17, 5), (250, 9, 3), (0, 200, 4), (5, 5, 4), (1, 2, 0)]
         {
-            let with_ctx = pre_bfs_with(&mut ctx, &g, VertexId(s), VertexId(t), k);
-            let one_shot = pre_bfs(&g, VertexId(s), VertexId(t), k);
+            let (vs, vt) = (VertexId(s), VertexId(t));
+            let with_ctx = prepare_snapshot_with(&mut ctx, &g, vs, vt, k, PefpVariant::Full);
+            let one_shot = prepare_fresh(&g, s, t, k, PefpVariant::Full);
             assert_eq!(with_ctx.graph, one_shot.graph, "query ({s},{t},{k})");
             assert_eq!(with_ctx.barrier, one_shot.barrier);
             assert_eq!(with_ctx.feasible, one_shot.feasible);
             assert_eq!((with_ctx.s, with_ctx.t, with_ctx.k), (one_shot.s, one_shot.t, one_shot.k));
         }
         assert_eq!(ctx.stats().queries, 6);
-        assert_eq!(ctx.stats().reverse_builds, 1, "reverse CSR must be built once, not per query");
-    }
-
-    #[test]
-    fn context_reuses_an_installed_reverse() {
-        let g = Arc::new(sample());
-        let rev = Arc::new(g.reverse());
-        let mut ctx = PrepareContext::with_reverse(&g, rev);
-        for _ in 0..3 {
-            let prep = pre_bfs_with(&mut ctx, &g, VertexId(0), VertexId(9), 5);
-            assert!(prep.feasible);
-        }
-        assert_eq!(ctx.stats().reverse_builds, 0, "installed reverse must be reused");
-    }
-
-    #[test]
-    fn context_rebuilds_reverse_when_the_graph_changes() {
-        let a = Arc::new(sample());
-        let b = Arc::new(CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
-        let mut ctx = PrepareContext::new();
-        pre_bfs_with(&mut ctx, &a, VertexId(0), VertexId(9), 5);
-        pre_bfs_with(&mut ctx, &b, VertexId(0), VertexId(3), 4);
-        pre_bfs_with(&mut ctx, &b, VertexId(1), VertexId(3), 4);
-        assert_eq!(ctx.stats().reverse_builds, 2, "one build per distinct graph");
     }
 
     #[test]
     fn shared_paths_do_not_clone_the_data_graph() {
-        let g = Arc::new(chung_lu(500, 5.0, 2.2, 11).to_csr());
-        let mut ctx = PrepareContext::new();
+        let g = GraphSnapshot::from_csr(chung_lu(500, 5.0, 2.2, 11).to_csr());
         // No-Pre-BFS ships the full graph: it must be the same allocation.
-        let no_prebfs = no_prebfs_with(&mut ctx, &g, VertexId(0), VertexId(250), 4);
-        assert!(Arc::ptr_eq(&no_prebfs.graph, &g));
+        let no_prebfs = prepare_fresh(&g, 0, 250, 4, PefpVariant::NoPreBfs);
+        assert!(Arc::ptr_eq(&no_prebfs.graph, g.base()));
         // Trivial queries share the data graph too.
-        let trivial = pre_bfs_with(&mut ctx, &g, VertexId(7), VertexId(7), 4);
-        assert!(Arc::ptr_eq(&trivial.graph, &g));
+        let trivial = prepare_fresh(&g, 7, 7, 4, PefpVariant::Full);
+        assert!(Arc::ptr_eq(&trivial.graph, g.base()));
         // Pre-BFS stores G' exactly once: the query and its mapping share it.
-        let full = pre_bfs_with(&mut ctx, &g, VertexId(0), VertexId(250), 4);
+        let full = prepare_fresh(&g, 0, 250, 4, PefpVariant::Full);
         let mapping = full.mapping.as_ref().unwrap();
         assert!(Arc::ptr_eq(&full.graph, &mapping.graph));
     }

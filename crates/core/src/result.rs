@@ -1,5 +1,4 @@
-//! Result and statistics types returned by the engine and the high-level
-//! query runner.
+//! Result and statistics types returned by the engine and the device run.
 
 use pefp_fpga::DeviceReport;
 use pefp_graph::paths::Path;
@@ -60,9 +59,11 @@ pub struct EngineOutput {
 /// Complete result of a high-level PEFP query (preprocessing + device run).
 #[derive(Debug, Clone)]
 pub struct PefpRunResult {
-    /// Result paths translated back to original graph vertex ids. Empty for
-    /// counting-mode and sink-streaming runs (`run_prepared_with_sink` /
-    /// `run_query_with_sink`), where paths flow through the caller's sink.
+    /// Result paths translated back to original graph vertex ids. Only the
+    /// collecting entry points fill it — the `pefp` facade's
+    /// `enumerate_paths` and [`crate::run_labeled_query`]; it is empty after
+    /// [`crate::run_prepared_on_device`], whose paths flow through the
+    /// caller's sink.
     pub paths: Vec<Path>,
     /// Number of result paths.
     pub num_paths: u64,

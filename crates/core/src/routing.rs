@@ -12,7 +12,7 @@
 //! The cost model is deliberately simple and fully deterministic: each engine
 //! gets a predicted latency in microseconds, linear in a per-engine *work
 //! proxy* derived from the walk-counting bounds of
-//! [`QueryEstimate`](crate::counting::QueryEstimate) on the pruned subgraph
+//! [`crate::counting::QueryEstimate`] on the pruned subgraph
 //! `G'`. The coefficients live in a [`RoutingTable`] calibrated offline by
 //! the `routing_table` binary (committed as `docs/routing_table.json`) — the
 //! router itself never measures anything, so the same table and the same
@@ -465,12 +465,12 @@ fn engine_costs(features: &RouteFeatures, table: &RoutingTable, ctx: &RouteConte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::pre_bfs;
+    use crate::preprocess::prepare_csr;
     use pefp_graph::generators::chung_lu;
     use pefp_graph::{CsrGraph, VertexId};
 
     fn route(g: &CsrGraph, s: u32, t: u32, k: u32, cus: usize) -> RouteDecision {
-        let prepared = pre_bfs(g, VertexId(s), VertexId(t), k);
+        let prepared = prepare_csr(g, VertexId(s), VertexId(t), k);
         route_query(
             &prepared,
             &RoutingTable::builtin(),
@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn barrier_histogram_covers_every_vertex() {
         let g = chung_lu(300, 5.0, 2.2, 3).to_csr();
-        let prepared = pre_bfs(&g, VertexId(0), VertexId(150), 4);
+        let prepared = prepare_csr(&g, VertexId(0), VertexId(150), 4);
         let features = RouteFeatures::compute(&prepared);
         let total: u64 = features.barrier_histogram.iter().sum();
         assert_eq!(total, prepared.graph.num_vertices() as u64);
@@ -589,7 +589,7 @@ mod tests {
     #[test]
     fn banked_charging_inflates_only_device_costs() {
         let g = chung_lu(400, 6.0, 2.2, 9).to_csr();
-        let prepared = pre_bfs(&g, VertexId(0), VertexId(200), 4);
+        let prepared = prepare_csr(&g, VertexId(0), VertexId(200), 4);
         let table = RoutingTable::builtin();
         let base = route_query(
             &prepared,
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn conflict_cost_flip_is_explained_in_the_rationale() {
         let g = chung_lu(400, 6.0, 2.2, 9).to_csr();
-        let prepared = pre_bfs(&g, VertexId(0), VertexId(200), 4);
+        let prepared = prepare_csr(&g, VertexId(0), VertexId(200), 4);
         let mut table = RoutingTable::builtin();
         let base = route_query(&prepared, &table, &RouteContext::default());
         assert!(base.features.feasible && !base.features.estimate.saturated);

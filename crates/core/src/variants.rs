@@ -11,22 +11,18 @@
 //! | `NoCache`           | BRAM caching (paths/graph/barrier)| Fig. 14      |
 //! | `NoDataSep`         | data separation (basic pipeline)  | Fig. 15      |
 //!
-//! [`run_query`] ties everything together: preprocessing on the host, PCIe
-//! transfer, the device engine run, and result translation back to original
-//! vertex ids.
+//! A query is prepared on the host by [`crate::prepare_snapshot_with`] (the
+//! variant picks Pre-BFS or the whole-graph ablation) and run by
+//! [`run_prepared_on_device`]: PCIe transfer, the device engine run, and
+//! result translation back to original vertex ids.
 
 use crate::engine::PefpEngine;
 use crate::options::{BatchStrategy, EngineOptions, VerificationPipeline};
-use crate::preprocess::{
-    no_prebfs_preprocess, no_prebfs_snapshot_with, no_prebfs_with, pre_bfs, pre_bfs_snapshot_with,
-    pre_bfs_with, PrepareContext, PreparedQuery,
-};
+use crate::preprocess::PreparedQuery;
 use crate::result::PefpRunResult;
-use pefp_fpga::{Device, DeviceConfig};
-use pefp_graph::sink::{CollectSink, CountingSink, PathSink, TranslateSink};
-use pefp_graph::{CsrGraph, VertexId};
+use pefp_fpga::Device;
+use pefp_graph::sink::{PathSink, TranslateSink};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The PEFP system configurations evaluated in the paper.
@@ -85,137 +81,20 @@ impl PefpVariant {
     }
 }
 
-/// Runs the host preprocessing for `variant` (Pre-BFS or the full-graph
-/// fallback), returning the prepared query with its host timing filled in.
-///
-/// One-shot form; repeated-query callers should reuse a [`PrepareContext`]
-/// via [`prepare_with`], which amortises BFS scratch and the reverse CSR.
-pub fn prepare(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-) -> PreparedQuery {
-    if variant.uses_prebfs() {
-        pre_bfs(g, s, t, k)
-    } else {
-        no_prebfs_preprocess(g, s, t, k)
-    }
-}
-
-/// [`prepare`] against a reusable [`PrepareContext`] and a shared graph:
-/// per-query cost is proportional to the touched subgraph, and the full-graph
-/// paths (no-Pre-BFS, trivial queries) share `g` instead of cloning it.
-pub fn prepare_with(
-    ctx: &mut PrepareContext,
-    g: &Arc<CsrGraph>,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-) -> PreparedQuery {
-    if variant.uses_prebfs() {
-        pre_bfs_with(ctx, g, s, t, k)
-    } else {
-        no_prebfs_with(ctx, g, s, t, k)
-    }
-}
-
-/// [`prepare_with`] against an epoch-versioned graph snapshot: queries are
-/// preprocessed over the snapshot's copy-on-write overlay, so concurrent
-/// updates to newer epochs never show through. The host runtime captures one
-/// snapshot per admitted job and prepares against it here.
-pub fn prepare_snapshot_with(
-    ctx: &mut PrepareContext,
-    snapshot: &pefp_graph::delta::GraphSnapshot,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-) -> PreparedQuery {
-    if variant.uses_prebfs() {
-        pre_bfs_snapshot_with(ctx, snapshot, s, t, k)
-    } else {
-        no_prebfs_snapshot_with(ctx, snapshot, s, t, k)
-    }
-}
-
-/// Runs one complete PEFP query: preprocessing, PCIe transfer, device
-/// enumeration and result translation.
-pub fn run_query(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-    device_config: &DeviceConfig,
-) -> PefpRunResult {
-    run_query_with_options(g, s, t, k, variant, variant.engine_options(), device_config)
-}
-
-/// [`run_query`] with explicit engine options (used by the parameter-sweep
-/// benchmarks; the options still inherit the variant's preprocessing choice).
-pub fn run_query_with_options(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-    options: EngineOptions,
-    device_config: &DeviceConfig,
-) -> PefpRunResult {
-    let prep = prepare(g, s, t, k, variant);
-    run_prepared(&prep, options, device_config)
-}
-
-/// Runs the device phase for an already prepared query. Splitting this out
-/// lets the benchmarks amortise preprocessing across repeated device runs.
-///
-/// Collect-everything wrapper over [`run_prepared_with_sink`]: with
-/// `collect_paths` set the paths are gathered by a [`CollectSink`] (already
-/// translated to original ids), otherwise a [`CountingSink`] counts them —
-/// either way the same streaming pipeline runs underneath.
-pub fn run_prepared(
-    prep: &PreparedQuery,
-    options: EngineOptions,
-    device_config: &DeviceConfig,
-) -> PefpRunResult {
-    if options.collect_paths {
-        let mut sink = CollectSink::new();
-        let mut result = run_prepared_with_sink(prep, options, device_config, &mut sink);
-        result.paths = sink.into_paths();
-        result
-    } else {
-        run_prepared_with_sink(prep, options, device_config, &mut CountingSink::new())
-    }
-}
-
-/// Runs the device phase for an already prepared query, streaming every
-/// result path into `sink` in *original* graph vertex ids.
+/// Runs the device phase of an already prepared query on `device`, streaming
+/// every result path into `sink` in *original* graph vertex ids.
 ///
 /// The translation from device ids happens inside a [`TranslateSink`] wrapper
 /// with a reused scratch buffer, so no intermediate device-id path vector is
-/// ever materialised between the engine and the caller. The returned
-/// [`PefpRunResult`] carries timings, the device report and the engine
-/// counters; its `paths` field is always empty.
-pub fn run_prepared_with_sink<S: PathSink + ?Sized>(
-    prep: &PreparedQuery,
-    options: EngineOptions,
-    device_config: &DeviceConfig,
-    sink: &mut S,
-) -> PefpRunResult {
-    run_prepared_on_device(prep, options, Device::new(device_config.clone()), sink)
-}
-
-/// [`run_prepared_with_sink`] against a caller-supplied device instead of a
-/// freshly instantiated one — the entry point for multi-CU execution, where
-/// each device is one compute unit of a [`pefp_fpga::CuCluster`] and shares
-/// the card's DRAM arbiter with its siblings.
+/// ever materialised between the engine and the caller. Callers that want the
+/// paths pass a [`pefp_graph::CollectSink`]; the returned [`PefpRunResult`]
+/// carries timings, the device report and the engine counters, and its
+/// `paths` field is always empty. `options.collect_paths` is irrelevant here.
 ///
-/// The device is consumed: it accounts exactly one query (matching the
-/// single-CU pipeline, which builds a fresh device per query) and its report
-/// is returned inside the [`PefpRunResult`].
+/// A single query runs on `Device::new(config)`; multi-CU execution passes
+/// one compute unit of a [`pefp_fpga::CuCluster`], which shares the card's
+/// DRAM arbiter with its siblings. The device is consumed: it accounts
+/// exactly one query and its report is returned inside the result.
 pub fn run_prepared_on_device<S: PathSink + ?Sized>(
     prep: &PreparedQuery,
     options: EngineOptions,
@@ -254,62 +133,50 @@ pub fn run_prepared_on_device<S: PathSink + ?Sized>(
     }
 }
 
-/// Runs one complete PEFP query — preprocessing, PCIe transfer, device
-/// enumeration — streaming every result path into `sink` in original graph
-/// vertex ids instead of materialising the result set.
-///
-/// `options.collect_paths` is irrelevant here: the engine always pushes into
-/// the caller's sink. Combine with [`pefp_graph::FirstN`] or
-/// [`EngineOptions::max_results`] for early termination.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_with_sink<S: PathSink + ?Sized>(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    variant: PefpVariant,
-    options: EngineOptions,
-    device_config: &DeviceConfig,
-    sink: &mut S,
-) -> PefpRunResult {
-    let prep = prepare(g, s, t, k, variant);
-    run_prepared_with_sink(&prep, options, device_config, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preprocess::{prepare_csr, prepare_snapshot_with, PrepareContext};
     use pefp_baselines::naive_dfs_enumerate;
+    use pefp_fpga::DeviceConfig;
     use pefp_graph::generators::chung_lu;
-    use pefp_graph::paths::{canonicalize, validate_result};
+    use pefp_graph::paths::{canonicalize, validate_result, Path};
+    use pefp_graph::sink::CollectSink;
+    use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
+
+    /// Prepares and runs `variant` on a fresh U200, collecting the paths.
+    fn run(
+        g: &GraphSnapshot,
+        (s, t, k): (VertexId, VertexId, u32),
+        variant: PefpVariant,
+    ) -> (PefpRunResult, Vec<Path>) {
+        let prep = prepare_snapshot_with(&mut PrepareContext::new(), g, s, t, k, variant);
+        let mut sink = CollectSink::new();
+        let device = Device::new(DeviceConfig::alveo_u200());
+        let result = run_prepared_on_device(&prep, variant.engine_options(), device, &mut sink);
+        (result, sink.into_paths())
+    }
 
     #[test]
     fn every_variant_produces_the_same_result_set() {
-        let g = chung_lu(120, 5.0, 2.2, 31).to_csr();
+        let g = GraphSnapshot::from_csr(chung_lu(120, 5.0, 2.2, 31).to_csr());
         let (s, t, k) = (VertexId(0), VertexId(55), 5);
-        let expected = canonicalize(naive_dfs_enumerate(&g, s, t, k));
-        let cfg = DeviceConfig::alveo_u200();
+        let expected = canonicalize(naive_dfs_enumerate(g.base(), s, t, k));
         for variant in PefpVariant::all() {
-            let result = run_query(&g, s, t, k, variant, &cfg);
-            assert_eq!(
-                canonicalize(result.paths.clone()),
-                expected,
-                "variant {} diverged",
-                variant.name()
-            );
+            let (result, paths) = run(&g, (s, t, k), variant);
+            assert!(validate_result(g.base(), s, t, k as usize, &paths).is_empty());
+            assert_eq!(canonicalize(paths), expected, "variant {} diverged", variant.name());
             assert_eq!(result.num_paths as usize, expected.len());
-            assert!(validate_result(&g, s, t, k as usize, &result.paths).is_empty());
         }
     }
 
     #[test]
     fn full_variant_is_fastest_in_simulated_time() {
-        let g = chung_lu(300, 7.0, 2.1, 8).to_csr();
-        let (s, t, k) = (VertexId(0), VertexId(150), 5);
-        let cfg = DeviceConfig::alveo_u200();
-        let full = run_query(&g, s, t, k, PefpVariant::Full, &cfg);
+        let g = GraphSnapshot::from_csr(chung_lu(300, 7.0, 2.1, 8).to_csr());
+        let query = (VertexId(0), VertexId(150), 5);
+        let (full, _) = run(&g, query, PefpVariant::Full);
         for variant in [PefpVariant::NoCache, PefpVariant::NoDataSep] {
-            let degraded = run_query(&g, s, t, k, variant, &cfg);
+            let (degraded, _) = run(&g, query, variant);
             assert!(
                 degraded.device.cycles >= full.device.cycles,
                 "{} ({} cycles) should not beat the full system ({} cycles)",
@@ -322,21 +189,21 @@ mod tests {
 
     #[test]
     fn prebfs_reduces_preprocess_plus_transfer_work() {
-        let g = chung_lu(400, 6.0, 2.2, 3).to_csr();
+        let g = GraphSnapshot::from_csr(chung_lu(400, 6.0, 2.2, 3).to_csr());
         let (s, t, k) = (VertexId(2), VertexId(200), 4);
-        let with = prepare(&g, s, t, k, PefpVariant::Full);
-        let without = prepare(&g, s, t, k, PefpVariant::NoPreBfs);
+        let mut ctx = PrepareContext::new();
+        let with = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
+        let without = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::NoPreBfs);
         assert!(with.transfer_bytes() <= without.transfer_bytes());
         assert!(with.graph.num_vertices() <= without.graph.num_vertices());
     }
 
     #[test]
     fn infeasible_queries_return_quickly_and_empty() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (4, 5)]);
-        let cfg = DeviceConfig::alveo_u200();
-        let r = run_query(&g, VertexId(0), VertexId(5), 8, PefpVariant::Full, &cfg);
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(6, &[(0, 1), (1, 2), (4, 5)]));
+        let (r, paths) = run(&g, (VertexId(0), VertexId(5), 8), PefpVariant::Full);
         assert_eq!(r.num_paths, 0);
-        assert!(r.paths.is_empty());
+        assert!(paths.is_empty());
     }
 
     #[test]
@@ -345,18 +212,23 @@ mod tests {
         let g = chung_lu(150, 5.0, 2.2, 77).to_csr();
         let (s, t, k) = (VertexId(0), VertexId(70), 4);
         let cfg = DeviceConfig::alveo_u200();
-        let prep = prepare(&g, s, t, k, PefpVariant::Full);
+        let prep = prepare_csr(&g, s, t, k);
         let opts = PefpVariant::Full.engine_options();
 
-        let mut standalone_sink = pefp_graph::CollectSink::new();
-        let standalone = run_prepared_with_sink(&prep, opts.clone(), &cfg, &mut standalone_sink);
+        let mut standalone_sink = CollectSink::new();
+        let standalone = run_prepared_on_device(
+            &prep,
+            opts.clone(),
+            Device::new(cfg.clone()),
+            &mut standalone_sink,
+        );
 
         // An idle cluster (no other active CU) must be cycle-identical.
         let cluster = CuCluster::new(
             cfg.clone(),
             MultiCuConfig { compute_units: 2, per_cu_bandwidth_share: 0.5, charge_banked: false },
         );
-        let mut cu_sink = pefp_graph::CollectSink::new();
+        let mut cu_sink = CollectSink::new();
         let on_cu =
             run_prepared_on_device(&prep, opts.clone(), cluster.device_for_cu(1), &mut cu_sink);
         assert_eq!(cu_sink.into_paths(), standalone_sink.into_paths());
@@ -367,7 +239,7 @@ mod tests {
         // With the bus saturated by other CUs, the same query takes longer —
         // by exactly the inflated DRAM share — but the results are untouched.
         let _others: Vec<_> = (0..4).map(|_| cluster.arbiter().activate()).collect();
-        let mut contended_sink = pefp_graph::CollectSink::new();
+        let mut contended_sink = CollectSink::new();
         let contended =
             run_prepared_on_device(&prep, opts, cluster.device_for_cu(0), &mut contended_sink);
         assert_eq!(contended.num_paths, standalone.num_paths);
@@ -382,12 +254,12 @@ mod tests {
     fn pcie_fault_on_the_transfer_dma_is_reported_on_the_run() {
         use pefp_fpga::{CuCluster, FaultKind, FaultPlan, MultiCuConfig, ScriptedFault};
         let g = chung_lu(120, 5.0, 2.2, 31).to_csr();
-        let prep = prepare(&g, VertexId(0), VertexId(55), 5, PefpVariant::Full);
+        let prep = prepare_csr(&g, VertexId(0), VertexId(55), 5);
         let plan = FaultPlan::scripted(1);
         plan.push_script(0, ScriptedFault { after_ops: 0, kind: FaultKind::PcieError });
         let cluster =
             CuCluster::with_faults(DeviceConfig::alveo_u200(), MultiCuConfig::default(), plan);
-        let mut sink = pefp_graph::CollectSink::new();
+        let mut sink = CollectSink::new();
         let result = run_prepared_on_device(
             &prep,
             PefpVariant::Full.engine_options(),
@@ -416,9 +288,8 @@ mod tests {
 
     #[test]
     fn total_time_combines_both_phases() {
-        let g = chung_lu(100, 4.0, 2.2, 12).to_csr();
-        let cfg = DeviceConfig::alveo_u200();
-        let r = run_query(&g, VertexId(0), VertexId(50), 4, PefpVariant::Full, &cfg);
+        let g = GraphSnapshot::from_csr(chung_lu(100, 4.0, 2.2, 12).to_csr());
+        let (r, _) = run(&g, (VertexId(0), VertexId(50), 4), PefpVariant::Full);
         assert!((r.total_millis() - (r.preprocess_millis + r.query_millis)).abs() < 1e-12);
         assert!(r.query_millis > 0.0);
     }

@@ -42,7 +42,6 @@ pub mod counters;
 pub mod device;
 pub mod dram;
 pub mod fault;
-pub mod fifo;
 pub mod hls;
 pub mod multi_cu;
 pub mod pcie;
@@ -59,7 +58,6 @@ pub use counters::MemoryCounters;
 pub use device::{Device, DeviceReport};
 pub use dram::Dram;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, ScriptedFault};
-pub use fifo::{FifoChannel, FifoStats};
 pub use hls::{KernelReport, ModuleLatency};
 pub use multi_cu::{
     max_compute_units, predict_dispatch, CuCluster, CuLease, CuWorkload, MultiCuConfig,

@@ -142,6 +142,13 @@ impl GraphSnapshot {
         }
     }
 
+    /// Epoch-0 snapshot over a forward CSR, building the reverse here.
+    pub fn from_csr(base: impl Into<Arc<CsrGraph>>) -> Self {
+        let base = base.into();
+        let reverse = Arc::new(base.reverse());
+        GraphSnapshot::initial(base, reverse)
+    }
+
     /// This snapshot's epoch.
     pub fn epoch(&self) -> Epoch {
         self.epoch
@@ -165,8 +172,8 @@ impl GraphSnapshot {
     }
 
     /// Whether this snapshot *is* its base CSR — no overlay rows and no
-    /// vertex growth — so base-keyed caches (e.g. a prebuilt reverse CSR)
-    /// still apply.
+    /// vertex growth — so [`GraphSnapshot::full_csr`] can hand out the base
+    /// itself.
     pub fn is_compact(&self) -> bool {
         self.forward_rows.is_empty()
             && self.reverse_rows.is_empty()
@@ -285,9 +292,10 @@ impl VersionedGraph {
 
     /// Starts a version chain from a forward CSR, building the reverse here.
     pub fn from_csr(base: impl Into<Arc<CsrGraph>>) -> Self {
-        let base = base.into();
-        let reverse = Arc::new(base.reverse());
-        VersionedGraph::new(base, reverse)
+        VersionedGraph {
+            current: Arc::new(GraphSnapshot::from_csr(base)),
+            compact_rows: DEFAULT_COMPACT_OVERLAY_ROWS,
+        }
     }
 
     /// Overrides the overlay-row count past which [`VersionedGraph::apply`]

@@ -2,7 +2,7 @@
 //!
 //! [`DiGraph`] is the "host main memory" representation from the paper's
 //! Fig. 2: the user points the host at a graph file, the host loads it here,
-//! and every query then derives an immutable [`CsrGraph`](crate::CsrGraph)
+//! and every query then derives an immutable [`crate::CsrGraph`]
 //! (possibly induced on a vertex subset) that is shipped to the device.
 
 use crate::ids::{Edge, VertexId};

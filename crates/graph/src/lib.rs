@@ -41,10 +41,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bfs;
-pub mod components;
 pub mod csr;
 pub mod datasets;
-pub mod degree;
 pub mod delta;
 pub mod digraph;
 pub mod formats;
@@ -56,16 +54,13 @@ pub mod labels;
 pub mod paths;
 pub mod placement;
 pub mod sampling;
-pub mod scc;
 pub mod sink;
 pub mod stats;
 pub mod view;
 
 pub use bfs::{constrained_distance, khop_bfs, khop_bfs_multi, BfsScratch, UNREACHED};
-pub use components::{weakly_connected_components, DisjointSets, WccDecomposition};
 pub use csr::{CsrBuilder, CsrGraph};
 pub use datasets::{Dataset, DatasetSpec, ScaleProfile};
-pub use degree::DegreeDistribution;
 pub use delta::{Epoch, GraphDelta, GraphSnapshot, SnapshotView, VersionedGraph};
 pub use digraph::DiGraph;
 pub use formats::{detect_format, read_graph_auto, read_graph_file, GraphFormat, LoadedGraph};
@@ -78,7 +73,6 @@ pub use labels::{Label, LabelConstraint, VertexLabels};
 pub use paths::Path;
 pub use placement::{PlacementPolicy, RowPlacement};
 pub use sampling::{sample_reachable_pairs, sample_simple_paths};
-pub use scc::{strongly_connected_components, SccDecomposition};
 pub use sink::{CollectSink, CountingSink, FirstN, FnSink, PathSink, TranslateSink};
 pub use stats::GraphStats;
 pub use view::GraphView;

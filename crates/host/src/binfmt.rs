@@ -267,12 +267,19 @@ impl DevicePayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pefp_core::pre_bfs;
+    use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext};
     use pefp_graph::generators::chung_lu;
+    use pefp_graph::GraphSnapshot;
+
+    /// Pre-BFS of `(s, t, k)` on `g`.
+    fn prepared_on(g: CsrGraph, s: u32, t: u32, k: u32) -> PreparedQuery {
+        let g = GraphSnapshot::from_csr(g);
+        let (s, t) = (VertexId(s), VertexId(t));
+        prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, k, PefpVariant::Full)
+    }
 
     fn prepared() -> PreparedQuery {
-        let g = chung_lu(200, 5.0, 2.2, 19).to_csr();
-        pre_bfs(&g, VertexId(0), VertexId(100), 5)
+        prepared_on(chung_lu(200, 5.0, 2.2, 19).to_csr(), 0, 100, 5)
     }
 
     #[test]
@@ -331,8 +338,7 @@ mod tests {
     #[test]
     fn empty_prepared_query_round_trips() {
         // An infeasible query produces an empty pruned graph.
-        let g = CsrGraph::from_edges(3, &[(0, 1)]);
-        let p = pre_bfs(&g, VertexId(0), VertexId(2), 2);
+        let p = prepared_on(CsrGraph::from_edges(3, &[(0, 1)]), 0, 2, 2);
         let bytes = encode_payload(&p);
         let decoded = decode_payload(&bytes);
         // Either the pruned graph is empty (endpoints out of range is also a

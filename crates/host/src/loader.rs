@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 /// A graph resident in host main memory, ready to serve queries.
 ///
-/// Both CSR directions are shared (`Arc`), so sessions, schedulers and their
-/// per-worker [`pefp_core::PrepareContext`]s reference one resident copy
+/// Both CSR directions are shared (`Arc`), so sessions, schedulers and the
+/// [`GraphSnapshot`]s they prepare against reference one resident copy
 /// instead of cloning graph arrays per component or per query.
 #[derive(Debug, Clone)]
 pub struct GraphHandle {
@@ -25,7 +25,7 @@ pub struct GraphHandle {
     /// The CSR representation every algorithm runs on.
     pub csr: Arc<CsrGraph>,
     /// Reverse CSR, built once so each query's backward BFS does not pay for
-    /// it again; wired into every `PrepareContext` serving this graph.
+    /// it again; every [`GraphHandle::snapshot`] carries it.
     pub reverse: Arc<CsrGraph>,
     /// Basic statistics (computed from a small BFS sample).
     pub stats: GraphStats,

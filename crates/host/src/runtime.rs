@@ -59,7 +59,7 @@
 //! other compute units.
 //!
 //! [`crate::HostSession`] is a thin per-client handle over this runtime; the
-//! single-session entry points (`run_query`, `serve`, …) build a private
+//! single-session entry points (`HostSession::run_query`, `serve`, …) build a private
 //! one-CU runtime, so the paper-shaped workflow is the degenerate case of the
 //! multi-tenant one.
 
@@ -1809,12 +1809,8 @@ impl HostRuntime {
         request.validate_for(snapshot.num_vertices())?;
         let cached = self.shared.cache.peek(&request);
         let prepared = cached.clone().unwrap_or_else(|| {
-            let mut ctx = PrepareContext::with_reverse(
-                &self.shared.graph.csr,
-                Arc::clone(&self.shared.graph.reverse),
-            );
             Arc::new(prepare_snapshot_with(
-                &mut ctx,
+                &mut PrepareContext::new(),
                 &snapshot,
                 request.s,
                 request.t,
@@ -1966,10 +1962,9 @@ impl RuntimeBatchOutcome {
 
 fn worker_loop(shared: Arc<RuntimeShared>) {
     // Per-worker preprocessing context and DMA engine, created once: BFS
-    // scratch and the graph's prebuilt reverse CSR amortise across every job
-    // this worker ever runs.
-    let mut ctx =
-        PrepareContext::with_reverse(&shared.graph.csr, Arc::clone(&shared.graph.reverse));
+    // scratch amortises across every job this worker ever runs (each job's
+    // snapshot carries both CSR directions).
+    let mut ctx = PrepareContext::new();
     let pcie = Pcie::new(shared.config.device.pcie_gbps, shared.config.device.pcie_setup_us);
     let mut dma = DmaEngine::with_defaults(pcie);
     while let Some(job) = shared.queue.pop() {
@@ -2530,7 +2525,6 @@ fn degrade_to_cpu(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pefp_core::prepare_with;
     use pefp_graph::paths::canonicalize;
     use pefp_graph::CsrGraph;
 
@@ -2627,11 +2621,14 @@ mod tests {
     fn striped_cache_respects_total_capacity_and_counts_hits() {
         let cache = SharedPreparedCache::new(8, 4);
         assert_eq!(cache.shards.len(), 4);
-        let g = Arc::new(CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+        let g = diamond_snapshot();
         let mut ctx = PrepareContext::new();
+        let mut prepared = |req: QueryRequest| {
+            Arc::new(prepare_snapshot_with(&mut ctx, &g, req.s, req.t, req.k, PefpVariant::Full))
+        };
         for s in 0..2u32 {
             let req = QueryRequest::new(s, 3, 3);
-            let prep = Arc::new(prepare_with(&mut ctx, &g, req.s, req.t, req.k, PefpVariant::Full));
+            let prep = prepared(req);
             assert!(cache.get(&req, 0).is_none());
             cache.insert(req, prep);
             assert!(cache.get(&req, 0).is_some());
@@ -2643,8 +2640,7 @@ mod tests {
         let disabled = SharedPreparedCache::new(0, 8);
         assert_eq!(disabled.shards.len(), 1);
         let req = QueryRequest::new(0, 3, 3);
-        let prep = Arc::new(prepare_with(&mut ctx, &g, req.s, req.t, req.k, PefpVariant::Full));
-        disabled.insert(req, prep);
+        disabled.insert(req, prepared(req));
         assert_eq!(disabled.len(), 0);
     }
 
@@ -3392,8 +3388,7 @@ mod tests {
             hit: None,
         };
         let shared = &runtime.shared;
-        let mut ctx =
-            PrepareContext::with_reverse(&shared.graph.csr, Arc::clone(&shared.graph.reverse));
+        let mut ctx = PrepareContext::new();
         let pcie = Pcie::new(shared.config.device.pcie_gbps, shared.config.device.pcie_setup_us);
         execute_job(shared, &mut ctx, &mut DmaEngine::with_defaults(pcie), j1);
         let j1 = ticket.slot.lock().unwrap().take().expect("executed").unwrap();

@@ -206,7 +206,7 @@ impl BatchScheduler {
     /// query from a shared work queue ordered longest-estimated-first — the
     /// greedy LPT policy [`pefp_fpga::predict_dispatch`] models, driven by
     /// the walk-count estimate on each prepared subgraph. Pops are gated on
-    /// *simulated* CU load (see [`DispatchQueue`]), so the assignment tracks
+    /// *simulated* CU load (see `DispatchQueue`), so the assignment tracks
     /// the device clocks being co-simulated rather than the host scheduler's
     /// whims, while the engine runs themselves still execute concurrently.
     ///

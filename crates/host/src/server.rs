@@ -12,9 +12,9 @@
 //! > QUIT                   stop serving
 //! ```
 //!
-//! It is a codec and a connection loop, nothing more: [`parse_line`] turns a
+//! It is a codec and a connection loop, nothing more: `parse_line` turns a
 //! line into a transport-neutral [`Request`], [`crate::command::execute`]
-//! runs it, and [`render`] turns each [`wire::Reply`] back into a line. The
+//! runs it, and `render` turns each [`wire::Reply`] back into a line. The
 //! full command table — syntax, opcode, reply and limits of every command —
 //! is in the [`crate::command`] module docs. Three commands have no binary
 //! counterpart and are this codec's own arms: `HELP`, `GRAPH` and

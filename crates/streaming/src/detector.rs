@@ -13,9 +13,10 @@
 use crate::transaction::Transaction;
 use crate::window::SlidingWindow;
 use pefp_baselines::{naive_dfs_enumerate, Join};
-use pefp_core::{run_query, PefpVariant};
-use pefp_fpga::DeviceConfig;
-use pefp_graph::{khop_bfs, CsrGraph, Path, VertexId};
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CollectSink;
+use pefp_graph::{khop_bfs, CsrGraph, GraphSnapshot, Path, VertexId};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -147,14 +148,20 @@ impl CycleDetector {
         self.stats.recall_on_fraud(self.fraud_seen)
     }
 
-    fn enumerate(&self, g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> (Vec<Path>, f64) {
+    fn enumerate(&self, g: CsrGraph, s: VertexId, t: VertexId, k: u32) -> (Vec<Path>, f64) {
         match self.config.engine {
             DetectorEngine::PefpSimulated => {
-                let result = run_query(g, s, t, k, PefpVariant::Full, &self.config.device);
-                (result.paths, result.query_millis)
+                let g = GraphSnapshot::from_csr(g);
+                let variant = PefpVariant::Full;
+                let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, k, variant);
+                let device = Device::new(self.config.device.clone());
+                let mut sink = CollectSink::new();
+                let result =
+                    run_prepared_on_device(&prep, variant.engine_options(), device, &mut sink);
+                (sink.into_paths(), result.query_millis)
             }
-            DetectorEngine::JoinCpu => (Join::new().enumerate(g, s, t, k), 0.0),
-            DetectorEngine::NaiveDfs => (naive_dfs_enumerate(g, s, t, k), 0.0),
+            DetectorEngine::JoinCpu => (Join::new().enumerate(&g, s, t, k), 0.0),
+            DetectorEngine::NaiveDfs => (naive_dfs_enumerate(&g, s, t, k), 0.0),
         }
     }
 
@@ -190,7 +197,7 @@ impl CycleDetector {
             // Cheap pre-check: is t reachable from s within the budget at all?
             let dist = khop_bfs(&snapshot, path_source, path_budget);
             if dist[path_target.index()] <= path_budget {
-                let (paths, dev) = self.enumerate(&snapshot, path_source, path_target, path_budget);
+                let (paths, dev) = self.enumerate(snapshot, path_source, path_target, path_budget);
                 cycles = paths;
                 device_millis = dev;
             } else {

@@ -106,6 +106,10 @@ impl DynamicGraph {
     /// removed edge to `expired` — the removal list an epoch-versioned
     /// runtime mirror needs to stage the matching
     /// [`pefp_graph::GraphDelta`].
+    // Kept out of line: this scan is the fraud stream's hottest loop, and
+    // inlined into both `SlidingWindow` callers its `BTreeMap::retain`
+    // compiled to a shape ~15% slower per transaction.
+    #[inline(never)]
     pub fn expire_older_than_into(
         &mut self,
         cutoff: u64,

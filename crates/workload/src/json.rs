@@ -621,19 +621,17 @@ mod tests {
 
     #[test]
     fn device_report_serialises_to_parseable_json() {
-        use pefp_core::{run_query, PefpVariant};
-        use pefp_fpga::DeviceConfig;
-        use pefp_graph::{CsrGraph, VertexId};
+        use pefp_core::{prepare_snapshot_with, run_prepared_on_device};
+        use pefp_core::{CountingSink, PefpVariant, PrepareContext};
+        use pefp_fpga::{Device, DeviceConfig};
+        use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
 
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let result = run_query(
-            &g,
-            VertexId(0),
-            VertexId(3),
-            3,
-            PefpVariant::Full,
-            &DeviceConfig::alveo_u200(),
-        );
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+        let (s, t, variant) = (VertexId(0), VertexId(3), PefpVariant::Full);
+        let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 3, variant);
+        let device = Device::new(DeviceConfig::alveo_u200());
+        let mut sink = CountingSink::new();
+        let result = run_prepared_on_device(&prep, variant.engine_options(), device, &mut sink);
         let text = result.device.to_json().render_pretty();
         let parsed = JsonValue::parse(&text).unwrap();
         assert_eq!(

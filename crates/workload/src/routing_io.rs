@@ -174,11 +174,13 @@ mod tests {
 
     #[test]
     fn decisions_render_as_real_json() {
-        use pefp_core::preprocess::pre_bfs;
         use pefp_core::routing::{route_query, RouteContext};
-        use pefp_graph::{CsrGraph, VertexId};
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let prepared = pre_bfs(&g, VertexId(0), VertexId(3), 3);
+        use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext};
+        use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
+        let g = GraphSnapshot::from_csr(CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]));
+        let (s, t) = (VertexId(0), VertexId(3));
+        let prepared =
+            prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 3, PefpVariant::Full);
         let decision = route_query(
             &prepared,
             &RoutingTable::builtin(),

@@ -3,9 +3,10 @@
 
 use crate::queries::{generate_queries, QueryPair};
 use pefp_baselines::Join;
-use pefp_core::{prepare_with, run_prepared, PefpVariant, PrepareContext};
-use pefp_fpga::DeviceConfig;
-use pefp_graph::{CsrGraph, Dataset, ScaleProfile, VertexId};
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpVariant, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
+use pefp_graph::sink::CountingSink;
+use pefp_graph::{CsrGraph, Dataset, GraphSnapshot, ScaleProfile, VertexId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -98,7 +99,7 @@ fn safe_ratio(num: f64, den: f64) -> f64 {
 pub struct Runner {
     /// Harness configuration.
     pub config: ExperimentConfig,
-    graphs: HashMap<Dataset, Arc<CsrGraph>>,
+    graphs: HashMap<Dataset, Arc<GraphSnapshot>>,
     queries: HashMap<(Dataset, u32), Vec<QueryPair>>,
 }
 
@@ -112,8 +113,16 @@ impl Runner {
     /// dataset at the configured scale. Shared, so callers clone the `Arc`
     /// rather than the CSR arrays.
     pub fn graph(&mut self, dataset: Dataset) -> &Arc<CsrGraph> {
+        self.snapshot(dataset).base()
+    }
+
+    /// The stand-in as the snapshot PEFP prepares against: the graph plus its
+    /// reverse, built once per dataset.
+    pub fn snapshot(&mut self, dataset: Dataset) -> &Arc<GraphSnapshot> {
         let scale = self.config.scale;
-        self.graphs.entry(dataset).or_insert_with(|| Arc::new(dataset.generate(scale).to_csr()))
+        self.graphs
+            .entry(dataset)
+            .or_insert_with(|| Arc::new(GraphSnapshot::from_csr(dataset.generate(scale).to_csr())))
     }
 
     /// Returns the cached query workload for `(dataset, k)`.
@@ -147,20 +156,21 @@ impl Runner {
         variant: PefpVariant,
     ) -> MethodTiming {
         let queries = self.queries(dataset, k);
-        let g = self.graph(dataset).clone();
+        let g = Arc::clone(self.snapshot(dataset));
         let device = self.config.device.clone();
-        let mut options = variant.engine_options();
-        options.collect_paths = false;
+        let options = variant.engine_options();
         let mut acc = MethodTiming::default();
         if queries.is_empty() {
             return acc;
         }
-        // One context for the whole point: BFS scratch and the reverse CSR
-        // amortise across the query set, like a real batch server.
+        // One context for the whole point: BFS scratch amortises across the
+        // query set, like a real batch server.
         let mut ctx = PrepareContext::new();
         for q in &queries {
-            let prep = prepare_with(&mut ctx, &g, q.s, q.t, k, variant);
-            let result = run_prepared(&prep, options.clone(), &device);
+            let prep = prepare_snapshot_with(&mut ctx, &g, q.s, q.t, k, variant);
+            let cu = Device::new(device.clone());
+            let result =
+                run_prepared_on_device(&prep, options.clone(), cu, &mut CountingSink::new());
             acc.preprocess_ms += result.preprocess_millis;
             acc.query_ms += result.query_millis;
             acc.avg_paths += result.num_paths as f64;
@@ -217,12 +227,13 @@ impl Runner {
         k: u32,
         samples: usize,
     ) -> Vec<(u32, u64)> {
-        use pefp_core::{pre_bfs, TempPath};
+        use pefp_core::TempPath;
         use rand::{Rng, SeedableRng};
-        let g = self.graph(dataset).clone();
+        let g = Arc::clone(self.snapshot(dataset));
         let queries = self.queries(dataset, k);
         let Some(q) = queries.first() else { return Vec::new() };
-        let prep = pre_bfs(&g, q.s, q.t, k);
+        let prep =
+            prepare_snapshot_with(&mut PrepareContext::new(), &g, q.s, q.t, k, PefpVariant::Full);
         if !prep.feasible || prep.graph.num_edges() == 0 {
             return Vec::new();
         }

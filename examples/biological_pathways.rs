@@ -9,14 +9,15 @@
 //!
 //! Run with `cargo run --release --example biological_pathways`.
 
-use pefp::core::{pre_bfs, run_query, PefpVariant};
-use pefp::fpga::DeviceConfig;
-use pefp::graph::{Dataset, ScaleProfile, VertexId};
+use pefp::core::{prepare_snapshot_with, run_prepared_on_device, CollectSink, PefpVariant};
+use pefp::core::{PrepareContext, PreparedQuery};
+use pefp::fpga::{Device, DeviceConfig};
+use pefp::graph::{Dataset, GraphSnapshot, ScaleProfile, VertexId};
 
 fn main() {
     // The Reactome stand-in from the dataset catalog (Table II).
     let spec = Dataset::Reactome.spec();
-    let graph = spec.generate(ScaleProfile::Tiny).to_csr();
+    let graph = GraphSnapshot::from_csr(spec.generate(ScaleProfile::Tiny).to_csr());
     println!(
         "reaction network ({} stand-in): {} substances, {} interactions",
         spec.name,
@@ -27,6 +28,12 @@ fn main() {
     let s = VertexId(3);
     let t = VertexId(90);
     let device = DeviceConfig::alveo_u200();
+    let mut ctx = PrepareContext::new();
+    let mut prepare_k = |k| prepare_snapshot_with(&mut ctx, &graph, s, t, k, PefpVariant::Full);
+    let run = |prep: &PreparedQuery, sink: &mut CollectSink| {
+        let opts = PefpVariant::Full.engine_options();
+        run_prepared_on_device(prep, opts, Device::new(device.clone()), sink)
+    };
 
     println!("\npathway query: interaction chains {s} -> {t}\n");
     println!(
@@ -35,8 +42,8 @@ fn main() {
     );
     for k in 2..=5u32 {
         // Show what Pre-BFS keeps for this hop budget.
-        let prep = pre_bfs(&graph, s, t, k);
-        let result = run_query(&graph, s, t, k, PefpVariant::Full, &device);
+        let prep = prepare_k(k);
+        let result = run(&prep, &mut CollectSink::new());
         println!(
             "{k:>3}  {:>10}  {:>11.3} ms  {:>11.3} ms  {:>10} / {:>8}",
             result.num_paths,
@@ -48,12 +55,13 @@ fn main() {
     }
 
     println!("\nexample pathways at k = 4:");
-    let result = run_query(&graph, s, t, 4, PefpVariant::Full, &device);
-    for path in result.paths.iter().take(5) {
+    let mut pathways = CollectSink::new();
+    run(&prepare_k(4), &mut pathways);
+    for path in pathways.paths().iter().take(5) {
         let chain: Vec<String> = path.iter().map(|v| format!("S{}", v.0)).collect();
         println!("  {}", chain.join(" => "));
     }
-    if result.paths.is_empty() {
+    if pathways.paths().is_empty() {
         println!("  (no pathway within 4 interactions — try a larger k)");
     }
 }

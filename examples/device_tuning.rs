@@ -10,12 +10,15 @@
 //!
 //! Run with `cargo run --release --example device_tuning`.
 
-use pefp::core::{count_st_walks, plan_query, prepare, run_prepared, PefpVariant};
-use pefp::fpga::{
-    DeviceConfig, KernelReport, ModuleCosts, ModuleLatency, OnChipAreas, PipelineSpec, PowerModel,
-    ResourceBudget, ResourceEstimate,
+use pefp::core::{
+    count_st_walks, plan_query, prepare_snapshot_with, run_prepared_on_device, CountingSink,
+    EngineOptions, PefpRunResult, PefpVariant, PrepareContext,
 };
-use pefp::graph::{sampling::sample_reachable_pairs, Dataset, ScaleProfile};
+use pefp::fpga::{
+    Device, DeviceConfig, KernelReport, ModuleCosts, ModuleLatency, OnChipAreas, PipelineSpec,
+    PowerModel, ResourceBudget, ResourceEstimate,
+};
+use pefp::graph::{sampling::sample_reachable_pairs, Dataset, GraphSnapshot, ScaleProfile};
 
 fn main() {
     // Workload: one representative query on the BerkStan stand-in (dense web
@@ -35,6 +38,14 @@ fn main() {
         graph.num_vertices(),
         graph.num_edges()
     );
+    // One preparation serves every run below: only the device side varies.
+    let snapshot = GraphSnapshot::from_csr(graph.clone());
+    let prepared =
+        prepare_snapshot_with(&mut PrepareContext::new(), &snapshot, s, t, k, PefpVariant::Full);
+    let run = |options: EngineOptions, device: &DeviceConfig| -> PefpRunResult {
+        let cu = Device::new(device.clone());
+        run_prepared_on_device(&prepared, options, cu, &mut CountingSink::new())
+    };
 
     // --- Sweep 1: verification lanes -------------------------------------
     println!("== verification-lane sweep (buffer fixed at the default) ==");
@@ -45,8 +56,7 @@ fn main() {
     for lanes in [1usize, 2, 4, 8, 16, 32] {
         let mut device = DeviceConfig::alveo_u200();
         device.verification_lanes = lanes;
-        let prepared = prepare(&graph, s, t, k, PefpVariant::Full);
-        let result = run_prepared(&prepared, PefpVariant::Full.engine_options(), &device);
+        let result = run(PefpVariant::Full.engine_options(), &device);
         let areas = OnChipAreas {
             buffer_bytes: 8192 * 136,
             processing_bytes: 1024 * 136,
@@ -78,12 +88,10 @@ fn main() {
     );
     for buffer in [512usize, 2_048, 8_192, 32_768] {
         let device = DeviceConfig::alveo_u200();
-        let prepared = prepare(&graph, s, t, k, PefpVariant::Full);
         let mut options = PefpVariant::Full.engine_options();
         options.buffer_capacity = buffer;
         options.dram_fetch_batch = buffer / 2;
-        options.collect_paths = false;
-        let result = run_prepared(&prepared, options, &device);
+        let result = run(options, &device);
         println!(
             "{:<14} {:>12.3} {:>14} {:>14}",
             buffer,
@@ -95,7 +103,6 @@ fn main() {
 
     // --- The planner's pick, as an HLS-style report -----------------------
     let device = DeviceConfig::alveo_u200();
-    let prepared = prepare(&graph, s, t, k, PefpVariant::Full);
     let plan = plan_query(&prepared, &device);
     println!("\n== planner decision ==");
     for line in &plan.rationale {
@@ -116,7 +123,7 @@ fn main() {
     println!("\n{}", report.render());
 
     // --- Energy comparison -------------------------------------------------
-    let result = run_prepared(&prepared, plan.options.clone(), &device);
+    let result = run(plan.options.clone(), &device);
     let power = PowerModel::default();
     // Rough CPU-side comparison point: the JOIN baseline's wall clock on this
     // query (measured on this machine) — here approximated by the host engine

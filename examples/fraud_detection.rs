@@ -8,9 +8,10 @@
 //!
 //! Run with `cargo run --release --example fraud_detection`.
 
-use pefp::core::{run_query, PefpVariant};
-use pefp::fpga::DeviceConfig;
-use pefp::graph::{generators, VertexId};
+use pefp::core::PrepareContext;
+use pefp::core::{prepare_snapshot_with, run_prepared_on_device, CollectSink, PefpVariant};
+use pefp::fpga::{Device, DeviceConfig};
+use pefp::graph::{generators, GraphSnapshot, VertexId};
 
 /// One incoming transaction (an edge about to be inserted).
 struct Transaction {
@@ -23,7 +24,7 @@ fn main() {
     // Transaction graph: accounts are vertices, money transfers are edges.
     // A copying-model graph gives the dense communities typical of
     // marketplace payment networks.
-    let graph = generators::copying_model(2_000, 5, 0.2, 7).to_csr();
+    let graph = GraphSnapshot::from_csr(generators::copying_model(2_000, 5, 0.2, 7).to_csr());
     println!(
         "transaction network: {} accounts, {} historical transfers",
         graph.num_vertices(),
@@ -40,10 +41,14 @@ fn main() {
     ];
     let k = 5;
     let device = DeviceConfig::alveo_u200();
+    let mut ctx = PrepareContext::new();
 
     for txn in &incoming {
         // The new edge is (from -> to); cycles need paths to ⇝ from.
-        let result = run_query(&graph, txn.to, txn.from, k, PefpVariant::Full, &device);
+        let prep = prepare_snapshot_with(&mut ctx, &graph, txn.to, txn.from, k, PefpVariant::Full);
+        let mut paths = CollectSink::new();
+        let opts = PefpVariant::Full.engine_options();
+        let result = run_prepared_on_device(&prep, opts, Device::new(device.clone()), &mut paths);
         let flagged = result.num_paths > 0;
         println!(
             "\ntransaction {} -> {} ({:.2} EUR): {} cycle(s) of length <= {} would be created{}",
@@ -54,7 +59,7 @@ fn main() {
             k + 1,
             if flagged { "  [FLAGGED FOR REVIEW]" } else { "" }
         );
-        for path in result.paths.iter().take(3) {
+        for path in paths.paths().iter().take(3) {
             let mut cycle: Vec<String> = path.iter().map(|v| v.0.to_string()).collect();
             cycle.push(txn.from.0.to_string()); // close the cycle with the new edge
             println!("    cycle: {}", cycle.join(" -> "));

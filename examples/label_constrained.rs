@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run --release --example label_constrained`.
 
-use pefp::core::{labeled::run_labeled_query, run_query, PefpVariant};
+use pefp::core::{labeled::run_labeled_query, PefpVariant};
 use pefp::fpga::DeviceConfig;
 use pefp::graph::{generators, Label, LabelConstraint, VertexId, VertexLabels};
 
@@ -58,7 +58,9 @@ fn main() {
         graph.num_edges()
     );
 
-    let unconstrained = run_query(&graph, s, t, k, PefpVariant::Full, &device);
+    let any = LabelConstraint::Any;
+    let unconstrained =
+        run_labeled_query(&graph, &labels, &any, s, t, k, PefpVariant::Full, &device);
     println!(
         "baseline ({}): {} paths, {:.3} ms total",
         describe(&LabelConstraint::Any),

@@ -10,8 +10,7 @@
 //! Without arguments a small synthetic social graph is generated and a sample
 //! query is executed on it.
 
-use pefp::core::{run_query, PefpVariant};
-use pefp::fpga::DeviceConfig;
+use pefp::enumerate_paths;
 use pefp::graph::{generators, io, DiGraph, VertexId};
 
 fn main() {
@@ -44,7 +43,7 @@ fn main() {
 
     // 3. Run the full PEFP pipeline (Pre-BFS on the host, enumeration on the
     //    simulated Alveo U200).
-    let result = run_query(&csr, s, t, k, PefpVariant::Full, &DeviceConfig::alveo_u200());
+    let result = enumerate_paths(&csr, s, t, k);
 
     // 4. Report.
     println!("found {} path(s)", result.num_paths);

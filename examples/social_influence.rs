@@ -9,14 +9,15 @@
 //! Run with `cargo run --release --example social_influence`.
 
 use pefp::baselines::Join;
-use pefp::core::{run_query, PefpVariant};
-use pefp::fpga::DeviceConfig;
+use pefp::core::PrepareContext;
+use pefp::core::{prepare_snapshot_with, run_prepared_on_device, CollectSink, PefpVariant};
+use pefp::fpga::{Device, DeviceConfig};
 use pefp::graph::paths::canonicalize;
-use pefp::graph::{generators, VertexId};
+use pefp::graph::{generators, GraphSnapshot, VertexId};
 
 fn main() {
     // Follower graph: low diameter, power-law degrees (twitter-like).
-    let graph = generators::small_world(3_000, 3, 0.5, 11).to_csr();
+    let graph = GraphSnapshot::from_csr(generators::small_world(3_000, 3, 0.5, 11).to_csr());
     println!("social graph: {} users, {} follow edges", graph.num_vertices(), graph.num_edges());
 
     let pairs = [
@@ -26,16 +27,20 @@ fn main() {
     ];
     let k = 4;
     let device = DeviceConfig::alveo_u200();
+    let mut ctx = PrepareContext::new();
 
     println!("\ninfluence score = number of simple connection chains with at most {k} hops\n");
     for (s, t) in pairs {
-        let pefp = run_query(&graph, s, t, k, PefpVariant::Full, &device);
+        let prep = prepare_snapshot_with(&mut ctx, &graph, s, t, k, PefpVariant::Full);
+        let mut paths = CollectSink::new();
+        let opts = PefpVariant::Full.engine_options();
+        let pefp = run_prepared_on_device(&prep, opts, Device::new(device.clone()), &mut paths);
 
         // Cross-check against the CPU state of the art (JOIN).
         let mut join = Join::new();
-        let join_paths = join.enumerate(&graph, s, t, k);
+        let join_paths = join.enumerate(graph.base(), s, t, k);
         assert_eq!(
-            canonicalize(pefp.paths.clone()),
+            canonicalize(paths.into_paths()),
             canonicalize(join_paths),
             "PEFP and JOIN disagree — this would be a bug"
         );

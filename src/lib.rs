@@ -46,19 +46,26 @@ pub use pefp_host as host;
 /// Re-export of `pefp-streaming` (dynamic graphs and real-time cycle detection).
 pub use pefp_streaming as streaming;
 
-use pefp_core::{run_query, run_query_with_sink, PefpRunResult, PefpVariant};
-use pefp_fpga::DeviceConfig;
+use pefp_core::{prepare_snapshot_with, run_prepared_on_device, PefpRunResult, PefpVariant};
+use pefp_core::{CollectSink, PrepareContext};
+use pefp_fpga::{Device, DeviceConfig};
 use pefp_graph::sink::PathSink;
-use pefp_graph::{CsrGraph, VertexId};
+use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
 
 /// Enumerates all s-t simple paths with at most `k` hops using the full PEFP
-/// system on the default Alveo U200 device profile.
+/// system on the default Alveo U200 device profile, and returns them in
+/// [`PefpRunResult::paths`].
 ///
-/// This is the one-call entry point used by the examples; for finer control
-/// (variants, engine options, custom device profiles) use
-/// [`core::run_query_with_options`].
+/// This is the one-call entry point used by the examples. It copies `g` into
+/// a [`GraphSnapshot`] (building its reverse) on every call; for repeated
+/// queries, variants, engine options or custom device profiles, build the
+/// snapshot once and call [`core::prepare_snapshot_with`] and
+/// [`core::run_prepared_on_device`] directly.
 pub fn enumerate_paths(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> PefpRunResult {
-    run_query(g, s, t, k, PefpVariant::Full, &DeviceConfig::alveo_u200())
+    let mut sink = CollectSink::new();
+    let mut result = enumerate_paths_with_sink(g, s, t, k, &mut sink);
+    result.paths = sink.into_paths();
+    result
 }
 
 /// Streaming form of [`enumerate_paths`]: result paths are pushed into `sink`
@@ -83,16 +90,11 @@ pub fn enumerate_paths_with_sink<S: PathSink + ?Sized>(
     k: u32,
     sink: &mut S,
 ) -> PefpRunResult {
-    run_query_with_sink(
-        g,
-        s,
-        t,
-        k,
-        PefpVariant::Full,
-        PefpVariant::Full.engine_options(),
-        &DeviceConfig::alveo_u200(),
-        sink,
-    )
+    let snapshot = GraphSnapshot::from_csr(g.clone());
+    let variant = PefpVariant::Full;
+    let prep = prepare_snapshot_with(&mut PrepareContext::new(), &snapshot, s, t, k, variant);
+    let device = Device::new(DeviceConfig::alveo_u200());
+    run_prepared_on_device(&prep, variant.engine_options(), device, sink)
 }
 
 #[cfg(test)]

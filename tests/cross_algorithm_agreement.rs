@@ -10,10 +10,15 @@ use pefp::baselines::{
     bc_dfs_enumerate, naive_bfs_enumerate, naive_dfs_enumerate, tdfs2_enumerate, tdfs_enumerate,
     HpIndex, Join,
 };
-use pefp::core::{run_query, PefpVariant};
+use pefp::core::PefpVariant;
+use pefp::enumerate_paths;
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::{canonicalize, validate_result, Path};
-use pefp::graph::{generators, CsrGraph, Dataset, ScaleProfile, VertexId};
+use pefp::graph::{generators, CsrGraph, Dataset, GraphSnapshot, ScaleProfile, VertexId};
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::run_variant;
 
 /// Runs every algorithm on one query and asserts pairwise equality.
 fn assert_all_agree(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) {
@@ -40,10 +45,11 @@ fn assert_all_agree(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) {
     }
 
     let device = DeviceConfig::alveo_u200();
+    let snapshot = GraphSnapshot::from_csr(g.clone());
     for variant in PefpVariant::all() {
-        let result = run_query(g, s, t, k, variant, &device);
+        let (_, paths) = run_variant(&snapshot, (s, t, k), variant, &device);
         assert_eq!(
-            canonicalize(result.paths),
+            canonicalize(paths),
             reference,
             "{} disagrees with naive DFS on ({s},{t},{k})",
             variant.name()
@@ -86,7 +92,7 @@ fn agreement_on_layered_dags_with_known_counts() {
     let s = generators::layered_source();
     let t = generators::layered_sink(3, 4);
     let expected = generators::layered_full_path_count(3, 4);
-    let result = run_query(&g, s, t, 4, PefpVariant::Full, &DeviceConfig::alveo_u200());
+    let result = enumerate_paths(&g, s, t, 4);
     assert_eq!(result.num_paths, expected);
     assert_all_agree(&g, s, t, 4);
 }
@@ -98,7 +104,7 @@ fn agreement_on_grid_graphs_with_binomial_counts() {
     let t = VertexId(15);
     let k = 6; // exactly the Manhattan distance
     let expected = generators::grid_corner_path_count(4, 4);
-    let result = run_query(&g, s, t, k, PefpVariant::Full, &DeviceConfig::alveo_u200());
+    let result = enumerate_paths(&g, s, t, k);
     assert_eq!(result.num_paths, expected);
     assert_all_agree(&g, s, t, k);
 }

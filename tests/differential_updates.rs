@@ -13,12 +13,16 @@
 use proptest::prelude::*;
 
 use pefp::baselines::naive_dfs_enumerate;
-use pefp::core::{prepare_snapshot_with, prepare_with, run_prepared, PefpVariant, PrepareContext};
+use pefp::core::PefpVariant;
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::canonicalize;
 use pefp::graph::{CsrGraph, GraphDelta, GraphSnapshot, Path, VersionedGraph, VertexId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::run_variant;
 
 /// A query pinned to its admission epoch: the snapshot it was prepared
 /// against, the live edge set frozen at that moment, and the `(s, t, k)`
@@ -43,19 +47,14 @@ fn decode_op((kind, a, b, k): (u32, u32, u32, u32)) -> Op {
 
 /// Enumerates over the snapshot overlay, returning paths in engine order.
 fn enumerate_snapshot(snapshot: &GraphSnapshot, s: u32, t: u32, k: u32) -> Vec<Path> {
-    let mut ctx = PrepareContext::new();
-    let prep =
-        prepare_snapshot_with(&mut ctx, snapshot, VertexId(s), VertexId(t), k, PefpVariant::Full);
-    run_prepared(&prep, PefpVariant::Full.engine_options(), &DeviceConfig::default()).paths
+    let query = (VertexId(s), VertexId(t), k);
+    run_variant(snapshot, query, PefpVariant::Full, &DeviceConfig::default()).1
 }
 
 /// Rebuilds a CSR from the live edge set and enumerates, in engine order.
 fn enumerate_rebuilt(n: usize, edges: &BTreeSet<(u32, u32)>, s: u32, t: u32, k: u32) -> Vec<Path> {
     let edges: Vec<(u32, u32)> = edges.iter().copied().collect();
-    let g = Arc::new(CsrGraph::from_edges(n, &edges));
-    let mut ctx = PrepareContext::new();
-    let prep = prepare_with(&mut ctx, &g, VertexId(s), VertexId(t), k, PefpVariant::Full);
-    run_prepared(&prep, PefpVariant::Full.engine_options(), &DeviceConfig::default()).paths
+    enumerate_snapshot(&GraphSnapshot::from_csr(CsrGraph::from_edges(n, &edges)), s, t, k)
 }
 
 /// Runs one interleaving against a [`VersionedGraph`] with the given overlay

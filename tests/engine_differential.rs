@@ -26,13 +26,17 @@ use std::sync::Arc;
 
 use pefp::baselines::{naive_dfs_enumerate, BcDfs, Join};
 use pefp::core::{
-    prepare_snapshot_with, prepare_with, route_query, run_prepared, EngineChoice, FnSink,
-    PefpVariant, PrepareContext, PreparedQuery, RouteContext, RoutingTable,
+    prepare_snapshot_with, route_query, EngineChoice, FnSink, PefpVariant, PrepareContext,
+    PreparedQuery, RouteContext, RoutingTable,
 };
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::{canonicalize, validate_result, Path};
 use pefp::graph::{CsrGraph, GraphDelta, GraphSnapshot, VersionedGraph, VertexId};
 use proptest::prelude::*;
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::run_collect;
 
 /// Strategy: a directed graph with up to `n` vertices and `m` edges.
 fn arb_graph(n: u32, m: usize) -> impl Strategy<Value = CsrGraph> {
@@ -80,10 +84,10 @@ fn assert_engines_agree(
     expected: &[Path],
     label: &str,
 ) -> Result<(), TestCaseError> {
-    let device =
-        run_prepared(prepared, PefpVariant::Full.engine_options(), &DeviceConfig::default());
+    let (_, device_paths) =
+        run_collect(prepared, PefpVariant::Full.engine_options(), &DeviceConfig::default());
     prop_assert_eq!(
-        canonicalize(device.paths),
+        canonicalize(device_paths),
         expected.to_vec(),
         "device disagrees with the oracle on {}",
         label
@@ -117,9 +121,9 @@ proptest! {
         let expected = canonicalize(naive_dfs_enumerate(&g, s, t, k));
         prop_assert!(validate_result(&g, s, t, k as usize, &expected).is_empty());
 
-        let g = Arc::new(g);
+        let g = GraphSnapshot::from_csr(g);
         let mut ctx = PrepareContext::new();
-        let prepared = prepare_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
+        let prepared = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
         assert_engines_agree(&prepared, &expected, "the base graph")?;
 
         // The decision layer: deterministic, finite, and honest about its

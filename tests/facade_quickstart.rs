@@ -1,11 +1,16 @@
-//! Guards the documented quickstart contract: the `run_query` doc example on
-//! `crates/core/src/lib.rs` (and the README) promises exactly 2 paths on the
-//! diamond graph. Doctests may be skipped in some CI configurations, so the
-//! promise is also pinned here as a plain integration test.
+//! Guards the documented quickstart contract: the `prepare_snapshot_with` +
+//! `run_prepared_on_device` doc example on `crates/core/src/lib.rs` (and the
+//! README) promises exactly 2 paths on the diamond graph. Doctests may be
+//! skipped in some CI configurations, so the promise is also pinned here as a
+//! plain integration test.
 
-use pefp::core::{run_query, PefpVariant};
+use pefp::core::PefpVariant;
 use pefp::fpga::DeviceConfig;
-use pefp::graph::{CsrGraph, VertexId};
+use pefp::graph::{CsrGraph, GraphSnapshot, VertexId};
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::run_variant;
 
 /// The diamond from the doc example: 0 → {1, 2} → 3.
 fn diamond() -> CsrGraph {
@@ -14,18 +19,13 @@ fn diamond() -> CsrGraph {
 
 #[test]
 fn doc_example_diamond_has_exactly_two_paths() {
-    let result = run_query(
-        &diamond(),
-        VertexId(0),
-        VertexId(3),
-        3,
-        PefpVariant::Full,
-        &DeviceConfig::alveo_u200(),
-    );
+    let g = GraphSnapshot::from_csr(diamond());
+    let query = (VertexId(0), VertexId(3), 3);
+    let (result, mut paths) =
+        run_variant(&g, query, PefpVariant::Full, &DeviceConfig::alveo_u200());
     assert_eq!(result.num_paths, 2);
-    assert_eq!(result.paths.len(), 2);
+    assert_eq!(paths.len(), 2);
 
-    let mut paths = result.paths.clone();
     paths.sort();
     assert_eq!(
         paths,
@@ -38,10 +38,10 @@ fn doc_example_diamond_has_exactly_two_paths() {
 
 #[test]
 fn every_variant_agrees_on_the_diamond() {
-    let g = diamond();
+    let g = GraphSnapshot::from_csr(diamond());
     let device = DeviceConfig::alveo_u200();
     for variant in PefpVariant::all() {
-        let result = run_query(&g, VertexId(0), VertexId(3), 3, variant, &device);
+        let (result, _) = run_variant(&g, (VertexId(0), VertexId(3), 3), variant, &device);
         assert_eq!(result.num_paths, 2, "variant {}", variant.name());
     }
 }
@@ -50,4 +50,5 @@ fn every_variant_agrees_on_the_diamond() {
 fn facade_entry_point_matches_the_doc_example() {
     let result = pefp::enumerate_paths(&diamond(), VertexId(0), VertexId(3), 3);
     assert_eq!(result.num_paths, 2);
+    assert_eq!(result.paths.len(), 2);
 }

@@ -5,10 +5,10 @@
 //! cancellation mid-stream, admission-queue backpressure).
 
 use pefp::baselines::{naive_dfs_enumerate, Join};
-use pefp::core::pre_bfs;
+use pefp::core::{prepare_snapshot_with, PefpVariant, PrepareContext};
 use pefp::graph::paths::canonicalize;
 use pefp::graph::sampling::sample_reachable_pairs;
-use pefp::graph::{Dataset, ScaleProfile};
+use pefp::graph::{Dataset, GraphSnapshot, ScaleProfile};
 use pefp::host::binfmt::{decode_payload, encode_payload};
 use pefp::host::{
     BatchScheduler, GraphHandle, HostError, HostRuntime, HostSession, QueryRequest, RuntimeConfig,
@@ -61,10 +61,11 @@ fn text_protocol_round_trips_through_the_session() {
 #[test]
 fn payload_survives_the_wire_for_every_dataset_standin() {
     for dataset in Dataset::all() {
-        let g = dataset.generate(ScaleProfile::Tiny).to_csr();
-        let pairs = sample_reachable_pairs(&g, 4, 1, 0xBEEF);
+        let g = GraphSnapshot::from_csr(dataset.generate(ScaleProfile::Tiny).to_csr());
+        let pairs = sample_reachable_pairs(g.base(), 4, 1, 0xBEEF);
         let Some(&(s, t)) = pairs.first() else { continue };
-        let prepared = pre_bfs(&g, s, t, 4);
+        let prepared =
+            prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 4, PefpVariant::Full);
         if prepared.graph.num_vertices() == 0 {
             continue;
         }
@@ -277,7 +278,14 @@ fn invalid_input_is_rejected_at_every_layer() {
     // Payload layer (corrupted bytes).
     let pairs = sample_reachable_pairs(&handle.csr, 3, 1, 1);
     let (s, t) = pairs[0];
-    let prepared = pre_bfs(&handle.csr, s, t, 3);
+    let prepared = prepare_snapshot_with(
+        &mut PrepareContext::new(),
+        &handle.snapshot(),
+        s,
+        t,
+        3,
+        PefpVariant::Full,
+    );
     let mut bytes = encode_payload(&prepared).to_vec();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;

@@ -4,25 +4,40 @@
 //! card the paper uses.
 
 use pefp::core::{
-    count_simple_paths, count_st_walks, plan_query, prepare, run_prepared, PefpVariant,
+    count_simple_paths, count_st_walks, plan_query, prepare_snapshot_with, run_prepared_on_device,
+    CountingSink, EngineOptions, PefpRunResult, PefpVariant, PrepareContext, PreparedQuery,
     QueryEstimate,
 };
-use pefp::fpga::{DeviceConfig, ModuleCosts, ResourceBudget, ResourceEstimate};
+use pefp::fpga::{Device, DeviceConfig, ModuleCosts, ResourceBudget, ResourceEstimate};
 use pefp::graph::sampling::sample_reachable_pairs;
-use pefp::graph::{Dataset, ScaleProfile};
+use pefp::graph::{Dataset, GraphSnapshot, ScaleProfile, VertexId};
+
+/// `dataset`'s tiny stand-in as a snapshot.
+fn tiny(dataset: Dataset) -> GraphSnapshot {
+    GraphSnapshot::from_csr(dataset.generate(ScaleProfile::Tiny).to_csr())
+}
+
+fn prepare_full(g: &GraphSnapshot, s: VertexId, t: VertexId, k: u32) -> PreparedQuery {
+    prepare_snapshot_with(&mut PrepareContext::new(), g, s, t, k, PefpVariant::Full)
+}
+
+fn run(prepared: &PreparedQuery, opts: EngineOptions, device: &DeviceConfig) -> PefpRunResult {
+    let cu = Device::new(device.clone());
+    run_prepared_on_device(prepared, opts, cu, &mut CountingSink::new())
+}
 
 #[test]
 fn planner_never_changes_the_answer_across_datasets() {
     let device = DeviceConfig::alveo_u200();
     for dataset in [Dataset::Reactome, Dataset::WikiTalk, Dataset::BerkStan, Dataset::Amazon] {
-        let g = dataset.generate(ScaleProfile::Tiny).to_csr();
+        let g = tiny(dataset);
         let k = 4;
-        for (s, t) in sample_reachable_pairs(&g, k, 3, 0xD1CE) {
-            let prepared = prepare(&g, s, t, k, PefpVariant::Full);
+        for (s, t) in sample_reachable_pairs(g.base(), k, 3, 0xD1CE) {
+            let prepared = prepare_full(&g, s, t, k);
             let plan = plan_query(&prepared, &device);
             assert!(plan.options.validate().is_empty(), "{}", dataset.code());
-            let planned = run_prepared(&prepared, plan.options.clone(), &device);
-            let default = run_prepared(&prepared, PefpVariant::Full.engine_options(), &device);
+            let planned = run(&prepared, plan.options.clone(), &device);
+            let default = run(&prepared, PefpVariant::Full.engine_options(), &device);
             assert_eq!(planned.num_paths, default.num_paths, "{} {s}->{t}", dataset.code());
         }
     }
@@ -31,15 +46,15 @@ fn planner_never_changes_the_answer_across_datasets() {
 #[test]
 fn walk_count_bounds_the_simple_path_count_and_the_engine_output() {
     let device = DeviceConfig::alveo_u200();
-    let g = Dataset::SocEpinions.generate(ScaleProfile::Tiny).to_csr();
+    let g = tiny(Dataset::SocEpinions);
     let k = 4;
-    for (s, t) in sample_reachable_pairs(&g, k, 5, 3) {
-        let walks = count_st_walks(&g, s, t, k);
-        let exact = count_simple_paths(&g, s, t, k);
+    for (s, t) in sample_reachable_pairs(g.base(), k, 5, 3) {
+        let walks = count_st_walks(g.base(), s, t, k);
+        let exact = count_simple_paths(g.base(), s, t, k);
         assert!(walks >= exact, "walks {walks} < exact {exact}");
 
-        let prepared = prepare(&g, s, t, k, PefpVariant::Full);
-        let result = run_prepared(&prepared, PefpVariant::Full.engine_options(), &device);
+        let prepared = prepare_full(&g, s, t, k);
+        let result = run(&prepared, PefpVariant::Full.engine_options(), &device);
         assert_eq!(result.num_paths, exact, "engine must be exact");
 
         let estimate = QueryEstimate::compute(&prepared.graph, prepared.s, prepared.t, prepared.k);
@@ -50,11 +65,11 @@ fn walk_count_bounds_the_simple_path_count_and_the_engine_output() {
 
 #[test]
 fn pruned_graph_estimates_are_never_larger_than_raw_graph_estimates() {
-    let g = Dataset::Baidu.generate(ScaleProfile::Tiny).to_csr();
+    let g = tiny(Dataset::Baidu);
     let k = 5;
-    for (s, t) in sample_reachable_pairs(&g, k, 5, 17) {
-        let raw = QueryEstimate::compute(&g, s, t, k);
-        let prepared = prepare(&g, s, t, k, PefpVariant::Full);
+    for (s, t) in sample_reachable_pairs(g.base(), k, 5, 17) {
+        let raw = QueryEstimate::compute(g.base(), s, t, k);
+        let prepared = prepare_full(&g, s, t, k);
         let pruned = QueryEstimate::compute(&prepared.graph, prepared.s, prepared.t, prepared.k);
         assert!(pruned.max_results <= raw.max_results);
         assert!(pruned.max_intermediate_paths <= raw.max_intermediate_paths);
@@ -65,9 +80,9 @@ fn pruned_graph_estimates_are_never_larger_than_raw_graph_estimates() {
 fn planned_configurations_fit_the_alveo_u200_budget() {
     let device = DeviceConfig::alveo_u200();
     for dataset in Dataset::all() {
-        let g = dataset.generate(ScaleProfile::Tiny).to_csr();
-        let Some(&(s, t)) = sample_reachable_pairs(&g, 5, 1, 23).first() else { continue };
-        let prepared = prepare(&g, s, t, 5, PefpVariant::Full);
+        let g = tiny(dataset);
+        let Some(&(s, t)) = sample_reachable_pairs(g.base(), 5, 1, 23).first() else { continue };
+        let prepared = prepare_full(&g, s, t, 5);
         let plan = plan_query(&prepared, &device);
         assert!(plan.fits_device(), "{}: {:?}", dataset.code(), plan.resources.violations());
     }

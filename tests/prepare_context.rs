@@ -3,19 +3,27 @@
 //! query-relevant subgraph, never to the data graph, and the restructured
 //! `PreparedQuery` must not clone the data graph on any variant path.
 
-use pefp::core::{
-    no_prebfs_with, pre_bfs, pre_bfs_with, prepare_with, run_prepared, PefpVariant, PrepareContext,
-};
+use pefp::core::{prepare_snapshot_with, PefpVariant, PrepareContext};
+use pefp::fpga::DeviceConfig;
 use pefp::graph::generators::chung_lu;
-use pefp::graph::{BfsScratch, CsrBuilder, CsrGraph, VertexId};
+use pefp::graph::{BfsScratch, CsrBuilder, CsrGraph, GraphSnapshot, VertexId};
+use pefp::host::GraphHandle;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::{prepare_fresh, run_collect};
+
 /// A large graph whose k-hop neighbourhood around the query endpoints is
 /// tiny: a 12-vertex corridor `0 -> 1 -> ... -> 11` embedded in a graph of
 /// `n` vertices whose bulk is a long disconnected chain.
-fn corridor_in_haystack(n: usize) -> Arc<CsrGraph> {
+fn corridor_in_haystack(n: usize) -> GraphSnapshot {
+    GraphSnapshot::from_csr(corridor_csr(n))
+}
+
+fn corridor_csr(n: usize) -> CsrGraph {
     assert!(n > 64);
     let mut b = CsrBuilder::with_edge_capacity(n, n);
     for v in 0..11u32 {
@@ -26,7 +34,7 @@ fn corridor_in_haystack(n: usize) -> Arc<CsrGraph> {
     for v in 12..(n as u32 - 1) {
         b.add_edge(VertexId(v), VertexId(v + 1));
     }
-    Arc::new(b.build())
+    b.build()
 }
 
 #[test]
@@ -35,7 +43,8 @@ fn prebfs_touches_the_frontier_not_the_graph() {
     let g = corridor_in_haystack(n);
     let mut ctx = PrepareContext::new();
     for round in 0..8 {
-        let prep = pre_bfs_with(&mut ctx, &g, VertexId(0), VertexId(11), 6);
+        let (s, t) = (VertexId(0), VertexId(11));
+        let prep = prepare_snapshot_with(&mut ctx, &g, s, t, 6, PefpVariant::Full);
         assert!(prep.feasible || prep.graph.num_vertices() <= 12, "round {round}");
         let stats = ctx.stats();
         // Both (k-1)-hop frontiers live inside the 12-vertex corridor.
@@ -45,8 +54,6 @@ fn prebfs_touches_the_frontier_not_the_graph() {
             stats.last_touched
         );
     }
-    // The reverse CSR is built once for the whole sequence, not per query.
-    assert_eq!(ctx.stats().reverse_builds, 1);
     assert_eq!(ctx.stats().queries, 8);
 }
 
@@ -56,8 +63,7 @@ fn prebfs_touches_the_frontier_not_the_graph() {
 /// the search the paper specifies — reach for the same queries.
 #[test]
 fn prebfs_reaches_a_fraction_of_the_two_full_balls() {
-    let g = Arc::new(chung_lu(10_000, 8.0, 2.2, 3).to_csr());
-    let rev = g.reverse();
+    let g = GraphSnapshot::from_csr(chung_lu(10_000, 8.0, 2.2, 3).to_csr());
     let n = g.num_vertices() as u32;
     let mut ctx = PrepareContext::new();
     let (mut forward, mut backward) = (BfsScratch::new(), BfsScratch::new());
@@ -69,10 +75,10 @@ fn prebfs_reaches_a_fraction_of_the_two_full_balls() {
             if s == t {
                 continue;
             }
-            pre_bfs_with(&mut ctx, &g, s, t, k);
+            prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
             reached += ctx.stats().last_touched;
-            forward.run(&*g, s, k - 1);
-            backward.run(&rev, t, k - 1);
+            forward.run(g.base().as_ref(), s, k - 1);
+            backward.run(g.base_reverse().as_ref(), t, k - 1);
             balls += forward.touched_len() + backward.touched_len();
         }
     }
@@ -86,8 +92,7 @@ fn prebfs_reaches_a_fraction_of_the_two_full_balls() {
 fn prepared_query_memory_is_output_sensitive() {
     let n = 60_000;
     let g = corridor_in_haystack(n);
-    let mut ctx = PrepareContext::new();
-    let prep = pre_bfs_with(&mut ctx, &g, VertexId(0), VertexId(11), 11);
+    let prep = prepare_fresh(&g, VertexId(0), VertexId(11), 11, PefpVariant::Full);
     // The induced subgraph, its barrier and its id mapping are all sized by
     // the corridor, not by |V|.
     assert!(prep.feasible);
@@ -100,41 +105,45 @@ fn prepared_query_memory_is_output_sensitive() {
 
 #[test]
 fn no_variant_path_clones_the_data_graph() {
-    let g = corridor_in_haystack(4_096);
-    let baseline = Arc::strong_count(&g);
+    // The snapshot the runtime serves from: the handle's CSR pair, shared.
+    let handle = GraphHandle::from_csr("corridor", corridor_csr(4_096));
+    let g = handle.snapshot();
+    let baseline = Arc::strong_count(&handle.csr);
     let mut ctx = PrepareContext::new();
+    let (s, t) = (VertexId(0), VertexId(11));
 
     // Full variant: the prepared graph is the induced subgraph, which is a
     // fresh small allocation, never a clone of G.
-    let full = prepare_with(&mut ctx, &g, VertexId(0), VertexId(11), 6, PefpVariant::Full);
+    let full = prepare_snapshot_with(&mut ctx, &g, s, t, 6, PefpVariant::Full);
     assert!(full.graph.num_vertices() < 100);
 
     // No-Pre-BFS ships the full graph: same allocation, reference-counted.
-    let ablation = no_prebfs_with(&mut ctx, &g, VertexId(0), VertexId(11), 6);
-    assert!(Arc::ptr_eq(&ablation.graph, &g));
+    let ablation = prepare_snapshot_with(&mut ctx, &g, s, t, 6, PefpVariant::NoPreBfs);
+    assert!(Arc::ptr_eq(&ablation.graph, &handle.csr));
 
     // Trivial paths (s == t, k == 0) also share the data graph.
-    let same = pre_bfs_with(&mut ctx, &g, VertexId(5), VertexId(5), 6);
-    assert!(Arc::ptr_eq(&same.graph, &g));
-    let zero = prepare_with(&mut ctx, &g, VertexId(0), VertexId(11), 0, PefpVariant::NoPreBfs);
-    assert!(Arc::ptr_eq(&zero.graph, &g));
+    let same = prepare_snapshot_with(&mut ctx, &g, VertexId(5), VertexId(5), 6, PefpVariant::Full);
+    assert!(Arc::ptr_eq(&same.graph, &handle.csr));
+    let zero = prepare_snapshot_with(&mut ctx, &g, s, t, 0, PefpVariant::NoPreBfs);
+    assert!(Arc::ptr_eq(&zero.graph, &handle.csr));
 
-    // Each shared holder bumped the refcount instead of deep-copying; the
-    // context itself holds one reference (the reverse-cache key).
-    assert_eq!(Arc::strong_count(&g), baseline + 4);
+    // Each shared holder bumped the refcount instead of deep-copying, and the
+    // context holds no reference to any graph.
+    assert_eq!(Arc::strong_count(&handle.csr), baseline + 3);
 }
 
 #[test]
 fn context_prepared_queries_run_to_the_same_results() {
     let g = corridor_in_haystack(1_000);
-    let device = pefp::fpga::DeviceConfig::alveo_u200();
+    let device = DeviceConfig::alveo_u200();
     let mut ctx = PrepareContext::new();
     for variant in PefpVariant::all() {
-        let prep = prepare_with(&mut ctx, &g, VertexId(0), VertexId(11), 11, variant);
-        let result = run_prepared(&prep, variant.engine_options(), &device);
+        let (s, t) = (VertexId(0), VertexId(11));
+        let prep = prepare_snapshot_with(&mut ctx, &g, s, t, 11, variant);
+        let (result, paths) = run_collect(&prep, variant.engine_options(), &device);
         assert_eq!(result.num_paths, 1, "variant {}", variant.name());
         assert_eq!(
-            result.paths[0],
+            paths[0],
             (0..=11).map(VertexId).collect::<Vec<_>>(),
             "variant {}",
             variant.name()
@@ -145,12 +154,14 @@ fn context_prepared_queries_run_to_the_same_results() {
 #[test]
 fn dirty_context_output_is_byte_identical_to_one_shot() {
     // Deterministic cross-check on a structured graph (the proptest shim
-    // covers random Chung-Lu graphs; this pins an exact-equality case).
-    let g = Arc::new(pefp::graph::generators::chung_lu(600, 6.0, 2.2, 99).to_csr());
+    // covers random Chung-Lu graphs; this pins an exact-equality case): a
+    // reused context against a fresh one per query, on the same snapshot.
+    let g = GraphSnapshot::from_csr(chung_lu(600, 6.0, 2.2, 99).to_csr());
     let mut ctx = PrepareContext::new();
     for &(s, t, k) in &[(0u32, 300u32, 5u32), (17, 4, 3), (0, 300, 5), (550, 1, 4)] {
-        let a = pre_bfs_with(&mut ctx, &g, VertexId(s), VertexId(t), k);
-        let b = pre_bfs(&g, VertexId(s), VertexId(t), k);
+        let (s, t) = (VertexId(s), VertexId(t));
+        let a = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
+        let b = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, k, PefpVariant::Full);
         assert_eq!(*a.graph, *b.graph);
         assert_eq!(a.barrier, b.barrier);
         assert_eq!(a.feasible, b.feasible);

@@ -11,11 +11,16 @@
 //! * BC-DFS/JOIN agree with the oracle too (their pruning is the subtle part).
 
 use pefp::baselines::{naive_dfs_enumerate, Join};
-use pefp::core::{pre_bfs, run_query, PefpVariant};
+use pefp::core::PefpVariant;
+use pefp::enumerate_paths;
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::{canonicalize, validate_result};
-use pefp::graph::{CsrGraph, VertexId};
+use pefp::graph::{CsrGraph, GraphSnapshot, VertexId};
 use proptest::prelude::*;
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::{prepare_fresh, run_variant};
 
 /// Strategy: a directed graph with up to `n` vertices and `m` edges.
 fn arb_graph(n: u32, m: usize) -> impl Strategy<Value = CsrGraph> {
@@ -36,8 +41,7 @@ proptest! {
         let s = VertexId(s);
         let t = VertexId(t);
         let expected = canonicalize(naive_dfs_enumerate(&g, s, t, k));
-        let result = run_query(&g, s, t, k, PefpVariant::Full, &DeviceConfig::alveo_u200());
-        prop_assert_eq!(canonicalize(result.paths), expected);
+        prop_assert_eq!(canonicalize(enumerate_paths(&g, s, t, k).paths), expected);
     }
 
     #[test]
@@ -51,9 +55,9 @@ proptest! {
         let t = VertexId(t);
         let expected = canonicalize(naive_dfs_enumerate(&g, s, t, k));
         let device = DeviceConfig::alveo_u200();
+        let snapshot = GraphSnapshot::from_csr(g.clone());
         for variant in PefpVariant::all() {
-            let result = run_query(&g, s, t, k, variant, &device);
-            let got = canonicalize(result.paths);
+            let got = canonicalize(run_variant(&snapshot, (s, t, k), variant, &device).1);
             prop_assert!(validate_result(&g, s, t, k as usize, &got).is_empty());
             prop_assert_eq!(&got, &expected, "variant {}", variant.name());
         }
@@ -85,7 +89,7 @@ proptest! {
         let s = VertexId(s);
         let t = VertexId(t);
         let paths = naive_dfs_enumerate(&g, s, t, k);
-        let prep = pre_bfs(&g, s, t, k);
+        let prep = prepare_fresh(&GraphSnapshot::from_csr(g.clone()), s, t, k, PefpVariant::Full);
         if !paths.is_empty() {
             prop_assert!(prep.feasible, "Pre-BFS declared a satisfiable query infeasible");
         }
@@ -110,9 +114,10 @@ proptest! {
         let s = VertexId(s);
         let t = VertexId(t);
         let device = DeviceConfig::alveo_u200();
+        let g = GraphSnapshot::from_csr(g);
         let mut previous = 0u64;
         for k in 1..=5u32 {
-            let count = run_query(&g, s, t, k, PefpVariant::Full, &device).num_paths;
+            let count = run_variant(&g, (s, t, k), PefpVariant::Full, &device).0.num_paths;
             prop_assert!(count >= previous, "k={k}: {count} < {previous}");
             previous = count;
         }
@@ -125,7 +130,7 @@ proptest! {
         t in 0u32..16,
         k in 1u32..5,
     ) {
-        let r = run_query(&g, VertexId(s), VertexId(t), k, PefpVariant::Full, &DeviceConfig::alveo_u200());
+        let r = enumerate_paths(&g, VertexId(s), VertexId(t), k);
         prop_assert!(r.query_millis.is_finite());
         prop_assert!(r.query_millis >= 0.0);
         prop_assert!(r.total_millis() >= r.query_millis);

@@ -17,10 +17,10 @@
 //! (This lives in its own test binary because a `#[global_allocator]` is
 //! process-wide.)
 
-use pefp::core::{pre_bfs, run_prepared, run_prepared_with_sink, PefpVariant, PreparedQuery};
-use pefp::fpga::DeviceConfig;
+use pefp::core::{run_prepared_on_device, PathSink, PefpRunResult, PefpVariant, PreparedQuery};
+use pefp::fpga::{Device, DeviceConfig};
 use pefp::graph::generators::{layered_dag, layered_full_path_count, layered_sink, layered_source};
-use pefp::graph::{CollectSink, CountingSink, FirstN};
+use pefp::graph::{CollectSink, CountingSink, FirstN, GraphSnapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -53,24 +53,46 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// tests measuring at once would count each other's allocations.
 static MEASURING: Mutex<()> = Mutex::new(());
 
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::prepare_fresh;
+
 fn allocated_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
     let result = f();
     (ALLOCATED_BYTES.load(Ordering::Relaxed) - before, result)
 }
 
+/// The full-variant Pre-BFS of the layered DAG `layers × 6` at `k`.
+fn prepare_layered(layers: usize, k: u32) -> PreparedQuery {
+    let g = GraphSnapshot::from_csr(layered_dag(layers, 6, 6, 7).to_csr());
+    prepare_fresh(&g, layered_source(), layered_sink(layers, 6), k, PefpVariant::Full)
+}
+
+/// One device run of `prep` on a fresh U200, streaming into `sink`.
+fn run(prep: &PreparedQuery, sink: &mut dyn PathSink) -> PefpRunResult {
+    let device = Device::new(DeviceConfig::alveo_u200());
+    run_prepared_on_device(prep, PefpVariant::Full.engine_options(), device, sink)
+}
+
+/// The collect pipeline: every result path materialised by a `CollectSink`.
+fn run_collecting(prep: &PreparedQuery) -> PefpRunResult {
+    let mut sink = CollectSink::new();
+    let result = run(prep, &mut sink);
+    assert_eq!(sink.paths().len() as u64, result.num_paths);
+    result
+}
+
 /// Bytes allocated by the collect pipeline and by the counting (streaming)
 /// pipeline for one prepared query, plus the result count.
 fn measure(prep: &PreparedQuery) -> (u64, u64, u64) {
-    let device = DeviceConfig::alveo_u200();
-    let opts = PefpVariant::Full.engine_options();
     // Warm up once so lazily initialised state does not skew the numbers.
-    run_prepared(prep, opts.clone(), &device);
+    run_collecting(prep);
 
-    let (collect_bytes, collected) = allocated_during(|| run_prepared(prep, opts.clone(), &device));
+    let (collect_bytes, collected) = allocated_during(|| run_collecting(prep));
     let (stream_bytes, streamed) = allocated_during(|| {
         let mut sink = CountingSink::new();
-        let result = run_prepared_with_sink(prep, opts.clone(), &device, &mut sink);
+        let result = run(prep, &mut sink);
         assert_eq!(sink.count(), result.num_paths);
         result
     });
@@ -83,10 +105,8 @@ fn streaming_skips_the_per_path_materialisation_cost() {
     let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Two sizes of the fully connected layered DAG: 6^5 = 7,776 and
     // 6^6 = 46,656 result paths (6 and 7 vertices each).
-    let small = layered_dag(5, 6, 6, 7).to_csr();
-    let big = layered_dag(6, 6, 6, 7).to_csr();
-    let prep_small = pre_bfs(&small, layered_source(), layered_sink(5, 6), 6);
-    let prep_big = pre_bfs(&big, layered_source(), layered_sink(6, 6), 7);
+    let prep_small = prepare_layered(5, 6);
+    let prep_big = prepare_layered(6, 7);
 
     let (collect_small, stream_small, paths_small) = measure(&prep_small);
     let (collect_big, stream_big, paths_big) = measure(&prep_big);
@@ -124,17 +144,13 @@ fn first_n_streaming_allocates_a_small_fraction_of_a_full_collect() {
     let _measuring = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // 6^6 = 46,656 paths: big enough for the materialised result set to
     // dominate the collect side's allocations.
-    let g = layered_dag(6, 6, 6, 7).to_csr();
-    let prep = pre_bfs(&g, layered_source(), layered_sink(6, 6), 7);
-    let device = DeviceConfig::alveo_u200();
-    let opts = PefpVariant::Full.engine_options();
-    run_prepared(&prep, opts.clone(), &device); // warm-up
+    let prep = prepare_layered(6, 7);
+    run_collecting(&prep); // warm-up
 
-    let (collect_bytes, collected) =
-        allocated_during(|| run_prepared(&prep, opts.clone(), &device));
+    let (collect_bytes, collected) = allocated_during(|| run_collecting(&prep));
     let (firstn_bytes, _) = allocated_during(|| {
         let mut sink = FirstN::new(1, CollectSink::new());
-        let result = run_prepared_with_sink(&prep, opts.clone(), &device, &mut sink);
+        let result = run(&prep, &mut sink);
         assert_eq!(result.num_paths, 1);
         result
     });

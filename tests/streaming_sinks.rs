@@ -1,24 +1,46 @@
 //! System-level contracts of the streaming `PathSink` result pipeline.
 //!
-//! * For random graphs and queries, `run_query_with_sink(CollectSink)` is
-//!   byte-identical to the legacy collect-everything `run_query`.
+//! * For random graphs and queries, `run_prepared_on_device` into a
+//!   `CollectSink` is byte-identical to the legacy collect-everything run:
+//!   the engine's own collect mode, translated to original ids afterwards.
 //! * `FirstN(n)` receives exactly the first `n` paths of the legacy
 //!   enumeration order, and the engine genuinely stops early.
 //! * On a query with >= 10^5 results, `FirstN(1)` does asymptotically less
 //!   work than the full enumeration (measured in engine batches/expansions).
 
 use pefp::core::{
-    run_prepared, run_prepared_with_sink, run_query, run_query_with_sink, CollectSink, FirstN,
-    PefpVariant,
+    run_prepared_on_device, CollectSink, CountingSink, EngineOptions, EngineStats, FirstN,
+    PefpEngine, PefpVariant, PreparedQuery,
 };
-use pefp::fpga::DeviceConfig;
+use pefp::fpga::{Device, DeviceConfig};
 use pefp::graph::generators::{layered_dag, layered_full_path_count, layered_sink, layered_source};
-use pefp::graph::{CsrGraph, VertexId};
+use pefp::graph::{CsrGraph, GraphSnapshot, Path, VertexId};
 use proptest::prelude::*;
+
+#[path = "support/pefp_run.rs"]
+mod pefp_run;
+use pefp_run::{prepare_fresh, run_collect};
 
 fn arb_graph(n: u32, m: usize) -> impl Strategy<Value = CsrGraph> {
     prop::collection::vec((0..n, 0..n), 0..m)
         .prop_map(move |edges| CsrGraph::from_edges(n as usize, &edges))
+}
+
+/// The legacy collect-everything run: `PefpEngine::run` in collect mode
+/// (device ids), translated afterwards — what the sink pipeline replaced.
+fn legacy_collect(
+    prep: &PreparedQuery,
+    opts: EngineOptions,
+    device: &DeviceConfig,
+) -> (u64, EngineStats, Vec<Path>) {
+    if !prep.feasible {
+        return (0, EngineStats::default(), Vec::new());
+    }
+    let opts = EngineOptions { collect_paths: true, ..opts };
+    let device = Device::new(device.clone());
+    let out =
+        PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device).run();
+    (out.num_paths, out.stats, out.paths.iter().map(|p| prep.translate_path(p)).collect())
 }
 
 proptest! {
@@ -34,16 +56,15 @@ proptest! {
         let s = VertexId(s);
         let t = VertexId(t);
         let device = DeviceConfig::alveo_u200();
+        let g = GraphSnapshot::from_csr(g);
         for variant in [PefpVariant::Full, PefpVariant::NoPreBfs] {
-            let legacy = run_query(&g, s, t, k, variant, &device);
-            let mut sink = CollectSink::new();
-            let streamed = run_query_with_sink(
-                &g, s, t, k, variant, variant.engine_options(), &device, &mut sink,
-            );
+            let prep = prepare_fresh(&g, s, t, k, variant);
+            let (num_paths, stats, paths) = legacy_collect(&prep, variant.engine_options(), &device);
+            let (streamed, streamed_paths) = run_collect(&prep, variant.engine_options(), &device);
             // Same paths, same order, same ids — not just the same set.
-            prop_assert_eq!(sink.into_paths(), legacy.paths, "variant {}", variant.name());
-            prop_assert_eq!(streamed.num_paths, legacy.num_paths);
-            prop_assert_eq!(streamed.stats, legacy.stats);
+            prop_assert_eq!(streamed_paths, paths, "variant {}", variant.name());
+            prop_assert_eq!(streamed.num_paths, num_paths);
+            prop_assert_eq!(streamed.stats, stats);
             prop_assert!(streamed.paths.is_empty());
         }
     }
@@ -59,28 +80,24 @@ proptest! {
         let s = VertexId(s);
         let t = VertexId(t);
         let device = DeviceConfig::alveo_u200();
-        let legacy = run_query(&g, s, t, k, PefpVariant::Full, &device);
+        let prep = prepare_fresh(&GraphSnapshot::from_csr(g), s, t, k, PefpVariant::Full);
+        let opts = PefpVariant::Full.engine_options();
+        let (legacy_paths, legacy_stats, legacy) = legacy_collect(&prep, opts.clone(), &device);
 
         let mut sink = FirstN::new(n, CollectSink::new());
-        let streamed = run_query_with_sink(
-            &g, s, t, k,
-            PefpVariant::Full,
-            PefpVariant::Full.engine_options(),
-            &device,
-            &mut sink,
-        );
-        let expect = (n as usize).min(legacy.paths.len());
+        let streamed = run_prepared_on_device(&prep, opts, Device::new(device), &mut sink);
+        let expect = (n as usize).min(legacy.len());
         prop_assert_eq!(streamed.num_paths as usize, expect);
         prop_assert_eq!(sink.emitted() as usize, expect);
         let collected = sink.into_inner().into_paths();
-        prop_assert_eq!(&collected[..], &legacy.paths[..expect]);
+        prop_assert_eq!(&collected[..], &legacy[..expect]);
         // The cap breaks with the n-th path, so any run that reached it is
         // flagged as cut short — even when n happened to be the total count.
-        if legacy.num_paths >= n {
+        if legacy_paths >= n {
             prop_assert!(streamed.stats.early_terminated);
         } else {
             prop_assert!(!streamed.stats.early_terminated);
-            prop_assert_eq!(streamed.stats, legacy.stats);
+            prop_assert_eq!(streamed.stats, legacy_stats);
         }
     }
 }
@@ -92,7 +109,7 @@ proptest! {
 #[test]
 fn first_one_on_a_hundred_thousand_result_query_is_asymptotically_cheaper() {
     let (layers, width) = (6usize, 7usize);
-    let g = layered_dag(layers, width, width, 1).to_csr();
+    let g = GraphSnapshot::from_csr(layered_dag(layers, width, width, 1).to_csr());
     let s = layered_source();
     let t = layered_sink(layers, width);
     let k = (layers + 1) as u32;
@@ -100,17 +117,16 @@ fn first_one_on_a_hundred_thousand_result_query_is_asymptotically_cheaper() {
     let total = layered_full_path_count(layers, width);
     assert!(total >= 100_000, "the workload must exceed 10^5 paths, got {total}");
 
-    let prep = pefp::core::pre_bfs(&g, s, t, k);
+    let prep = prepare_fresh(&g, s, t, k, PefpVariant::Full);
     let opts = PefpVariant::Full.engine_options();
 
-    let full = {
-        let mut counting = pefp::graph::CountingSink::new();
-        run_prepared_with_sink(&prep, opts.clone(), &device, &mut counting)
-    };
+    let mut counting = CountingSink::new();
+    let full =
+        run_prepared_on_device(&prep, opts.clone(), Device::new(device.clone()), &mut counting);
     assert_eq!(full.num_paths, total);
 
     let mut first = FirstN::new(1, CollectSink::new());
-    let capped = run_prepared_with_sink(&prep, opts, &device, &mut first);
+    let capped = run_prepared_on_device(&prep, opts, Device::new(device), &mut first);
     assert_eq!(capped.num_paths, 1);
     assert!(capped.stats.early_terminated);
     assert_eq!(first.into_inner().len(), 1);
@@ -137,16 +153,16 @@ fn first_one_on_a_hundred_thousand_result_query_is_asymptotically_cheaper() {
 /// down so the collect side stays cheap).
 #[test]
 fn high_volume_collect_and_stream_agree() {
-    let g = layered_dag(4, 6, 6, 3).to_csr();
+    let g = GraphSnapshot::from_csr(layered_dag(4, 6, 6, 3).to_csr());
     let (s, t, k) = (layered_source(), layered_sink(4, 6), 5);
     let device = DeviceConfig::alveo_u200();
-    let prep = pefp::core::pre_bfs(&g, s, t, k);
+    let prep = prepare_fresh(&g, s, t, k, PefpVariant::Full);
     let opts = PefpVariant::Full.engine_options();
-    let legacy = run_prepared(&prep, opts.clone(), &device);
-    assert_eq!(legacy.num_paths, layered_full_path_count(4, 6));
+    let (num_paths, _, legacy) = legacy_collect(&prep, opts.clone(), &device);
+    assert_eq!(num_paths, layered_full_path_count(4, 6));
 
-    let mut sink = CollectSink::with_capacity(legacy.paths.len());
-    let streamed = run_prepared_with_sink(&prep, opts, &device, &mut sink);
-    assert_eq!(streamed.num_paths, legacy.num_paths);
-    assert_eq!(sink.into_paths(), legacy.paths);
+    let mut sink = CollectSink::with_capacity(legacy.len());
+    let streamed = run_prepared_on_device(&prep, opts, Device::new(device), &mut sink);
+    assert_eq!(streamed.num_paths, num_paths);
+    assert_eq!(sink.into_paths(), legacy);
 }
