@@ -2,12 +2,15 @@
 //!
 //! These do not correspond to a specific paper figure; they track the cost of
 //! the individual building blocks (CSR construction, k-hop BFS, Pre-BFS,
-//! path-row operations, verification throughput) so performance regressions
-//! can be localised when the figure-level numbers move.
+//! path-row operations, one full engine run) so performance regressions can
+//! be localised when the figure-level numbers move.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pefp_core::engine::verify::{verify, Verdict};
-use pefp_core::{prepare_snapshot_with, PefpVariant, PrepareContext, TempPath};
+use pefp_core::{
+    prepare_snapshot_with, run_prepared_on_device, CountingSink, PefpVariant, PrepareContext,
+    TempPath,
+};
+use pefp_fpga::{Device, DeviceConfig};
 use pefp_graph::bfs::{khop_bfs, BfsScratch};
 use pefp_graph::{generators, CsrBuilder, GraphSnapshot, VertexId};
 use std::hint::black_box;
@@ -77,7 +80,7 @@ fn bench_prebfs(c: &mut Criterion) {
 
 fn bench_path_rows(c: &mut Criterion) {
     let g = generators::chung_lu(1_000, 8.0, 2.2, 4).to_csr();
-    let base = TempPath::initial(&g, VertexId(0));
+    let base: TempPath = TempPath::initial(&g, VertexId(0));
     let succ = g.successors(VertexId(0)).first().copied().unwrap_or(VertexId(1));
     let mut group = c.benchmark_group("path_rows");
     group.throughput(Throughput::Elements(1));
@@ -95,28 +98,26 @@ fn bench_path_rows(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_verification_throughput(c: &mut Criterion) {
+fn bench_engine(c: &mut Criterion) {
     let g = GraphSnapshot::from_csr(generators::chung_lu(1_000, 8.0, 2.2, 5).to_csr());
-    let (s, t) = (VertexId(0), VertexId(500));
-    let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 5, PefpVariant::Full);
-    let path = TempPath::initial(&prep.graph, prep.s);
-    let successors: Vec<VertexId> = prep.graph.successors(prep.s).to_vec();
-    if successors.is_empty() {
-        return;
-    }
-    let mut group = c.benchmark_group("verification");
-    group.throughput(Throughput::Elements(successors.len() as u64));
-    group.bench_function("three_stage_check", |b| {
-        b.iter(|| {
-            let mut valid = 0u32;
-            for &nbr in &successors {
-                if verify(&path, nbr, prep.t, 5, prep.barrier[nbr.index()]) == Verdict::Valid {
-                    valid += 1;
-                }
-            }
-            black_box(valid)
-        })
-    });
+    // The heaviest out-degree vertex to the heaviest in-degree one: the
+    // enum_heavy shape, where ~90 % of expansions die at the barrier check.
+    let (fwd, rev) = (g.base(), g.base_reverse());
+    let s = fwd.vertices().max_by_key(|&v| fwd.out_degree(v)).expect("the graph has vertices");
+    let t = fwd
+        .vertices()
+        .filter(|&v| v != s)
+        .max_by_key(|&v| rev.out_degree(v))
+        .expect("the graph has two vertices");
+    let variant = PefpVariant::Full;
+    let prep = prepare_snapshot_with(&mut PrepareContext::new(), &g, s, t, 7, variant);
+    let run = || {
+        let device = Device::new(DeviceConfig::alveo_u200());
+        run_prepared_on_device(&prep, variant.engine_options(), device, &mut CountingSink::new())
+    };
+    let mut group = c.benchmark_group("engine");
+    group.throughput(Throughput::Elements(run().stats.expansions));
+    group.bench_function("hub_pair_k7", |b| b.iter(|| black_box(run().num_paths)));
     group.finish();
 }
 
@@ -138,7 +139,7 @@ criterion_group!(
     bench_khop_bfs,
     bench_prebfs,
     bench_path_rows,
-    bench_verification_throughput,
+    bench_engine,
     bench_generators
 );
 criterion_main!(benches);

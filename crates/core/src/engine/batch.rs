@@ -11,7 +11,7 @@
 //! The FIFO strategy (used by the Fig. 13 ablation) is identical except that
 //! it fetches from the *bottom* of the stack — the oldest, shortest paths.
 
-use super::PefpEngine;
+use super::{PathAreas, PefpEngine};
 use crate::options::BatchStrategy;
 use crate::path::TempPath;
 
@@ -22,38 +22,47 @@ impl PefpEngine<'_> {
     /// refilling the buffer from DRAM when it has run dry; the caller reuses
     /// the vector across batches so steady state allocates nothing. An empty
     /// `batch` on return terminates the engine loop.
-    pub(super) fn next_batch(&mut self, batch: &mut Vec<TempPath>) {
+    pub(super) fn next_batch<const W: usize>(
+        &mut self,
+        areas: &mut PathAreas<W>,
+        batch: &mut Vec<TempPath<W>>,
+    ) {
         batch.clear();
-        if self.buffer.is_empty() {
-            if self.dram_paths.is_empty() {
+        if areas.buffer.is_empty() {
+            if areas.dram.is_empty() {
                 return;
             }
-            self.refill_buffer_from_dram();
+            self.refill_buffer_from_dram(areas);
         }
-        self.fill_processing_area(batch)
+        self.fill_processing_area(areas, batch)
     }
 
     /// Fetches Θ1 paths from the tail of the DRAM path set into the buffer
     /// area (Algorithm 3, line 8). Reading from the tail keeps the transfer
     /// contiguous, matching the paper's fragmentation-avoidance argument.
-    fn refill_buffer_from_dram(&mut self) {
-        let n = self.opts.dram_fetch_batch.min(self.dram_paths.len());
-        let start = self.dram_paths.len() - n;
-        let words: u64 = self.dram_paths[start..].iter().map(TempPath::words).sum();
+    fn refill_buffer_from_dram<const W: usize>(&mut self, areas: &mut PathAreas<W>) {
+        let n = self.opts.dram_fetch_batch.min(areas.dram.len());
+        let start = areas.dram.len() - n;
+        let words: u64 = areas.dram[start..].iter().map(TempPath::words).sum();
         self.device.charge_dram_batch_fetch(words);
         // Drain in place: no intermediate vector per refill.
-        self.buffer.extend(self.dram_paths.drain(start..));
+        areas.buffer.extend(areas.dram.drain(start..));
     }
 
     /// `Batch-DFS(P, Θ2)` — Algorithm 4 — or its FIFO counterpart.
-    fn fill_processing_area(&mut self, batch: &mut Vec<TempPath>) {
+    fn fill_processing_area<const W: usize>(
+        &mut self,
+        areas: &mut PathAreas<W>,
+        batch: &mut Vec<TempPath<W>>,
+    ) {
         let mut cnt: u32 = 0;
         let theta2 = self.opts.processing_capacity;
+        let strategy = self.opts.batch_strategy;
         while cnt < theta2 {
             // Select the next donor path according to the batching strategy.
-            let donor = match self.opts.batch_strategy {
-                BatchStrategy::LongestFirst => self.buffer.back_mut(),
-                BatchStrategy::Fifo => self.buffer.front_mut(),
+            let donor = match strategy {
+                BatchStrategy::LongestFirst => areas.buffer.back_mut(),
+                BatchStrategy::Fifo => areas.buffer.front_mut(),
             };
             let Some(donor) = donor else { break };
             match donor.take_window(theta2 - cnt) {
@@ -63,22 +72,15 @@ impl PefpEngine<'_> {
                     self.charge_batch_path_move(&slice);
                     batch.push(slice);
                     if exhausted {
-                        self.pop_donor();
+                        pop_donor(areas, strategy);
                     }
                 }
                 None => {
                     // Paths with no successors left contribute nothing; drop them.
-                    self.pop_donor();
+                    pop_donor(areas, strategy);
                 }
             }
         }
-    }
-
-    fn pop_donor(&mut self) {
-        match self.opts.batch_strategy {
-            BatchStrategy::LongestFirst => self.buffer.pop_back(),
-            BatchStrategy::Fifo => self.buffer.pop_front(),
-        };
     }
 
     /// Charges moving one path row from the buffer area into the processing
@@ -86,11 +88,18 @@ impl PefpEngine<'_> {
     /// latency is part of the pipeline depth), so only the DRAM case — the
     /// No-Cache configuration where the buffer itself lives off-chip — costs
     /// extra cycles.
-    fn charge_batch_path_move(&mut self, path: &TempPath) {
+    fn charge_batch_path_move<const W: usize>(&mut self, path: &TempPath<W>) {
         if !self.layout.paths_in_bram {
             self.device.charge_read(pefp_fpga::MemoryKind::Dram, path.words());
         }
     }
+}
+
+fn pop_donor<const W: usize>(areas: &mut PathAreas<W>, strategy: BatchStrategy) {
+    match strategy {
+        BatchStrategy::LongestFirst => areas.buffer.pop_back(),
+        BatchStrategy::Fifo => areas.buffer.pop_front(),
+    };
 }
 
 #[cfg(test)]

@@ -19,8 +19,10 @@ use pefp_fpga::Device;
 use pefp_graph::CsrGraph;
 use serde::{Deserialize, Serialize};
 
-/// Bytes occupied by one path row in the buffer/processing area: the inline
-/// vertex payload plus length word and the two neighbour pointers.
+/// Bytes occupied by one simulated path row in the buffer/processing area:
+/// `MAX_K + 1` vertex slots plus length word and the two neighbour pointers,
+/// for every query. The host stores a path more narrowly when `k` allows
+/// (see [`crate::path`]); BRAM sizing never sees that.
 pub const PATH_ROW_BYTES: usize = (MAX_K + 1 + 3) * 4;
 
 /// Result of the placement pass: what the engine managed to keep on-chip.

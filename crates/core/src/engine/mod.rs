@@ -53,15 +53,20 @@ pub struct PefpEngine<'a> {
     /// charges banked DRAM stalls *and* the graph missed the BRAM cache —
     /// the one configuration where a row's bank assignment costs time.
     placement: Option<RowPlacement>,
-    /// Buffer area `P` (front = oldest / bottom of the stack).
-    buffer: VecDeque<TempPath>,
-    /// DRAM-resident intermediate path set `PD`.
-    dram_paths: Vec<TempPath>,
     /// Reusable emission buffer: the result path handed to the sink, so the
     /// hot loop allocates nothing per result.
     emit_buf: Vec<VertexId>,
     /// Behavioural counters.
     stats: EngineStats,
+}
+
+/// The intermediate path sets of one run, stored `W` vertex slots wide on
+/// the host (see [`crate::path`]).
+struct PathAreas<const W: usize> {
+    /// Buffer area `P` (front = oldest / bottom of the stack).
+    buffer: VecDeque<TempPath<W>>,
+    /// DRAM-resident intermediate path set `PD`.
+    dram: Vec<TempPath<W>>,
 }
 
 /// Per-vertex fetch-heat estimate for bank-aware row placement: how often
@@ -157,8 +162,6 @@ impl<'a> PefpEngine<'a> {
             device,
             layout,
             placement,
-            buffer: VecDeque::new(),
-            dram_paths: Vec::new(),
             emit_buf: Vec::with_capacity(MAX_K + 1),
             stats: EngineStats::default(),
         }
@@ -253,9 +256,26 @@ impl<'a> PefpEngine<'a> {
         if self.k == 0 {
             return self.take_output();
         }
+        // Host row width: 8 vertex slots hold a path of k <= 7 hops, the
+        // range every measured workload runs in; larger k keeps the full
+        // MAX_K + 1 row. It decides only how much the host copies per path;
+        // the simulated rows and every charge are width-blind.
+        if self.k <= 7 {
+            self.enumerate::<8, S>(sink);
+        } else {
+            self.enumerate::<{ MAX_K + 1 }, S>(sink);
+        }
+        // One final poll so a fault raised during the last batch (or the
+        // result DMA) is reported on the run, not silently dropped.
+        self.poll_device_fault();
+        self.take_output()
+    }
 
+    /// Lines 2-15 of Algorithm 1 with `W`-wide host path rows.
+    fn enumerate<const W: usize, S: PathSink + ?Sized>(&mut self, sink: &mut S) {
+        let mut areas = PathAreas::<W> { buffer: VecDeque::new(), dram: Vec::new() };
         // Line 2: P'.push({s}).
-        let mut processing: Vec<TempPath> = Vec::new();
+        let mut processing: Vec<TempPath<W>> = Vec::new();
         let mut initial = TempPath::initial(self.graph, self.s);
         // The initial path may itself exceed the processing capacity (a super
         // node source); split it exactly like any buffered path.
@@ -264,7 +284,7 @@ impl<'a> PefpEngine<'a> {
                 processing.push(copy);
             } else {
                 // Remaining windows go to the buffer to be scheduled later.
-                self.buffer.push_back(copy);
+                areas.buffer.push_back(copy);
             }
         }
         self.device.charge_cycles(1);
@@ -290,16 +310,12 @@ impl<'a> PefpEngine<'a> {
                 break;
             }
             self.stats.batches += 1;
-            if self.process_batch(&processing, sink).is_break() {
+            if self.process_batch(&mut areas, &processing, sink).is_break() {
                 self.stats.early_terminated = true;
                 break;
             }
-            self.next_batch(&mut processing);
+            self.next_batch(&mut areas, &mut processing);
         }
-        // One final poll so a fault raised during the last batch (or the
-        // result DMA) is reported on the run, not silently dropped.
-        self.poll_device_fault();
-        self.take_output()
     }
 
     /// Checks the device's fault latch and the simulated-cycle watchdog.
@@ -324,7 +340,8 @@ impl<'a> PefpEngine<'a> {
     /// Expands and verifies one batch from the processing area.
     ///
     /// The functional work (successor lookup, three-stage verification, result
-    /// emission, buffer writes) is done in software; the device is charged a
+    /// emission, buffer writes) is done in software, barrier check first
+    /// ([`verify::within_budget`]); the device is charged a
     /// *throughput-oriented* schedule: all inputs of the batch stream through
     /// the replicated, pipelined expansion/verification lanes, BRAM-resident
     /// data feeds the pipeline without serial cost (its latency sits in the
@@ -335,17 +352,19 @@ impl<'a> PefpEngine<'a> {
     /// Returns [`ControlFlow::Break`] when the sink terminated the
     /// enumeration; the device is still charged for the work performed up to
     /// that point.
-    fn process_batch<S: PathSink + ?Sized>(
+    fn process_batch<const W: usize, S: PathSink + ?Sized>(
         &mut self,
-        batch: &[TempPath],
+        areas: &mut PathAreas<W>,
+        batch: &[TempPath<W>],
         sink: &mut S,
     ) -> ControlFlow<()> {
+        let (graph, t, barrier) = (self.graph, self.t, self.barrier);
         let mut flow = ControlFlow::Continue(());
         let mut total_inputs: u64 = 0;
         let mut result_words: u64 = 0;
         let mut dram_intermediate_words: u64 = 0;
 
-        'batch: for path in batch {
+        for path in batch {
             let window = path.window_start()..path.window_end();
             let window_len = (window.end - window.start) as u64;
             if window_len == 0 {
@@ -376,10 +395,22 @@ impl<'a> PefpEngine<'a> {
                 self.device.note_cache_misses(window_len, window_len);
             }
 
-            for edge_idx in window {
-                let nbr = self.graph.edge_target(edge_idx);
-                self.stats.expansions += 1;
-                match verify::verify(path, nbr, self.t, self.k, self.barrier[nbr.index()]) {
+            // Stage one scans for the next edge within the hop budget; the
+            // edges it skips are barrier-pruned, and only survivors take the
+            // target and visited checks. The window's counters are settled
+            // after its loop: a sink break counts the edges up to and
+            // including the breaking one.
+            let remaining = self.k.saturating_sub(path.hops());
+            let targets = graph.edge_slice(window);
+            let (mut next, mut pruned_barrier, mut pruned_visited) = (0usize, 0u64, 0u64);
+            while let Some(skip) = targets[next..]
+                .iter()
+                .position(|&u| verify::within_budget(u, t, barrier, remaining))
+            {
+                pruned_barrier += skip as u64;
+                let nbr = targets[next + skip];
+                next += skip + 1;
+                match verify::survivor_verdict(path, nbr, t) {
                     Verdict::Result => {
                         // Reuse the emission buffer: no allocation per result.
                         let mut full = std::mem::take(&mut self.emit_buf);
@@ -391,16 +422,26 @@ impl<'a> PefpEngine<'a> {
                         self.emit_buf = full;
                         if emitted.is_break() {
                             flow = ControlFlow::Break(());
-                            break 'batch;
+                            break;
                         }
                     }
                     Verdict::Valid => {
-                        let extended = path.extended(self.graph, nbr);
-                        dram_intermediate_words += self.push_intermediate(extended);
+                        dram_intermediate_words += self.push_intermediate(areas, path, nbr);
                     }
-                    Verdict::PrunedBarrier => self.stats.pruned_by_barrier += 1,
-                    Verdict::PrunedVisited => self.stats.pruned_by_visited += 1,
+                    Verdict::PrunedVisited => pruned_visited += 1,
+                    Verdict::PrunedBarrier => unreachable!("survivors passed the barrier"),
                 }
+            }
+            if flow.is_continue() {
+                // Every edge after the last survivor failed the barrier check.
+                pruned_barrier += (targets.len() - next) as u64;
+                next = targets.len();
+            }
+            self.stats.expansions += next as u64;
+            self.stats.pruned_by_barrier += pruned_barrier;
+            self.stats.pruned_by_visited += pruned_visited;
+            if flow.is_break() {
+                break;
             }
         }
 
@@ -448,46 +489,56 @@ impl<'a> PefpEngine<'a> {
         sink.emit(path)
     }
 
-    /// Writes a freshly validated intermediate path to the buffer area,
-    /// spilling to DRAM when the buffer is full (Algorithm 1, lines 12-14).
+    /// Writes the freshly validated intermediate path `parent · v` to the
+    /// buffer area, spilling to DRAM when the buffer is full (Algorithm 1,
+    /// lines 12-14). The path is built in its destination slot, so the row is
+    /// copied once.
     ///
     /// Returns the number of words this push sent directly to DRAM (non-zero
     /// only when intermediate-path caching is disabled), so the caller can
     /// charge the transfer as one burst per batch.
-    fn push_intermediate(&mut self, path: TempPath) -> u64 {
+    fn push_intermediate<const W: usize>(
+        &mut self,
+        areas: &mut PathAreas<W>,
+        parent: &TempPath<W>,
+        v: VertexId,
+    ) -> u64 {
         self.stats.intermediate_paths += 1;
         if !self.layout.paths_in_bram {
             // No caching of intermediate paths: everything lives in DRAM.
+            areas.dram.push(*parent);
+            let path = areas.dram.last_mut().expect("a path was just pushed");
+            path.push(self.graph, v);
             let words = path.words();
-            self.dram_paths.push(path);
-            self.stats.peak_dram_paths = self.stats.peak_dram_paths.max(self.dram_paths.len());
+            self.stats.peak_dram_paths = self.stats.peak_dram_paths.max(areas.dram.len());
             return words;
         }
-        if self.buffer.len() >= self.opts.buffer_capacity {
-            self.flush_buffer();
+        if areas.buffer.len() >= self.opts.buffer_capacity {
+            self.flush_buffer(areas);
         }
-        self.buffer.push_back(path);
-        self.stats.peak_buffer_paths = self.stats.peak_buffer_paths.max(self.buffer.len());
+        areas.buffer.push_back(*parent);
+        areas.buffer.back_mut().expect("a path was just pushed").push(self.graph, v);
+        self.stats.peak_buffer_paths = self.stats.peak_buffer_paths.max(areas.buffer.len());
         0
     }
 
     /// Flushes part of the buffer area to DRAM. Batch-DFS keeps the newest
     /// (longest) paths on-chip and spills the oldest; FIFO keeps the oldest
     /// and spills the newest, consistent with its processing order.
-    fn flush_buffer(&mut self) {
+    fn flush_buffer<const W: usize>(&mut self, areas: &mut PathAreas<W>) {
         let to_flush = (self.opts.buffer_capacity / 2).max(1);
         let mut words = 0u64;
-        for _ in 0..to_flush.min(self.buffer.len()) {
+        for _ in 0..to_flush.min(areas.buffer.len()) {
             let p = match self.opts.batch_strategy {
-                BatchStrategy::LongestFirst => self.buffer.pop_front(),
-                BatchStrategy::Fifo => self.buffer.pop_back(),
+                BatchStrategy::LongestFirst => areas.buffer.pop_front(),
+                BatchStrategy::Fifo => areas.buffer.pop_back(),
             };
             let Some(p) = p else { break };
             words += p.words();
-            self.dram_paths.push(p);
+            areas.dram.push(p);
         }
         self.device.charge_buffer_flush(words);
-        self.stats.peak_dram_paths = self.stats.peak_dram_paths.max(self.dram_paths.len());
+        self.stats.peak_dram_paths = self.stats.peak_dram_paths.max(areas.dram.len());
     }
 
     fn take_output(&mut self) -> EngineOutput {
@@ -827,9 +878,33 @@ mod tests {
     fn stats_track_pruning_and_batches() {
         let g = pefp_graph::generators::chung_lu(120, 6.0, 2.1, 13).to_csr();
         let out = run_engine(&g, 0, 50, 4, EngineOptions::default());
-        assert!(out.stats.batches >= 1);
-        assert!(out.stats.expansions >= out.stats.intermediate_paths + out.stats.results);
-        assert_eq!(out.stats.results, out.num_paths);
+        let s = out.stats;
+        assert!(s.batches >= 1);
+        assert_eq!(
+            s.expansions,
+            s.results + s.intermediate_paths + s.pruned_by_barrier + s.pruned_by_visited
+        );
+        assert_eq!(s.results, out.num_paths);
+    }
+
+    #[test]
+    fn a_zero_barrier_grows_paths_to_k_hops_in_both_host_widths() {
+        // A caller's barrier need not be a distance: all zeros prune nothing
+        // below the hop budget, so intermediate paths reach k hops (k + 1
+        // vertices), the most a host row ever holds.
+        let n = MAX_K + 3;
+        let chain: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        let g = CsrGraph::from_edges(n, &chain);
+        let barrier = vec![0; n];
+        let t = VertexId(n as u32 - 1);
+        for k in [7, 8, MAX_K as u32] {
+            let device = Device::new(DeviceConfig::alveo_u200());
+            let opts = EngineOptions::default();
+            let out = PefpEngine::new(&g, &barrier, VertexId(0), t, k, opts, device).run();
+            assert_eq!(out.num_paths, 0);
+            assert_eq!(out.stats.intermediate_paths, u64::from(k), "k {k}");
+            assert_eq!(out.stats.pruned_by_barrier, 1, "only the hop past k is pruned");
+        }
     }
 
     #[test]

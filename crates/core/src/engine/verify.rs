@@ -13,6 +13,13 @@
 //! *data-separation* design (Fig. 7) feeds each stage its own copy of the
 //! input so the stages run concurrently under the HLS dataflow optimisation,
 //! and a merge stage ANDs the verdicts; inputs then enter every cycle.
+//!
+//! [`verify`] is the reference form of Algorithm 2. The engine's expansion
+//! loop runs the same checks barrier-first, its software analogue of the
+//! merged verdict: `within_budget` compares `bar[u]` with a hop budget
+//! computed once per window, so the ~90 % of expansions the barrier prunes
+//! cost one lookup and one compare, and only the survivors reach
+//! `survivor_verdict`. The two forms give the same verdict for every input.
 
 use crate::options::VerificationPipeline;
 use crate::path::TempPath;
@@ -36,7 +43,13 @@ pub enum Verdict {
 
 /// Functional verification of one expansion (Algorithm 2).
 #[inline]
-pub fn verify(path: &TempPath, successor: VertexId, t: VertexId, k: u32, barrier: u32) -> Verdict {
+pub fn verify<const W: usize>(
+    path: &TempPath<W>,
+    successor: VertexId,
+    t: VertexId,
+    k: u32,
+    barrier: u32,
+) -> Verdict {
     let new_hops = path.hops() + 1;
     // Target check. Intermediate paths always satisfy len(p) <= k - 1 (see the
     // paper's correctness argument), so `new_hops <= k` holds whenever the
@@ -56,6 +69,39 @@ pub fn verify(path: &TempPath, successor: VertexId, t: VertexId, k: u32, barrier
         return Verdict::PrunedVisited;
     }
     Verdict::Valid
+}
+
+/// Stage one of the engine's barrier-first form of Algorithm 2: whether an
+/// expansion through `u` stays within the hop budget.
+///
+/// `remaining` is the budget left after the path, `k - len(p)` (saturating
+/// at 0), computed once per window. Expanding through `u` spends one hop and
+/// needs `bar[u]` more, so the barrier check `len(p) + 1 + bar[u] > k` reads
+/// `bar[u] >= remaining`. The target counts as barrier 0 whatever
+/// `barrier[t]` holds, since [`crate::PefpEngine::new`] takes the barrier
+/// from its caller.
+#[inline(always)]
+pub(crate) fn within_budget(u: VertexId, t: VertexId, barrier: &[u32], remaining: u32) -> bool {
+    let bar = if u == t { 0 } else { barrier[u.index()] };
+    bar < remaining
+}
+
+/// Stages two and three on an expansion that passed [`within_budget`]: the
+/// target check, then the visited check. Together the two stages give
+/// [`verify`]'s verdict for every barrier value up to the `k + 1` clamp.
+#[inline(always)]
+pub(crate) fn survivor_verdict<const W: usize>(
+    path: &TempPath<W>,
+    u: VertexId,
+    t: VertexId,
+) -> Verdict {
+    if u == t {
+        Verdict::Result
+    } else if path.contains(u) {
+        Verdict::PrunedVisited
+    } else {
+        Verdict::Valid
+    }
 }
 
 /// Charges the verification module's schedule for `lane_iterations` inputs per
@@ -88,7 +134,7 @@ pub fn charge_expansion_schedule(
     lane_iterations: u64,
     memory_stall_ii: u64,
 ) {
-    let cfg = device.config().clone();
+    let cfg = device.config();
     let verify_ii = match pipeline {
         VerificationPipeline::Basic => cfg.basic_verify_depth,
         VerificationPipeline::Dataflow => 1,
@@ -103,11 +149,85 @@ pub fn charge_expansion_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::MAX_K;
     use pefp_fpga::DeviceConfig;
     use pefp_graph::CsrGraph;
 
     fn path_0_1(g: &CsrGraph) -> TempPath {
         TempPath::initial(g, VertexId(0)).extended(g, VertexId(1))
+    }
+
+    /// The engine's two stages composed into one verdict.
+    fn fused_check<const W: usize>(
+        path: &TempPath<W>,
+        u: VertexId,
+        t: VertexId,
+        k: u32,
+        barrier: &[u32],
+    ) -> Verdict {
+        let remaining = k.saturating_sub(path.hops());
+        if within_budget(u, t, barrier, remaining) {
+            survivor_verdict(path, u, t)
+        } else {
+            Verdict::PrunedBarrier
+        }
+    }
+
+    /// `fused_check` against `verify` over every hop budget, path length,
+    /// barrier value up to the `k + 1` clamp and kind of successor (the
+    /// target, a vertex on the path, a fresh vertex), at both host widths.
+    fn fused_matches_reference<const W: usize>() {
+        let n = MAX_K + 3;
+        let chain: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+        let g = CsrGraph::from_edges(n, &chain);
+        let t = VertexId(n as u32 - 1);
+        let fresh = VertexId(n as u32 - 2);
+        let mut barrier = vec![0u32; n];
+        let mut checked = 0u32;
+        for k in 1..=MAX_K as u32 {
+            let mut path = TempPath::<W>::initial(&g, VertexId(0));
+            loop {
+                let hops = path.hops();
+                for u in [t, fresh, VertexId(0), path.last()] {
+                    for bar in 0..=k + 1 {
+                        barrier[u.index()] = bar;
+                        assert_eq!(
+                            fused_check(&path, u, t, k, &barrier),
+                            verify(&path, u, t, k, bar),
+                            "k {k}, {hops} hops, u {u}, bar {bar}"
+                        );
+                        checked += 1;
+                    }
+                }
+                // Paths up to one hop past the budget, as far as the row holds.
+                if hops > k || path.num_vertices() == W.min(n - 2) {
+                    break;
+                }
+                path = path.extended(&g, VertexId(hops + 1));
+            }
+        }
+        assert!(checked > 1_000);
+    }
+
+    #[test]
+    fn fused_check_gives_the_reference_verdict() {
+        fused_matches_reference::<8>();
+        fused_matches_reference::<{ MAX_K + 1 }>();
+    }
+
+    #[test]
+    fn fused_check_treats_the_target_as_barrier_zero() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let p = path_0_1(&g);
+        // A caller's barrier that puts t out of reach does not prune it.
+        let barrier = [9, 9, 9, u32::MAX];
+        let t = VertexId(3);
+        assert!(within_budget(t, t, &barrier, 1));
+        assert_eq!(fused_check(&p, t, t, 2, &barrier), Verdict::Result);
+        assert_eq!(fused_check(&p, t, t, 1, &barrier), Verdict::PrunedBarrier);
+        assert_eq!(fused_check(&p, VertexId(2), t, 5, &barrier), Verdict::PrunedBarrier);
+        // An unreached vertex that is not the target is pruned at any budget.
+        assert!(!within_budget(VertexId(3), VertexId(0), &barrier, MAX_K as u32));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fixed-width intermediate path storage.
+//! Intermediate path rows.
 //!
 //! On the FPGA an intermediate path occupies a fixed-width row of BRAM (the
 //! hop constraint bounds the number of vertices), together with the *neighbour
@@ -6,22 +6,37 @@
 //! across several batches (Algorithm 4 of the paper). [`TempPath`] mirrors
 //! that layout: an inline vertex array plus a cursor window into the CSR edge
 //! array, with no heap allocation in the hot loop.
+//!
+//! Two widths are kept apart:
+//!
+//! * The **simulated row** is the same for every query: `MAX_K + 1` vertex
+//!   slots plus a length word and the two neighbour pointers, i.e. 124 bytes
+//!   of vertex payload in a 136-byte row
+//!   ([`PATH_ROW_BYTES`](crate::engine::memory::PATH_ROW_BYTES)). BRAM
+//!   allocation is sized by it, and [`TempPath::words`] (the DMA and flush
+//!   word count) depends only on the path's length, so neither moves with the
+//!   host representation.
+//! * The **host storage** width `W` is a const generic: the engine picks 8
+//!   vertex slots for `k <= 7` and `MAX_K + 1` otherwise, once per run, so a
+//!   `k = 7` path is a 44-byte value instead of a 136-byte one. `W` changes
+//!   how fast the simulator copies paths, never what it simulates.
 
 use pefp_graph::{CsrGraph, VertexId};
 
 /// Maximum supported hop constraint.
 ///
-/// The paper evaluates `k ≤ 13`; 30 leaves generous headroom while keeping a
-/// path row at 128 bytes of vertex payload (the fixed BRAM row width).
+/// The paper evaluates `k ≤ 13`; 30 leaves generous headroom while keeping
+/// the simulated path row at `MAX_K + 1` vertex slots (124 bytes of payload).
 pub const MAX_K: usize = 30;
 
-/// A partial path held in the buffer/processing area or spilled to DRAM.
+/// A partial path held in the buffer/processing area or spilled to DRAM,
+/// stored in `W` vertex slots on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TempPath {
-    /// Number of vertices currently on the path (`1..=MAX_K + 1`).
+pub struct TempPath<const W: usize = { MAX_K + 1 }> {
+    /// Number of vertices currently on the path (`1..=W`).
     len: u8,
     /// Inline vertex storage; slots `len..` are unspecified.
-    vertices: [VertexId; MAX_K + 1],
+    vertices: [VertexId; W],
     /// Next unconsumed successor of the last vertex, as an index into the CSR
     /// edge array ("end neighbour pointer" in Algorithm 4).
     nbr_next: u32,
@@ -31,12 +46,13 @@ pub struct TempPath {
     nbr_end: u32,
 }
 
-impl TempPath {
+impl<const W: usize> TempPath<W> {
     /// Creates the initial single-vertex path `{s}` with the full successor
     /// range of `s`.
     pub fn initial(g: &CsrGraph, s: VertexId) -> Self {
+        const { assert!(W >= 1 && W <= MAX_K + 1, "a host row holds 1..=MAX_K + 1 vertices") };
         let range = g.neighbor_range(s);
-        let mut vertices = [VertexId::INVALID; MAX_K + 1];
+        let mut vertices = [VertexId::INVALID; W];
         vertices[0] = s;
         TempPath { len: 1, vertices, nbr_next: range.start, nbr_end: range.end }
     }
@@ -46,16 +62,26 @@ impl TempPath {
     ///
     /// # Panics
     ///
-    /// Panics if the path already holds `MAX_K + 1` vertices.
+    /// Panics if the path already holds `W` vertices.
     pub fn extended(&self, g: &CsrGraph, v: VertexId) -> Self {
-        assert!((self.len as usize) < MAX_K + 1, "path exceeds MAX_K = {MAX_K} hops");
         let mut next = *self;
-        next.vertices[next.len as usize] = v;
-        next.len += 1;
-        let range = g.neighbor_range(v);
-        next.nbr_next = range.start;
-        next.nbr_end = range.end;
+        next.push(g, v);
         next
+    }
+
+    /// [`Self::extended`] in place: appends `v` and switches the window to
+    /// the full successor range of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path already holds `W` vertices.
+    pub(crate) fn push(&mut self, g: &CsrGraph, v: VertexId) {
+        assert!((self.len as usize) < W, "path exceeds its {W}-vertex row (MAX_K = {MAX_K} hops)");
+        self.vertices[self.len as usize] = v;
+        self.len += 1;
+        let range = g.neighbor_range(v);
+        self.nbr_next = range.start;
+        self.nbr_end = range.end;
     }
 
     /// Number of vertices on the path.
@@ -83,8 +109,8 @@ impl TempPath {
     }
 
     /// Whether `v` already appears on the path (the *visited check*). The loop
-    /// has a constant bound (`MAX_K + 1`), which is what allows the FPGA
-    /// design to unroll it into parallel comparators.
+    /// has a constant bound (`MAX_K + 1` on the device), which is what allows
+    /// the FPGA design to unroll it into parallel comparators.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
         self.vertices().contains(&v)
@@ -123,7 +149,7 @@ impl TempPath {
     /// area and advances this path's cursor past it (Algorithm 4, lines 5–12).
     ///
     /// Returns the processing-area copy, or `None` when the window is empty.
-    pub fn take_window(&mut self, quota: u32) -> Option<TempPath> {
+    pub fn take_window(&mut self, quota: u32) -> Option<Self> {
         if self.window_exhausted() || quota == 0 {
             return None;
         }
@@ -135,7 +161,8 @@ impl TempPath {
     }
 
     /// Size of this path in 32-bit words as stored on the device: the vertex
-    /// payload, a length word and the two neighbour pointers.
+    /// payload, a length word and the two neighbour pointers. It depends on
+    /// the path's length only, not on the host width `W`.
     pub fn words(&self) -> u64 {
         self.len as u64 + 3
     }
@@ -146,6 +173,9 @@ mod tests {
     use super::*;
     use pefp_graph::CsrGraph;
 
+    /// The full-width row: the host width the engine uses for `k >= 8`.
+    type Row = TempPath;
+
     fn graph() -> CsrGraph {
         CsrGraph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])
     }
@@ -153,7 +183,7 @@ mod tests {
     #[test]
     fn initial_path_has_the_full_window_of_s() {
         let g = graph();
-        let p = TempPath::initial(&g, VertexId(0));
+        let p = Row::initial(&g, VertexId(0));
         assert_eq!(p.num_vertices(), 1);
         assert_eq!(p.hops(), 0);
         assert_eq!(p.last(), VertexId(0));
@@ -164,7 +194,7 @@ mod tests {
     #[test]
     fn extension_appends_and_switches_the_window() {
         let g = graph();
-        let p = TempPath::initial(&g, VertexId(0));
+        let p = Row::initial(&g, VertexId(0));
         let q = p.extended(&g, VertexId(1));
         assert_eq!(q.hops(), 1);
         assert_eq!(q.last(), VertexId(1));
@@ -177,7 +207,7 @@ mod tests {
     #[test]
     fn contains_checks_the_whole_prefix() {
         let g = graph();
-        let p = TempPath::initial(&g, VertexId(0)).extended(&g, VertexId(2));
+        let p = Row::initial(&g, VertexId(0)).extended(&g, VertexId(2));
         assert!(p.contains(VertexId(0)));
         assert!(p.contains(VertexId(2)));
         assert!(!p.contains(VertexId(4)));
@@ -186,7 +216,7 @@ mod tests {
     #[test]
     fn take_window_splits_a_super_node() {
         let g = graph();
-        let mut p = TempPath::initial(&g, VertexId(0));
+        let mut p = Row::initial(&g, VertexId(0));
         let first = p.take_window(2).expect("window available");
         assert_eq!(first.window_len(), 2);
         assert_eq!(p.window_len(), 1);
@@ -201,7 +231,7 @@ mod tests {
     #[test]
     fn zero_quota_takes_nothing() {
         let g = graph();
-        let mut p = TempPath::initial(&g, VertexId(0));
+        let mut p = Row::initial(&g, VertexId(0));
         assert!(p.take_window(0).is_none());
         assert_eq!(p.window_len(), 3);
     }
@@ -209,28 +239,53 @@ mod tests {
     #[test]
     fn words_accounts_for_payload_and_pointers() {
         let g = graph();
-        let p = TempPath::initial(&g, VertexId(0));
+        let p = Row::initial(&g, VertexId(0));
         assert_eq!(p.words(), 4);
         assert_eq!(p.extended(&g, VertexId(1)).words(), 5);
     }
 
     #[test]
+    fn words_do_not_depend_on_the_host_width() {
+        let g = graph();
+        let wide = Row::initial(&g, VertexId(0)).extended(&g, VertexId(1));
+        let narrow = TempPath::<8>::initial(&g, VertexId(0)).extended(&g, VertexId(1));
+        assert_eq!(narrow.words(), wide.words());
+        assert_eq!(narrow.vertices(), wide.vertices());
+        assert_eq!(
+            narrow.window_start()..narrow.window_end(),
+            wide.window_start()..wide.window_end()
+        );
+        assert!(std::mem::size_of::<TempPath<8>>() < std::mem::size_of::<Row>());
+    }
+
+    #[test]
     fn to_vec_round_trips() {
         let g = graph();
-        let p =
-            TempPath::initial(&g, VertexId(0)).extended(&g, VertexId(1)).extended(&g, VertexId(4));
+        let p = Row::initial(&g, VertexId(0)).extended(&g, VertexId(1)).extended(&g, VertexId(4));
         assert_eq!(p.to_vec(), vec![VertexId(0), VertexId(1), VertexId(4)]);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MAX_K")]
+    #[should_panic(expected = "exceeds its 31-vertex row (MAX_K = 30 hops)")]
     fn overlong_paths_are_rejected() {
         let n = MAX_K + 3;
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         let g = CsrGraph::from_edges(n, &edges);
-        let mut p = TempPath::initial(&g, VertexId(0));
+        let mut p = Row::initial(&g, VertexId(0));
         for i in 1..n as u32 {
             p = p.extended(&g, VertexId(i));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds its 8-vertex row")]
+    fn a_narrow_row_holds_w_vertices() {
+        let edges: Vec<(u32, u32)> = (0..9).map(|i| (i, i + 1)).collect();
+        let g = CsrGraph::from_edges(10, &edges);
+        let mut p = TempPath::<8>::initial(&g, VertexId(0));
+        for i in 1..10 {
+            p = p.extended(&g, VertexId(i));
+            assert_eq!(p.hops(), i, "a k = 7 path fits");
         }
     }
 }

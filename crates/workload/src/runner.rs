@@ -256,7 +256,7 @@ impl Runner {
                 let Some(path) = random_simple_walk(sub, start, l, &mut rng) else { continue };
                 found += 1;
                 // One-hop expansion with the verification of Algorithm 2.
-                let mut temp = TempPath::initial(sub, path[0]);
+                let mut temp: TempPath = TempPath::initial(sub, path[0]);
                 for &v in &path[1..] {
                     temp = temp.extended(sub, v);
                 }
