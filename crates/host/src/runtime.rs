@@ -136,7 +136,9 @@ pub struct RuntimeConfig {
     /// routes each prepared query to the cheapest engine — a CPU baseline
     /// (skipping the PCIe transfer and the CU lease entirely) or the device —
     /// by the modelled latencies of [`pefp_core::route_query`]. Routing never
-    /// changes answers, only placement.
+    /// changes answers, only placement. With routing on, the CU worker
+    /// threads run at the lowest OS priority (nice 19 on Linux), so on a
+    /// shared core the CPU pool and the submitters run before device work.
     pub routing: Option<RoutingTable>,
     /// Charge the DRAM bank model's conflict and read↔write turnaround
     /// stalls to CU clocks (see [`pefp_fpga::MultiCuConfig::charge_banked`]).
@@ -1961,6 +1963,14 @@ impl RuntimeBatchOutcome {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: Arc<RuntimeShared>) {
+    // With a CPU pool, device jobs are the throughput side of the routed
+    // split, and the CPU workers and waiting submitters the latency side. On
+    // a shared core the OS may otherwise run a CU worker, woken together with
+    // a CPU-routed query, for its whole time slice first: the query then
+    // waits on device work it was routed away from.
+    if shared.config.routing.is_some() {
+        run_at_background_priority();
+    }
     // Per-worker preprocessing context and DMA engine, created once: BFS
     // scratch amortises across every job this worker ever runs (each job's
     // snapshot carries both CSR directions).
@@ -1971,6 +1981,24 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
         execute_job(&shared, &mut ctx, &mut dma, job);
     }
 }
+
+/// Drops the calling thread to the lowest OS scheduling priority (nice 19).
+/// Linux keeps the nice value per thread, so only the caller is affected.
+#[cfg(target_os = "linux")]
+fn run_at_background_priority() {
+    extern "C" {
+        fn nice(inc: std::os::raw::c_int) -> std::os::raw::c_int;
+    }
+    // SAFETY: nice(2) takes an integer and touches no memory of ours. A
+    // failure leaves the priority as it was, which costs only the latency
+    // benefit.
+    unsafe {
+        nice(19);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn run_at_background_priority() {}
 
 /// Reserves a CU for one job attempt, honouring the circuit breaker: only
 /// non-quarantined CUs are candidates (preferring one different from `avoid`,
@@ -3171,6 +3199,30 @@ mod tests {
         assert!(heavy_outcome.transfer.bytes > 0, "the heavy query ran on the device");
         assert_eq!(heavy_outcome.num_paths, streamed.len() as u64);
         assert_eq!(canonicalize(streamed), oracle(&g, heavy));
+    }
+
+    /// The calling thread's nice value, read from `/proc/thread-self/stat`.
+    #[cfg(target_os = "linux")]
+    fn own_nice() -> i32 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields after the parenthesised command name start at field 3; the
+        // nice value is field 19.
+        let rest = &stat[stat.rfind(')').unwrap() + 1..];
+        rest.split_whitespace().nth(16).unwrap().parse().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn background_priority_lowers_only_the_calling_thread() {
+        let before = own_nice();
+        let lowered = std::thread::spawn(|| {
+            run_at_background_priority();
+            own_nice()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(lowered, 19);
+        assert_eq!(own_nice(), before, "the spawning thread keeps its priority");
     }
 
     #[test]
