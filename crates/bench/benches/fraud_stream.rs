@@ -1,36 +1,28 @@
 //! Closed-loop fraud-stream benchmark: a `RuntimeCycleDetector` ingesting
-//! the fixed `BENCH_06` transaction workload through a shared `HostRuntime`,
-//! where every transaction becomes an incremental `GraphDelta` (window
-//! expiries + the new edge) and a pre-insert k-hop cycle query against the
-//! current epoch's snapshot — the paper's Section I scenario run end to end
-//! on the dynamic-graph stack instead of per-query CSR rebuilds.
+//! the fixed fraud-stream transaction workload through a shared
+//! `HostRuntime`, where every transaction becomes an incremental
+//! `GraphDelta` (window expiries + the new edge) and a pre-insert k-hop
+//! cycle query against the current epoch's snapshot — the paper's Section I
+//! scenario run end to end on the dynamic-graph stack instead of per-query
+//! CSR rebuilds.
 //!
 //! The untimed header run prints the simulated domain (detected cycles,
-//! final epoch, device cycles, p99 per-transaction latency) plus the
-//! sustained tx/sec under the `BENCH_06` p99 budget, which is what the
-//! `bench_gate --check BENCH_06.json` floor enforces in CI.
+//! final epoch, device cycles) and the round's p99 per-transaction latency
+//! and throughput. The device-cycle total is a tier-1 anchor
+//! (`tests/cycle_anchors.rs`); throughput regressions are for `benchmark/`'s
+//! `fraud_stream` workload to catch.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pefp_bench::gate::{fraud_stream_workload, FRAUD_P99_BUDGET_MS, FRAUD_STREAM_TXS};
-use pefp_host::RuntimeConfig;
-use pefp_streaming::{RuntimeCycleDetector, RuntimeDetectorConfig};
+use pefp_bench::gate::{fraud_stream_detector, fraud_stream_workload, FRAUD_STREAM_TXS};
 use std::hint::black_box;
 use std::time::Instant;
-
-fn detector() -> RuntimeCycleDetector {
-    RuntimeCycleDetector::new(RuntimeDetectorConfig {
-        max_cycle_hops: 6,
-        window_size: 10_000,
-        runtime: RuntimeConfig { compute_units: 2, ..RuntimeConfig::default() },
-    })
-}
 
 fn bench_fraud_stream(c: &mut Criterion) {
     let txs = fraud_stream_workload();
 
     // Untimed closed-loop round reporting the simulated/latency domain.
     {
-        let mut det = detector();
+        let mut det = fraud_stream_detector();
         let round = Instant::now();
         let mut latencies_ms: Vec<f64> = txs
             .iter()
@@ -46,15 +38,14 @@ fn bench_fraud_stream(c: &mut Criterion) {
         let stats = det.stats();
         println!(
             "fraud_stream/closed_loop: {} txs, {} cycles detected, recall {:.2}, \
-             final epoch {}, {} device cycles, p99 {:.3} ms (budget {FRAUD_P99_BUDGET_MS} ms), \
-             sustained {:.0} tx/s",
+             final epoch {}, {} device cycles, p99 {:.3} ms, {:.0} tx/s",
             FRAUD_STREAM_TXS,
             stats.cycles,
             det.fraud_recall(),
             det.epoch(),
             det.runtime().stats().total_device_cycles,
             p99,
-            if p99 <= FRAUD_P99_BUDGET_MS { txs.len() as f64 / elapsed.max(1e-9) } else { 0.0 },
+            txs.len() as f64 / elapsed.max(1e-9),
         );
     }
 
@@ -63,7 +54,7 @@ fn bench_fraud_stream(c: &mut Criterion) {
     group.throughput(Throughput::Elements(FRAUD_STREAM_TXS as u64));
     group.bench_function("closed_loop", |b| {
         b.iter(|| {
-            let mut det = detector();
+            let mut det = fraud_stream_detector();
             let mut detected = 0usize;
             for tx in &txs {
                 detected += det.ingest(tx).cycles.len();

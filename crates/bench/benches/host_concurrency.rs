@@ -7,8 +7,8 @@
 //! one at a time (closed loop), so the number of in-flight jobs equals the
 //! number of sessions. Wall-clock covers the whole round (runtime launch +
 //! all clients); the untimed header run prints the virtual-time domain —
-//! queries per virtual-makespan cycle — which is what the `BENCH_05` gate
-//! floors, because it is machine-independent.
+//! queries per virtual-makespan cycle — which is what the gate case
+//! `host_concurrency/sessions4` floors, because it is machine-independent.
 //!
 //! "no_cache" disables the runtime's shared LRU; on this pool (no session
 //! repeats a query) that is exactly what per-session caches would deliver, so
@@ -20,7 +20,7 @@ use std::hint::black_box;
 
 fn bench_host_concurrency(c: &mut Criterion) {
     let handle = gate_graph();
-    let pool = gate_batch(&handle);
+    let pool = gate_batch();
 
     let mut group = c.benchmark_group("host_concurrency");
     group.sample_size(10);

@@ -1,6 +1,7 @@
 //! Mixed-workload routing: the adaptive router against every fixed engine.
 //!
-//! The cases mirror the `BENCH_08` gate (`pefp_bench::gate`): the 24-tiny +
+//! The cases mirror the gate's `mixed_workload/*` floors
+//! (`pefp_bench::gate`): the 24-tiny +
 //! 5-heavy query pool on the 10k Chung-Lu profile, served closed-loop by a
 //! 2-CU `HostRuntime` under five policies — the adaptive router (builtin
 //! table), device-always (`routing: None`, the pre-router behaviour),

@@ -9,9 +9,11 @@
 //! the thread fan-out; an untimed header line per case prints the simulated
 //! domain so both are visible in one run.
 //!
-//! * `multi_cu/dispatch/N` — `BENCH_04`'s dispatch cases: serial cycles,
-//!   measured makespan and speedup, and the model's prediction.
-//! * `bank_layout/<policy>/N` — `BENCH_10`'s charged rounds: BRAM graph
+//! * `multi_cu/dispatch/N` — the dispatch cases: serial cycles (77 345 at
+//!   every width, pinned in `tests/multi_cu_dispatch.rs`), measured makespan
+//!   and speedup, and the model's prediction.
+//! * `bank_layout/<policy>/N` — the charged rounds behind the gate's
+//!   `bank_layout/*` floors: BRAM graph
 //!   caching off (rows stream from DRAM) and bank-conflict/turnaround
 //!   charging on, the one configuration where a row's bank assignment costs
 //!   simulated time.
@@ -26,7 +28,7 @@ use std::hint::black_box;
 
 fn bench_multi_cu(c: &mut Criterion) {
     let handle = gate_graph();
-    let requests = gate_batch(&handle);
+    let requests = gate_batch();
 
     let mut group = c.benchmark_group("multi_cu");
     group.sample_size(10);
@@ -55,7 +57,7 @@ fn bench_bank_layout(c: &mut Criterion) {
     for cus in BANK_LAYOUT_CUS {
         for policy in [PlacementPolicy::Natural, PlacementPolicy::BankAware] {
             let handle = gate_graph().with_placement(policy);
-            let requests = gate_batch(&handle);
+            let requests = gate_batch();
             let scheduler = charged_nocache_scheduler(cus);
             let measured = run_gate_batch(&scheduler, &handle, &requests).measured;
             let conflicts: u64 = measured.per_cu_bank_conflict_cycles.iter().sum();

@@ -1,21 +1,19 @@
-//! Open-loop TCP load benchmark: the BENCH_09 workload — binary-protocol
-//! COUNT requests at a fixed arrival rate over hundreds of concurrent
-//! loopback connections into one shared `HostRuntime` behind the
+//! Open-loop TCP load benchmark: the gate's TCP load workload —
+//! binary-protocol COUNT requests at a fixed arrival rate over hundreds of
+//! concurrent loopback connections into one shared `HostRuntime` behind the
 //! `NetServer` front door.
 //!
 //! The profile scales with `PEFP_BENCH_SCALE` (tiny is the CI smoke size;
 //! the full gate profile of 256 connections at 1000 req/s runs at medium —
 //! wall budgets per scale are recorded in this crate's `README.md`). The
 //! untimed header round prints the latency histogram and goodput that the
-//! `bench_gate --check BENCH_09.json` floors enforce in CI.
+//! `bench_gate` `tcp_load/*` cases turn into within-run ratios.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pefp_bench::bench_scale;
 use pefp_bench::gate;
 use pefp_bench::loadgen::{run_open_loop, LoadConfig, LoadProtocol};
 use pefp_graph::ScaleProfile;
-use pefp_host::{HostRuntime, NetConfig, NetServer, QueryRequest, RuntimeConfig};
-use std::sync::Arc;
 
 /// `(connections, rate_per_sec, requests)` per scale profile.
 fn load_profile() -> (usize, f64, usize) {
@@ -24,24 +22,6 @@ fn load_profile() -> (usize, f64, usize) {
         ScaleProfile::Small => (128, 1_500.0, 1_500),
         _ => (gate::TCP_LOAD_CONNECTIONS, gate::TCP_LOAD_RATE_PER_SEC, gate::TCP_LOAD_REQUESTS),
     }
-}
-
-/// A warm front door over the BENCH_09 gate runtime.
-fn front_door() -> NetServer {
-    let runtime = HostRuntime::launch(
-        gate::gate_graph(),
-        RuntimeConfig { compute_units: 4, queue_capacity: 4096, ..RuntimeConfig::default() },
-    );
-    let session = runtime.register_session();
-    for (s, t, k) in gate::tcp_load_pool() {
-        runtime
-            .submit_query(session, QueryRequest::new(s, t, k), false)
-            .expect("warm query admitted")
-            .wait()
-            .expect("warm query completes");
-    }
-    NetServer::bind(Arc::clone(&runtime), "127.0.0.1:0", NetConfig::default())
-        .expect("bind loopback front door")
 }
 
 fn bench_tcp_load(c: &mut Criterion) {
@@ -54,9 +34,9 @@ fn bench_tcp_load(c: &mut Criterion) {
         pool: gate::tcp_load_pool(),
     };
 
-    // Untimed header round per protocol: the figures the BENCH_09 gate
-    // floors (goodput, answered fraction) and budget (p999) act on.
-    let server = front_door();
+    // Untimed header round per protocol: the figures the `tcp_load/*` gate
+    // cases read (answered fraction, goodput, p50 and p999).
+    let server = gate::tcp_load_front_door();
     for protocol in [LoadProtocol::Binary, LoadProtocol::Line] {
         let report =
             run_open_loop(server.local_addr(), &make_config(protocol)).expect("header round");

@@ -1,219 +1,52 @@
-//! CI bench-regression gate.
+//! CI bench gate: runs the within-run floors of `pefp_bench::gate::CASES`
+//! and exits 1 when any signal leaves its bound.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p pefp-bench --release --bin bench_gate -- --write BENCH_04.json
-//! cargo run -p pefp-bench --release --bin bench_gate -- --check BENCH_04.json
-//! cargo run -p pefp-bench --release --bin bench_gate -- --check BENCH_05.json
-//! cargo run -p pefp-bench --release --bin bench_gate -- --check BENCH_06.json
+//! cargo run -p pefp-bench --release --bin bench_gate               # every case
+//! cargo run -p pefp-bench --release --bin bench_gate -- bank_layout # cases by name prefix
 //! ```
 //!
-//! The suite is selected by the baseline's file name:
-//!
-//! * `BENCH_04*` — the multi-CU dispatch + streaming cases of PR 4.
-//! * `BENCH_05*` — the host-concurrency cases: 1 vs 4 closed-loop sessions on
-//!   one shared 4-CU `HostRuntime`, with the ≥2× aggregate-throughput floor.
-//! * `BENCH_06*` — the closed-loop fraud stream: a `RuntimeCycleDetector`
-//!   ingesting the fixed 400-transaction workload through incremental graph
-//!   deltas, gated on sustained tx/sec at the fixed p99 latency budget.
-//! * `BENCH_07*` — the fault-storm cases: the fixed 12-query pool on a 2-CU
-//!   fault-tolerant `HostRuntime` under the seeded fault mix, gated on
-//!   goodput and the 1.0 correct-answer fraction vs a fault-free oracle.
-//! * `BENCH_08*` — the mixed-workload router cases: the tiny + heavy pool on
-//!   a 2-CU `HostRuntime`, gated on the adaptive router beating the best
-//!   fixed engine policy (device-always, bc-dfs-always, join-always, and the
-//!   best-CPU oracle) ≥1.2× and routed-CPU tiny queries beating forced-device
-//!   placement ≥5× in summed serve latency.
-//! * `BENCH_09*` — the open-loop TCP load cases: 3000 binary COUNT requests
-//!   offered at 1000/s over 256 loopback connections into a warm 4-CU
-//!   `NetServer` front door, gated on the calibrated p999 latency, a goodput
-//!   floor and the exact 1.0 answered fraction (zero protocol errors).
-//! * `BENCH_10*` — the bank-layout cases: the hub-pair batch under
-//!   bank-conflict charging with the BRAM graph cache off, natural vs
-//!   bank-aware CSR placement at 2/4 CUs, gated on the ≥20% charged
-//!   conflict-cycle reduction, the charged makespan win, the ≤30% LPT model
-//!   error under charging, and exact banking-off cycle equality with the
-//!   sibling `BENCH_04.json` anchor.
-//!
-//! `--write` measures the suite's cases and records them, together with the
-//! machine's calibration time, as the committed baseline. `--check`
-//! re-measures the same cases and fails (exit code 1) when a median regresses
-//! more than 25% against the calibrated baseline, a deterministic cycle count
-//! grows more than 25%, or a hard floor (the ≥1.5× measured 4-CU dispatch
-//! speedup; the ≥2× 4-session throughput) is violated.
+//! Every signal is a ratio of two measurements taken in the same run, so the
+//! gate reads no baseline file and needs no machine calibration. Exact cycle
+//! anchors are tier-1 tests, and wall-clock regression is `benchmark/`'s job.
 
 use pefp_bench::gate;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, path) = match args.as_slice() {
-        [mode, path] if mode == "--write" || mode == "--check" => (mode.as_str(), path.as_str()),
+    let prefix = match args.as_slice() {
+        [] => "",
+        [prefix] if !prefix.starts_with('-') => prefix.as_str(),
         _ => {
-            eprintln!("usage: bench_gate --write <BENCH_0x.json> | --check <BENCH_0x.json>");
+            eprintln!("usage: bench_gate [case-name prefix]");
             std::process::exit(2);
         }
     };
-    let file_name = std::path::Path::new(path).file_name().and_then(|n| n.to_str()).unwrap_or(path);
-    type CaseRunner = Box<dyn Fn() -> Vec<gate::GateCase>>;
-    let (artefact, run_cases, note): (&str, CaseRunner, &str) = if file_name.starts_with("BENCH_10")
-    {
-        // The banking-off determinism floor pins this suite to the committed
-        // BENCH_04 dispatch_cus1 cycle count: read the anchor from the
-        // sibling baseline so the two files cannot drift apart silently.
-        let sibling = std::path::Path::new(path).with_file_name("BENCH_04.json");
-        let anchor = std::fs::read_to_string(&sibling)
-            .map_err(|e| e.to_string())
-            .and_then(|text| gate::parse_baseline(&text))
-            .ok()
-            .and_then(|baseline| {
-                baseline
-                    .cases
-                    .iter()
-                    .find(|case| case.name == "multi_cu/dispatch_cus1")
-                    .and_then(|case| case.cycles)
-            });
-        match anchor {
-            Some(anchor) => {
-                eprintln!("# BENCH_04 dispatch_cus1 anchor: {anchor} cycles");
-            }
-            None => {
-                eprintln!(
-                    "error: {} must hold a multi_cu/dispatch_cus1 case with cycles \
-                     (the BENCH_10 banking-off determinism floor anchors against it)",
-                    sibling.display()
-                );
-                std::process::exit(2);
-            }
-        }
-        (
-            "BENCH_10",
-            Box::new(move || gate::run_bank_layout_cases(anchor)) as CaseRunner,
-            "bank-layout baseline: the 10k Chung-Lu 56-hub-pair k=6 batch under \
-                 bank-conflict charging (BRAM graph cache off, so adjacency rows stream \
-                 from banked DRAM), natural vs bank-aware CSR placement at 2/4 CUs. \
-                 Floors gate the >=20% charged-conflict-cycle reduction, the charged \
-                 makespan win and the <=30% LPT model error under charging; the \
-                 banking-off case must reproduce the committed BENCH_04 dispatch_cus1 \
-                 cycle count bit-identically (exact-equality floor).",
-        )
-    } else if file_name.starts_with("BENCH_05") {
-        (
-            "BENCH_05",
-            Box::new(gate::run_host_concurrency_cases) as CaseRunner,
-            "host-concurrency baseline: medians over 5 samples of 1 vs 4 closed-loop \
-                 sessions sharing one 4-CU HostRuntime on the 10k Chung-Lu 56-hub-pair k=6 \
-                 pool. The sessions1 virtual makespan is deterministic; sessions4 carries the \
-                 >=2x aggregate-throughput (queries per virtual-makespan cycle) floor.",
-        )
-    } else if file_name.starts_with("BENCH_06") {
-        (
-            "BENCH_06",
-            Box::new(gate::run_fraud_stream_cases) as CaseRunner,
-            "fraud-stream baseline: medians over 5 samples of the 400-transaction \
-                 closed-loop RuntimeCycleDetector round (256 accounts, 5% fraud rings, k=6, \
-                 window 10k) on a 2-CU HostRuntime with incremental epoch updates. Device \
-                 cycles are deterministic; the floor gates sustained tx/sec under the fixed \
-                 50 ms p99 detection-latency budget.",
-        )
-    } else if file_name.starts_with("BENCH_07") {
-        (
-            "BENCH_07",
-            Box::new(gate::run_fault_storm_cases) as CaseRunner,
-            "fault-storm baseline: medians over 5 samples of the 12-query pool on a 2-CU \
-                 HostRuntime under the fixed seeded fault mix (DRAM corruption, PCIe errors, \
-                 hangs, crashes) with retries, quarantine and CPU fallback enabled. Floors gate \
-                 goodput (correct queries/sec under faults) and the 1.0 correct-answer fraction \
-                 against a fault-free oracle round; no cycle signal (retry placement is \
-                 scheduling-dependent).",
-        )
-    } else if file_name.starts_with("BENCH_08") {
-        (
-            "BENCH_08",
-            Box::new(gate::run_mixed_workload_cases) as CaseRunner,
-            "mixed-workload baseline: medians over 5 samples of the 24-tiny + 5-heavy query \
-                 pool on a 2-CU HostRuntime under the adaptive router (builtin table). Device \
-                 cycles are deterministic and placement-sensitive. Floors gate the router's \
-                 summed serve latency (transfer + engine) against the best fixed engine policy \
-                 (device-always, bc-dfs-always, join-always, best-CPU oracle; >=1.2x) and \
-                 routed-CPU tiny queries against forced-device placement (>=5x).",
-        )
-    } else if file_name.starts_with("BENCH_09") {
-        (
-            "BENCH_09",
-            Box::new(gate::run_tcp_load_cases) as CaseRunner,
-            "tcp-load baseline: medians over 5 measured open-loop rounds (after one warm-up) \
-                 of 3000 binary-protocol COUNT requests offered at 1000/s across 256 loopback \
-                 connections into a warm 4-CU NetServer front door on the 10k Chung-Lu gate \
-                 graph. The median p999 must stay under a runner-speed-calibrated budget \
-                 (75 ms at the anchor machine's calibration, scaled by the check machine's \
-                 own calibration probe); a violation zeroes the goodput floor. The p50 \
-                 median carries the calibrated 25% regression rule (the round wall clock is \
-                 pinned by the open-loop schedule and is not a signal). Floors gate the \
-                 worst round's goodput (answers/sec) and the exact 1.0 answered fraction \
-                 (any dropped connection, corrupt frame or unexpected ERR fails). No cycle \
-                 signal (admission interleaving is scheduling-dependent).",
-        )
-    } else if file_name.starts_with("BENCH_04") {
-        (
-            "BENCH_04",
-            Box::new(gate::run_gate_cases) as CaseRunner,
-            "bench-regression baseline: medians over 5 samples on the 10k Chung-Lu batch \
-                 profile (56 hub-pair dispatch queries at k=6; k=7 hub-to-hub streaming query). \
-                 Wall-clock budgets are rescaled at check time by calibration_now/calibration_ns; \
-                 cycles are deterministic.",
-        )
-    } else {
-        eprintln!(
-            "error: cannot infer the suite from {file_name:?} (want BENCH_04*, BENCH_05*, BENCH_06*, BENCH_07*, BENCH_08*, BENCH_09* or BENCH_10*)"
-        );
+    let cases: Vec<&gate::GateCase> =
+        gate::CASES.iter().filter(|case| case.name.starts_with(prefix)).collect();
+    if cases.is_empty() {
+        eprintln!("error: no gate case name starts with {prefix:?}");
         std::process::exit(2);
-    };
-
-    eprintln!("# calibrating machine speed ...");
-    let calibration_ns = gate::calibration_median_ns();
-    eprintln!("# calibration median: {calibration_ns:.0} ns");
-    eprintln!("# running {artefact} gate cases ...");
-    let cases = run_cases();
-    for case in &cases {
-        let cycles = case.cycles.map(|c| format!(", {c} cycles")).unwrap_or_default();
-        let floor = case
-            .floor
-            .as_ref()
-            .map(|f| format!(", {} {:.2} (floor {:.2})", f.label, f.value, f.min))
-            .unwrap_or_default();
-        eprintln!("#   {}: median {:.0} ns{cycles}{floor}", case.name, case.median_ns);
     }
 
-    match mode {
-        "--write" => {
-            let json = gate::to_json_named(artefact, calibration_ns, &cases, note).render_pretty();
-            std::fs::write(path, json).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("# wrote {path}");
-        }
-        "--check" => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(2);
-            });
-            let baseline = gate::parse_baseline(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path} is not a valid baseline: {e}");
-                std::process::exit(2);
-            });
-            let failures = gate::compare(&baseline, calibration_ns, &cases);
-            if failures.is_empty() {
-                println!("bench gate PASSED ({artefact}, {} cases)", cases.len());
-            } else {
-                for failure in &failures {
-                    eprintln!("REGRESSION: {failure}");
-                }
-                eprintln!("bench gate FAILED ({} of {} cases)", failures.len(), cases.len());
-                std::process::exit(1);
-            }
-        }
-        _ => unreachable!(),
+    let mut failed = 0;
+    for case in &cases {
+        let (value, passed) = case.check();
+        failed += usize::from(!passed);
+        println!(
+            "{} {}: {} = {value:.3} ({})",
+            if passed { "ok  " } else { "FAIL" },
+            case.name,
+            case.signal,
+            case.bound
+        );
+    }
+    if failed == 0 {
+        println!("bench gate PASSED ({} cases)", cases.len());
+    } else {
+        eprintln!("bench gate FAILED ({failed} of {} cases)", cases.len());
+        std::process::exit(1);
     }
 }

@@ -12,20 +12,19 @@
 //!     --addr 127.0.0.1:7070 --protocol line --json
 //! ```
 //!
-//! Without `--addr` the generator binds its own [`NetServer`] on an
-//! ephemeral loopback port over the BENCH_09 gate runtime (the 10k Chung-Lu
-//! gate graph, 4 CUs, warm prepared-query cache) and tears it down after the
-//! run — the same setup the committed `BENCH_09.json` baseline measures.
+//! Without `--addr` the generator binds its own front door
+//! (`gate::tcp_load_front_door`: the 10k Chung-Lu gate graph, 4 CUs, warm
+//! prepared-query cache) on an ephemeral loopback port and tears it down
+//! after the run — the same setup the `bench_gate` `tcp_load/*` cases
+//! measure.
 //! Latency percentiles are scheduled-to-completion (coordinated omission
 //! counts against the server), and `--json` emits the report as a single
 //! machine-readable document.
 
 use pefp_bench::gate;
 use pefp_bench::loadgen::{run_open_loop, LoadConfig, LoadProtocol};
-use pefp_host::{HostRuntime, NetConfig, NetServer, QueryRequest, RuntimeConfig};
 use pefp_workload::ToJson;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::Arc;
 
 struct Args {
     addr: Option<SocketAddr>,
@@ -88,25 +87,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The self-hosted front door: the BENCH_09 gate runtime with a pre-warmed
-/// prepared-query cache.
-fn self_hosted() -> NetServer {
-    let runtime = HostRuntime::launch(
-        gate::gate_graph(),
-        RuntimeConfig { compute_units: 4, queue_capacity: 4096, ..RuntimeConfig::default() },
-    );
-    let session = runtime.register_session();
-    for (s, t, k) in gate::tcp_load_pool() {
-        runtime
-            .submit_query(session, QueryRequest::new(s, t, k), false)
-            .expect("warm query admitted")
-            .wait()
-            .expect("warm query completes");
-    }
-    NetServer::bind(Arc::clone(&runtime), "127.0.0.1:0", NetConfig::default())
-        .expect("bind loopback front door")
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(args) => args,
@@ -122,7 +102,7 @@ fn main() {
         protocol: args.protocol,
         pool: gate::tcp_load_pool(),
     };
-    let server = if args.addr.is_none() { Some(self_hosted()) } else { None };
+    let server = args.addr.is_none().then(gate::tcp_load_front_door);
     let addr = args.addr.unwrap_or_else(|| server.as_ref().expect("self-hosted").local_addr());
     eprintln!(
         "loadgen: {} requests at {}/s over {} {} connections -> {addr}",

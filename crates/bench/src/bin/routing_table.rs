@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--write` runs the fixed calibration sweep: it times BC-DFS and JOIN on
-//! each query (normalised to the `BENCH_04.json` reference machine via the
-//! bench gate's calibration probe), takes the modelled device latency and
+//! each query (normalised to the reference machine via
+//! `routing_fit::calibration_median_ns`), takes the modelled device latency and
 //! PCIe transfer curve (deterministic), fits one `fixed + unit × work` line
 //! per engine, rounds aggressively and writes the table together with the
 //! routing decision of every sweep query.
@@ -18,11 +18,11 @@
 //! committed table must parse, validate, equal [`RoutingTable::builtin`]
 //! (so the in-code fallback can never drift from the committed file) and
 //! reproduce every recorded sweep decision. Whether the table routes *well*
-//! is gated separately by the `BENCH_08` mixed-workload floors.
+//! is gated separately by the `bench_gate` mixed-workload floors.
 //!
 //! [`RoutingTable::builtin`]: pefp_core::RoutingTable::builtin
 
-use pefp_bench::{gate, routing_fit};
+use pefp_bench::routing_fit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +39,7 @@ fn main() {
     match mode {
         "--write" => {
             eprintln!("# calibrating machine speed ...");
-            let calibration_ns = gate::calibration_median_ns();
+            let calibration_ns = routing_fit::calibration_median_ns();
             let cpu_scale = routing_fit::REFERENCE_CALIBRATION_NS / calibration_ns;
             eprintln!(
                 "# calibration median: {calibration_ns:.0} ns (reference scale {cpu_scale:.3})"
@@ -74,8 +74,8 @@ fn main() {
             }
             let note = "adaptive-router calibration: per-engine `fixed + unit x work` \
                         latencies fitted on the fixed sweep (CPU wall times rescaled to the \
-                        BENCH_04 reference machine, device/transfer from the deterministic \
-                        model), rounded to 2 significant digits. The sweep records each \
+                        reference machine, device/transfer from the deterministic model), \
+                        rounded to 2 significant digits. The sweep records each \
                         query's decision; --check re-derives them without timing.";
             let json = routing_fit::table_document(&table, &decisions, note).render_pretty();
             std::fs::write(path, json).unwrap_or_else(|e| {

@@ -12,11 +12,16 @@
 //!   (Fig. 8), `preprocess_time` (Fig. 9), `total_time` (Fig. 10/11),
 //!   `ablations` (Fig. 12–15) and `microbench` (component-level costs).
 //!
-//! Shared helpers for both live in this library crate, together with the
-//! [`gate`] module backing the **`bench_gate` binary** — the CI
-//! bench-regression comparator that measures a fixed case set and fails when
-//! a median regresses more than 25% against the committed `BENCH_04.json`
-//! baseline.
+//! Shared helpers for both live in this library crate, together with:
+//!
+//! * [`gate`] — the fixed workloads the benches and the tier-1 cycle-anchor
+//!   tests share, and the **`bench_gate` binary**'s one table of within-run
+//!   ratio floors ([`gate::CASES`]). It reads no baseline file, and no
+//!   verdict depends on an absolute wall-clock number: exact cycles are
+//!   tier-1 literals and wall-clock regression is `benchmark/`'s job;
+//! * [`routing_fit`] — the offline calibration behind the `routing_table`
+//!   binary, with the machine-speed probe its `--write` mode uses;
+//! * [`loadgen`] — the open-loop TCP load generator.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,7 +13,8 @@
 //! classified as `ok` (a well-formed answer), `busy` (the server's typed
 //! backpressure reply for an admission-queue rejection) or a protocol error
 //! (anything else: frame corruption, unexpected `ERR`, transport failure).
-//! The BENCH_09 gate requires the protocol-error count to be exactly zero.
+//! The bench gate's `tcp_load/answered` case requires every offered request
+//! to be answered (OK or BUSY), so the protocol-error count must be zero.
 
 use pefp_host::wire::{Reply, Request};
 use pefp_workload::{JsonValue, ToJson};

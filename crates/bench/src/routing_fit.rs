@@ -10,16 +10,16 @@
 //!   pairs, mid-size power-law subgraphs, 10k-hub device-tier work and a
 //!   walk-count-saturating clique;
 //! * `--write` measures BC-DFS and JOIN wall time per query (normalised to
-//!   the `BENCH_04.json` reference machine through the same calibration
-//!   probe the bench gate uses), takes the *modelled* device latency and
-//!   PCIe transfer curve (both deterministic), fits one `fixed + unit × work`
-//!   line per engine, rounds the coefficients aggressively and records the
-//!   table **plus the routing decision of every sweep query** under it;
+//!   the reference machine through [`calibration_median_ns`], this module's
+//!   machine-speed probe), takes the *modelled* device latency and PCIe
+//!   transfer curve (both deterministic), fits one `fixed + unit × work` line
+//!   per engine, rounds the coefficients aggressively and records the table
+//!   **plus the routing decision of every sweep query** under it;
 //! * `--check` is fully deterministic (no timing): the committed table must
 //!   parse, validate, match [`RoutingTable::builtin`] exactly, and reproduce
 //!   the recorded decision of every sweep query. CI runs only `--check`;
-//!   whether the table routes *well* is gated separately by the `BENCH_08`
-//!   mixed-workload floors.
+//!   whether the table routes *well* is gated separately by the `bench_gate`
+//!   floors `mixed_workload/router` and `mixed_workload/tiny_cpu`.
 
 use pefp_core::{
     prepare_snapshot_with, route_query, run_prepared_on_device, PefpVariant, PrepareContext,
@@ -36,9 +36,9 @@ use std::time::Instant;
 /// CUs assumed by every sweep decision (the gate runtime's fleet size).
 pub const SWEEP_COMPUTE_UNITS: usize = 4;
 
-/// Calibration median of the machine that wrote `BENCH_04.json`. CPU
-/// measurements are rescaled to this reference before fitting, so the
-/// committed coefficients are machine-independent up to rounding.
+/// [`calibration_median_ns`] on the reference machine. CPU measurements are
+/// rescaled to this reference before fitting, so the committed coefficients
+/// are machine-independent up to rounding.
 pub const REFERENCE_CALIBRATION_NS: f64 = 11_318_851.0;
 
 /// CPU engines are only *timed* on queries whose work proxy stays below this
@@ -164,6 +164,22 @@ fn median_us<F: FnMut()>(mut routine: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
     samples[samples.len() / 2]
+}
+
+/// Times the fixed calibration workload: generating the 10k Chung-Lu graph
+/// (`chung_lu(10_000, 8.0, 2.2, 3)`) and building its CSR. The ratio of
+/// [`REFERENCE_CALIBRATION_NS`] to this reading rescales the sweep's CPU
+/// timings to the reference machine.
+///
+/// The probe deliberately times no serving-path code (Pre-BFS, engine,
+/// device model, runtime), so a change there cannot shift the scale. A
+/// change to the generator or the CSR builder does: it must rescale
+/// [`REFERENCE_CALIBRATION_NS`] and its copy in `docs/routing_table.json` by
+/// the probe's measured new/old ratio.
+pub fn calibration_median_ns() -> f64 {
+    median_us(|| {
+        std::hint::black_box(chung_lu(10_000, 8.0, 2.2, 3).to_csr());
+    }) * 1e3
 }
 
 /// Runs the sweep, timing the CPU engines (scaled by `cpu_scale`, the

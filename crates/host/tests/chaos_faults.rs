@@ -117,6 +117,18 @@ fn seeded_fault_matrix_preserves_every_answer() {
             },
         ),
         ("crash-prone", FaultRates { cu_crash: 0.01, ..FaultRates::NONE }),
+        (
+            // Every fault kind at once, hangs included: the `fault_storm`
+            // bench's mix.
+            "storm",
+            FaultRates {
+                dram_corruption: 0.01,
+                pcie_error: 0.05,
+                cu_stall: 0.002,
+                stall_cycles: 100_000_000,
+                cu_crash: 0.005,
+            },
+        ),
     ];
     for seed in seeds() {
         for (name, rates) in &mixes {

@@ -7,8 +7,9 @@
 //! * **correctness** — the enumerated path sets are identical (as sorted
 //!   sets) across 1/2/4 CUs and the naive DFS oracle; concurrency must never
 //!   change *what* is enumerated;
-//! * **measurement** — the measured makespan stays within the serial total,
-//!   the 4-CU speedup on the 10k Chung-Lu batch profile clears the 1.5x
+//! * **measurement** — the batch's serial total is exactly 77 345 simulated
+//!   cycles at every CU width, the measured makespan stays within it, the
+//!   4-CU speedup on the 10k Chung-Lu batch profile clears the 1.5x
 //!   acceptance floor, and the traffic-aware prediction lands within 30% of
 //!   the measured makespan.
 
@@ -24,13 +25,10 @@ use pefp_bench::gate::{charged_nocache_scheduler, dispatch_scheduler, run_gate_b
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-/// The 10k Chung-Lu batch profile, shared with the `multi_cu` bench and the
-/// CI bench-regression gate — the speedup/model-error assertions below hold
-/// for exactly the batch the gate measures.
+/// The 10k Chung-Lu hub-pair batch, shared with the `multi_cu` bench and the
+/// bench gate's `bank_layout/*` cases.
 fn hub_batch() -> (GraphHandle, Vec<QueryRequest>) {
-    let handle = pefp_bench::gate::gate_graph();
-    let requests = pefp_bench::gate::gate_batch(&handle);
-    (handle, requests)
+    (pefp_bench::gate::gate_graph(), pefp_bench::gate::gate_batch())
 }
 
 /// Every streamed path of a `cus`-CU batch, grouped by request and sorted.
@@ -115,9 +113,9 @@ fn four_cu_dispatch_clears_the_speedup_floor_on_the_10k_profile() {
     assert!(measured.arbiter.refills > 0);
     assert!(measured.arbiter.penalty_cycles > 0);
 
-    // The serial-cycle accounting is deterministic and matches a 1-CU run.
+    // The serial-cycle accounting is deterministic: the exact 1-CU total.
+    assert_eq!(measured.serial_cycles, 77_345);
     let single = run_gate_batch(&dispatch_scheduler(1), &handle, &requests);
-    assert_eq!(measured.serial_cycles, single.measured.serial_cycles);
     assert_eq!(outcome.total_paths(), single.total_paths());
 }
 
@@ -126,6 +124,7 @@ fn predicted_makespan_is_within_30_percent_of_measured() {
     let (handle, requests) = hub_batch();
     for cus in [2usize, 4] {
         let measured = run_gate_batch(&dispatch_scheduler(cus), &handle, &requests).measured;
+        assert_eq!(measured.serial_cycles, 77_345, "{cus} CUs");
         assert!(measured.predicted.makespan_cycles > 0);
         assert!(
             measured.model_error() <= 0.30,
@@ -143,6 +142,7 @@ fn single_cu_dispatch_equals_the_serial_pipeline_exactly() {
     let measured = run_gate_batch(&dispatch_scheduler(1), &handle, &requests).measured;
     // One CU cannot contend with itself: the measurement collapses to the
     // serial execution, cycle for cycle.
+    assert_eq!(measured.serial_cycles, 77_345);
     assert_eq!(measured.contention_cycles, 0);
     assert_eq!(measured.makespan_cycles, measured.serial_cycles);
     assert_eq!(measured.per_cu_queries, vec![requests.len()]);
