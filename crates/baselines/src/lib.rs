@@ -10,11 +10,6 @@
 //! * [`join`] — the state-of-the-art CPU algorithm JOIN (Peng et al.,
 //!   VLDB 2019): BC-DFS from both ends joined on middle vertices. This is the
 //!   baseline every figure of the paper compares PEFP against.
-//! * [`tdfs`] / [`tdfs2`] — the aggressive-verification algorithms T-DFS and
-//!   T-DFS2, which guarantee every search branch yields a result by computing
-//!   path-avoiding shortest distances.
-//! * [`hp_index`] — the hot-point index of Qiu et al. (VLDB 2018), which
-//!   precomputes paths between high-degree vertices.
 //!
 //! All entry points take a [`pefp_graph::CsrGraph`], a source, a target and a
 //! hop constraint `k`, and return the complete set of simple paths of length
@@ -28,17 +23,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bc_dfs;
-pub mod hp_index;
 pub mod join;
 pub mod naive;
-pub mod tdfs;
-pub mod tdfs2;
-pub mod yen;
 
 pub use bc_dfs::{bc_dfs_enumerate, bc_dfs_stream, BcDfs};
-pub use hp_index::HpIndex;
 pub use join::{join_stream, Join, JoinPreprocess};
 pub use naive::{naive_bfs_enumerate, naive_dfs_enumerate, naive_dfs_stream};
-pub use tdfs::tdfs_enumerate;
-pub use tdfs2::tdfs2_enumerate;
-pub use yen::yen_enumerate;

@@ -5,11 +5,10 @@
 //! adjacency structure, and the walk count is an upper bound on the simple
 //! path count. The reproduction uses these bounds in two places:
 //!
-//! * the experiment harness skips `(dataset, k)` points whose estimated result
-//!   volume exceeds its budget — the analogue of the paper's 10,000-second
-//!   `INF` cutoff;
-//! * the host-side planner sizes the device buffer areas from the predicted
-//!   intermediate-path volume before launching the kernel.
+//! * the engine router ([`crate::routing`]) scores each engine from the
+//!   [`QueryEstimate`] of the pruned subgraph `G'`;
+//! * the host's batch scheduler orders a batch longest-first by
+//!   [`count_st_walks`] on each prepared subgraph.
 //!
 //! For small inputs an exact simple-path counter (bounded DFS that counts
 //! without materialising) is also provided; it is the correctness oracle for

@@ -167,30 +167,6 @@ impl<'a> PefpEngine<'a> {
         }
     }
 
-    /// Creates an engine running on compute unit `cu` of a multi-CU
-    /// [`pefp_fpga::CuCluster`]: the engine gets a fresh simulated device
-    /// (own BRAM areas, counters and clock) whose DRAM transfers are metered
-    /// by the cluster's shared arbiter, so enumeration slows down while other
-    /// CUs are hammering the bus.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::new`], or when `cu` is out
-    /// of range for the cluster.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_compute_unit(
-        graph: &'a CsrGraph,
-        barrier: &'a [u32],
-        s: VertexId,
-        t: VertexId,
-        k: u32,
-        opts: EngineOptions,
-        cluster: &pefp_fpga::CuCluster,
-        cu: usize,
-    ) -> Self {
-        Self::new(graph, barrier, s, t, k, opts, cluster.device_for_cu(cu))
-    }
-
     /// The memory placement the engine planned for this query.
     pub fn layout(&self) -> &MemoryLayout {
         &self.layout

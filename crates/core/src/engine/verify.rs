@@ -104,17 +104,6 @@ pub(crate) fn survivor_verdict<const W: usize>(
     }
 }
 
-/// Charges the verification module's schedule for `lane_iterations` inputs per
-/// lane (the engine divides the batch across the replicated validity-check
-/// modules before calling this).
-pub fn charge_verification(
-    device: &mut Device,
-    pipeline: VerificationPipeline,
-    lane_iterations: u64,
-) {
-    charge_expansion_schedule(device, pipeline, lane_iterations, 1);
-}
-
 /// Charges the complete per-batch expansion + verification schedule.
 ///
 /// The batch streams `lane_iterations` inputs through each replicated lane.
@@ -275,9 +264,9 @@ mod tests {
     #[test]
     fn dataflow_schedule_is_cheaper_than_basic() {
         let mut basic = Device::new(DeviceConfig::alveo_u200());
-        charge_verification(&mut basic, VerificationPipeline::Basic, 10_000);
+        charge_expansion_schedule(&mut basic, VerificationPipeline::Basic, 10_000, 1);
         let mut dataflow = Device::new(DeviceConfig::alveo_u200());
-        charge_verification(&mut dataflow, VerificationPipeline::Dataflow, 10_000);
+        charge_expansion_schedule(&mut dataflow, VerificationPipeline::Dataflow, 10_000, 1);
         assert!(dataflow.cycles() < basic.cycles());
         // With depth 3 vs II 1 the gap approaches 3x for large batches.
         let ratio = basic.cycles() as f64 / dataflow.cycles() as f64;
@@ -287,8 +276,8 @@ mod tests {
     #[test]
     fn zero_inputs_cost_nothing() {
         let mut d = Device::new(DeviceConfig::alveo_u200());
-        charge_verification(&mut d, VerificationPipeline::Basic, 0);
-        charge_verification(&mut d, VerificationPipeline::Dataflow, 0);
+        charge_expansion_schedule(&mut d, VerificationPipeline::Basic, 0, 1);
+        charge_expansion_schedule(&mut d, VerificationPipeline::Dataflow, 0, 1);
         assert_eq!(d.cycles(), 0);
     }
 }

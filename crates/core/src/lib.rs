@@ -49,10 +49,8 @@
 
 pub mod counting;
 pub mod engine;
-pub mod labeled;
 pub mod options;
 pub mod path;
-pub mod planner;
 pub mod preprocess;
 pub mod result;
 pub mod routing;
@@ -63,10 +61,8 @@ pub use counting::{
     count_walks_from_checked, walk_profile, walk_profile_checked, QueryEstimate,
 };
 pub use engine::PefpEngine;
-pub use labeled::{filter_by_labels, run_labeled_query};
 pub use options::{BatchStrategy, CancelToken, EngineOptions, VerificationPipeline};
 pub use path::{TempPath, MAX_K};
-pub use planner::{plan_query, QueryPlan};
 pub use preprocess::{
     prepare_snapshot_with, PrepareContext, PrepareStats, PreparedQuery, TouchedSet,
 };

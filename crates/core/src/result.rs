@@ -60,8 +60,8 @@ pub struct EngineOutput {
 #[derive(Debug, Clone)]
 pub struct PefpRunResult {
     /// Result paths translated back to original graph vertex ids. Only the
-    /// collecting entry points fill it — the `pefp` facade's
-    /// `enumerate_paths` and [`crate::run_labeled_query`]; it is empty after
+    /// collecting entry point fills it — the `pefp` facade's
+    /// `enumerate_paths`; it is empty after
     /// [`crate::run_prepared_on_device`], whose paths flow through the
     /// caller's sink.
     pub paths: Vec<Path>,

@@ -16,8 +16,7 @@
 //! `G'`. The coefficients live in a [`RoutingTable`] calibrated offline by
 //! the `routing_table` binary (committed as `docs/routing_table.json`) — the
 //! router itself never measures anything, so the same table and the same
-//! query always produce the same decision, with a rationale line per step
-//! like [`plan_query`](crate::planner::plan_query).
+//! query always produce the same decision, with a rationale line per step.
 //!
 //! Routing never changes answers: every routable engine streams through the
 //! same [`PathSink`](pefp_graph::sink::PathSink) pipeline and enumerates the

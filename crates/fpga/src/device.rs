@@ -2,7 +2,7 @@
 //!
 //! `pefp-core` talks to the simulated card exclusively through [`Device`]:
 //! it allocates BRAM regions, charges reads/writes against the right memory,
-//! charges pipelined loops and dataflow regions, and finally asks for a
+//! charges the cycles of its pipelined loops, and finally asks for a
 //! [`DeviceReport`] containing the simulated time and traffic statistics for
 //! one query.
 
@@ -15,7 +15,6 @@ use crate::counters::MemoryCounters;
 use crate::dram::Dram;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, Injection, TransferClass};
 use crate::pcie::Pcie;
-use crate::pipeline::{dataflow_cycles, pipeline_cycles, sequential_cycles};
 use serde::{Deserialize, Serialize};
 
 /// Simulated FPGA card.
@@ -279,12 +278,6 @@ impl Device {
         self.injected_stall_cycles = 0;
     }
 
-    /// Fully resets the device, including BRAM allocations.
-    pub fn reset_all(&mut self) {
-        self.reset_query_state();
-        self.bram.release_all();
-    }
-
     // ---- memory access charging -------------------------------------------------
 
     /// Charges a read of `words` consecutive 32-bit words from `kind`.
@@ -319,23 +312,6 @@ impl Device {
         }
     }
 
-    /// Charges `accesses` scattered single-word reads from `kind` (the
-    /// random-access pattern of uncached graph lookups).
-    pub fn charge_random_reads(&mut self, kind: MemoryKind, accesses: u64) {
-        match kind {
-            MemoryKind::Bram => {
-                self.counters.bram_reads += accesses;
-                self.clock.advance(accesses * self.bram.read_cost(1));
-            }
-            MemoryKind::Dram => {
-                self.counters.dram_reads += accesses;
-                self.counters.dram_words_read += accesses;
-                let base = self.dram.random_read_cost(accesses);
-                self.advance_dram(BurstDirection::Read, base, accesses);
-            }
-        }
-    }
-
     /// Records `accesses` cache hits without advancing the clock.
     ///
     /// Used by the engine when the BRAM reads are fully overlapped with the
@@ -353,22 +329,6 @@ impl Device {
         self.counters.cache_misses += accesses;
         self.counters.dram_reads += accesses;
         self.counters.dram_words_read += words;
-    }
-
-    /// Records a cache hit (data served from BRAM) and charges the BRAM read.
-    pub fn charge_cache_hit(&mut self, words: u64) {
-        self.counters.cache_hits += 1;
-        self.counters.bram_reads += 1;
-        self.clock.advance(self.bram.read_cost(words));
-    }
-
-    /// Records a cache miss (data fetched from DRAM) and charges the DRAM read.
-    pub fn charge_cache_miss(&mut self, words: u64) {
-        self.counters.cache_misses += 1;
-        self.counters.dram_reads += 1;
-        self.counters.dram_words_read += words;
-        let base = self.dram.read_cost(words);
-        self.advance_dram(BurstDirection::Read, base, words);
     }
 
     /// Records a buffer-area flush of `words` to DRAM.
@@ -391,28 +351,8 @@ impl Device {
 
     // ---- compute charging -------------------------------------------------------
 
-    /// Charges a fully pipelined loop of `iterations` iterations with the
-    /// given pipeline depth (II = 1).
-    pub fn charge_pipelined_loop(&mut self, iterations: u64, depth: u64) {
-        self.clock.advance(pipeline_cycles(iterations, depth, 1));
-    }
-
-    /// Charges a loop that could not be pipelined (II = depth).
-    pub fn charge_unpipelined_loop(&mut self, iterations: u64, depth: u64) {
-        self.clock.advance(pipeline_cycles(iterations, depth, depth));
-    }
-
-    /// Charges a dataflow region whose stages execute concurrently.
-    pub fn charge_dataflow(&mut self, stage_cycles: &[u64]) {
-        self.clock.advance(dataflow_cycles(stage_cycles));
-    }
-
-    /// Charges the same stages executed sequentially (no dataflow).
-    pub fn charge_sequential(&mut self, stage_cycles: &[u64]) {
-        self.clock.advance(sequential_cycles(stage_cycles));
-    }
-
-    /// Charges a raw cycle count (setup logic, FSM transitions, …).
+    /// Charges a raw cycle count (setup logic, FSM transitions, pipelined
+    /// loops costed with [`crate::pipeline_cycles`], …).
     pub fn charge_cycles(&mut self, cycles: u64) {
         self.clock.advance(cycles);
     }
@@ -462,6 +402,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::pipeline_cycles;
 
     #[test]
     fn bram_access_is_cheaper_than_dram_access() {
@@ -480,8 +421,8 @@ mod tests {
         d.charge_write(MemoryKind::Dram, 64);
         d.charge_buffer_flush(128);
         d.charge_dram_batch_fetch(128);
-        d.charge_cache_hit(1);
-        d.charge_cache_miss(1);
+        d.note_cache_hits(1);
+        d.note_cache_misses(1, 1);
         let r = d.report();
         assert_eq!(r.counters.dram_writes, 2);
         assert_eq!(r.counters.dram_words_written, 192);
@@ -489,18 +430,6 @@ mod tests {
         assert_eq!(r.counters.dram_batch_fetches, 1);
         assert_eq!(r.counters.cache_hits, 1);
         assert_eq!(r.counters.cache_misses, 1);
-    }
-
-    #[test]
-    fn dataflow_charge_is_cheaper_than_sequential() {
-        let stages = [100u64, 80, 60];
-        let mut a = Device::alveo_u200();
-        a.charge_dataflow(&stages);
-        let mut b = Device::alveo_u200();
-        b.charge_sequential(&stages);
-        assert!(a.cycles() < b.cycles());
-        assert_eq!(a.cycles(), 100);
-        assert_eq!(b.cycles(), 240);
     }
 
     #[test]
@@ -522,17 +451,6 @@ mod tests {
         d.reset_query_state();
         assert_eq!(d.cycles(), 0);
         assert_eq!(d.bram().used(), 1024);
-        d.reset_all();
-        assert_eq!(d.bram().used(), 0);
-    }
-
-    #[test]
-    fn random_reads_cost_more_than_a_burst() {
-        let mut burst = Device::alveo_u200();
-        burst.charge_read(MemoryKind::Dram, 256);
-        let mut random = Device::alveo_u200();
-        random.charge_random_reads(MemoryKind::Dram, 256);
-        assert!(random.cycles() > 4 * burst.cycles());
     }
 
     #[test]
@@ -546,7 +464,7 @@ mod tests {
     #[test]
     fn report_splits_dram_cycles_out_of_the_total() {
         let mut d = Device::alveo_u200();
-        d.charge_pipelined_loop(1000, 3); // compute only
+        d.charge_cycles(pipeline_cycles(1000, 3, 1)); // compute only
         let compute = d.cycles();
         d.charge_read(MemoryKind::Dram, 128);
         d.charge_buffer_flush(64);
@@ -577,7 +495,7 @@ mod tests {
         // BRAM and compute are private to the CU: no stall.
         contended.reset_query_state();
         contended.charge_read(MemoryKind::Bram, 4);
-        contended.charge_pipelined_loop(100, 3);
+        contended.charge_cycles(pipeline_cycles(100, 3, 1));
         assert_eq!(contended.report().contention_cycles, 0);
     }
 
@@ -816,14 +734,5 @@ mod tests {
         assert_eq!(charged.cycles(), free.cycles(), "nothing metered, nothing charged");
         assert_eq!(charged.report().bank_conflict_cycles, 0);
         assert_eq!(charged.report().turnaround_cycles, 0);
-    }
-
-    #[test]
-    fn unpipelined_loop_costs_more_than_pipelined() {
-        let mut a = Device::alveo_u200();
-        a.charge_pipelined_loop(1000, 3);
-        let mut b = Device::alveo_u200();
-        b.charge_unpipelined_loop(1000, 3);
-        assert!(b.cycles() > 2 * a.cycles());
     }
 }

@@ -53,12 +53,6 @@ impl Dram {
             self.write_latency + words.div_ceil(self.burst_words_per_cycle)
         }
     }
-
-    /// Cost of `accesses` scattered single-word reads (no burst possible) —
-    /// the pattern the graph cache avoids.
-    pub fn random_read_cost(&self, accesses: u64) -> u64 {
-        accesses * self.read_cost(1)
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +66,7 @@ mod tests {
         assert_eq!(d.read_cost(1), 9);
         // 100 words: 8 + 50 — far less than 100 individual accesses (900).
         assert_eq!(d.read_cost(100), 58);
-        assert_eq!(d.random_read_cost(100), 900);
+        assert_eq!(100 * d.read_cost(1), 900);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! ## Why a model instead of real hardware
 //!
 //! The reproduction has no FPGA or HLS toolchain available, so the device is
-//! replaced by a deterministic *cost model* (see `DESIGN.md`, Section 2). The
-//! model is intentionally simple but captures exactly the resources the
-//! paper's optimisations trade against:
+//! replaced by a deterministic *cost model* (see `docs/paper_fidelity.md`,
+//! §4). The model is intentionally simple but captures exactly the resources
+//! the paper's optimisations trade against:
 //!
 //! * **BRAM** ([`Bram`]) — small capacity, 1-cycle access. The engine must fit
 //!   its buffer area, processing area, graph cache and barrier cache here.
@@ -20,10 +20,12 @@
 //! * **PCIe** ([`Pcie`]) — host↔device transfer time for the preprocessed
 //!   subgraph, barrier array and query parameters.
 //! * **Pipelines** ([`pipeline`]) — a pipelined loop of `n` iterations with
-//!   depth `d` and initiation interval `ii` costs `d + (n-1)*ii` cycles; a
-//!   dataflow region costs the maximum of its stages rather than their sum.
-//!   This is the standard HLS cost model and is what makes the paper's
-//!   "data separation" optimisation visible in the simulated cycle counts.
+//!   depth `d` and initiation interval `ii` costs `d + (n-1)*ii` cycles.
+//!   This is the standard HLS cost model; the paper's "data separation"
+//!   optimisation shows in the simulated cycle counts as a verification
+//!   `ii` of 1 instead of the three-stage depth.
+//! * **Compute units** ([`multi_cu`]) — several kernel instances on one card
+//!   behind a shared DRAM arbiter ([`CuCluster`], [`DramArbiter`]).
 //!
 //! The algorithmic code in `pefp-core` performs all *real* computation in
 //! ordinary Rust data structures and merely charges the device for the
@@ -42,12 +44,9 @@ pub mod counters;
 pub mod device;
 pub mod dram;
 pub mod fault;
-pub mod hls;
 pub mod multi_cu;
 pub mod pcie;
 pub mod pipeline;
-pub mod power;
-pub mod resources;
 
 pub use arbiter::{ArbiterHandle, ArbiterStats, CuActivation, DramArbiter};
 pub use banks::{BankReport, DramBanks, Interleaving};
@@ -58,12 +57,8 @@ pub use counters::MemoryCounters;
 pub use device::{Device, DeviceReport};
 pub use dram::Dram;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, ScriptedFault};
-pub use hls::{KernelReport, ModuleLatency};
 pub use multi_cu::{
-    max_compute_units, predict_dispatch, CuCluster, CuLease, CuWorkload, MultiCuConfig,
-    MultiCuSchedule,
+    predict_dispatch, CuCluster, CuLease, CuWorkload, MultiCuConfig, MultiCuSchedule,
 };
 pub use pcie::Pcie;
-pub use pipeline::{dataflow_cycles, pipeline_cycles, PipelineSpec};
-pub use power::{EnergyReport, PowerModel};
-pub use resources::{ModuleCosts, OnChipAreas, ResourceBudget, ResourceEstimate};
+pub use pipeline::pipeline_cycles;

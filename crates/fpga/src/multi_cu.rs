@@ -15,15 +15,12 @@
 //! queries' uncontended cycles onto the CUs, inflating only the DRAM-bus
 //! share of each CU's cycles — what the arbiter actually charges when every
 //! CU is busy.
-//!
-//! [`max_compute_units`] is the resource check for how many CUs fit the card.
 
 use crate::arbiter::{ArbiterHandle, DramArbiter};
 use crate::banks::{DramBanks, Interleaving};
 use crate::config::DeviceConfig;
 use crate::device::Device;
 use crate::fault::FaultPlan;
-use crate::resources::{ModuleCosts, OnChipAreas, ResourceBudget, ResourceEstimate};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -38,8 +35,8 @@ pub struct MultiCuConfig {
     pub per_cu_bandwidth_share: f64,
     /// Charge the bank model's conflict and read↔write turnaround cycles to
     /// CU clocks instead of only metering them. Off by default: the
-    /// pre-charging cycle counts (and the BENCH_04 baseline) are reproduced
-    /// exactly when this is false.
+    /// pre-charging cycle counts (and the tier-1 cycle anchors) are
+    /// reproduced exactly when this is false.
     pub charge_banked: bool,
 }
 
@@ -307,11 +304,6 @@ impl CuCluster {
         self.multi_cu.compute_units.max(1)
     }
 
-    /// The multi-CU deployment configuration.
-    pub fn multi_cu_config(&self) -> &MultiCuConfig {
-        &self.multi_cu
-    }
-
     /// The per-CU device profile.
     pub fn device_config(&self) -> &DeviceConfig {
         &self.device_config
@@ -373,46 +365,9 @@ impl Drop for CuLease<'_> {
     }
 }
 
-/// The largest number of compute units of the given per-CU shape that fits the
-/// card budget (each CU replicates its verification lanes and on-chip areas).
-pub fn max_compute_units(
-    lanes_per_cu: usize,
-    areas_per_cu: &OnChipAreas,
-    costs: &ModuleCosts,
-    budget: ResourceBudget,
-) -> usize {
-    let mut fits = 0usize;
-    for cus in 1..=256usize {
-        let areas = OnChipAreas {
-            buffer_bytes: areas_per_cu.buffer_bytes * cus,
-            processing_bytes: areas_per_cu.processing_bytes * cus,
-            graph_cache_bytes: areas_per_cu.graph_cache_bytes * cus,
-            barrier_cache_bytes: areas_per_cu.barrier_cache_bytes * cus,
-            fifo_bytes: areas_per_cu.fifo_bytes * cus,
-        };
-        let estimate = ResourceEstimate::estimate(lanes_per_cu * cus, &areas, costs, budget);
-        if estimate.fits() {
-            fits = cus;
-        } else {
-            break;
-        }
-    }
-    fits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn areas() -> OnChipAreas {
-        OnChipAreas {
-            buffer_bytes: 8_192 * 136,
-            processing_bytes: 1_024 * 136,
-            graph_cache_bytes: 512 * 1024,
-            barrier_cache_bytes: 64 * 1024,
-            fifo_bytes: 16 * 2 * 136,
-        }
-    }
 
     /// Workloads that spend every cycle on the DRAM bus: the prediction's
     /// contention factor then scales each CU's whole LPT load.
@@ -492,36 +447,6 @@ mod tests {
             assert!(schedule.makespan_cycles <= previous, "cus = {cus}");
             previous = schedule.makespan_cycles;
         }
-    }
-
-    #[test]
-    fn u200_fits_a_handful_of_default_cus_but_not_hundreds() {
-        let max =
-            max_compute_units(16, &areas(), &ModuleCosts::default(), ResourceBudget::alveo_u200());
-        assert!(max >= 2, "at least two CUs should fit, got {max}");
-        assert!(max < 64, "the model must not claim absurd replication, got {max}");
-        // The returned value really is the tipping point.
-        let areas_at = |cus: usize| OnChipAreas {
-            buffer_bytes: areas().buffer_bytes * cus,
-            processing_bytes: areas().processing_bytes * cus,
-            graph_cache_bytes: areas().graph_cache_bytes * cus,
-            barrier_cache_bytes: areas().barrier_cache_bytes * cus,
-            fifo_bytes: areas().fifo_bytes * cus,
-        };
-        assert!(ResourceEstimate::estimate(
-            16 * max,
-            &areas_at(max),
-            &ModuleCosts::default(),
-            ResourceBudget::alveo_u200()
-        )
-        .fits());
-        assert!(!ResourceEstimate::estimate(
-            16 * (max + 1),
-            &areas_at(max + 1),
-            &ModuleCosts::default(),
-            ResourceBudget::alveo_u200()
-        )
-        .fits());
     }
 
     #[test]
@@ -704,16 +629,5 @@ mod tests {
         let report = cluster.arbiter().bank_report().expect("banks attached");
         assert_eq!(report.accesses, 1);
         assert!(report.max_bank_words >= 512, "a 2048-word burst spans all four 512-word stripes");
-    }
-
-    #[test]
-    fn tiny_budget_fits_no_cu() {
-        let max = max_compute_units(
-            16,
-            &areas(),
-            &ModuleCosts::default(),
-            ResourceBudget::tiny_for_tests(),
-        );
-        assert_eq!(max, 0);
     }
 }

@@ -1,41 +1,12 @@
-//! HLS-style pipeline and dataflow cost model.
+//! HLS-style pipeline cost model.
 //!
 //! High-level synthesis schedules a loop of `n` iterations into a pipeline of
 //! depth `d` (latency of one iteration) and initiation interval `ii` (cycles
 //! between consecutive iteration starts). Total cycles are `d + (n-1)*ii`.
-//! A *dataflow region* lets independent stages run concurrently, so the cost
-//! of the region is the maximum of the stage costs rather than their sum —
-//! this is exactly the benefit the paper's data-separation technique buys for
-//! the path-verification module (Section VI-D).
-
-use serde::{Deserialize, Serialize};
-
-/// Description of one pipelined loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineSpec {
-    /// Pipeline depth: latency in cycles of a single iteration.
-    pub depth: u64,
-    /// Initiation interval: cycles between consecutive iteration starts
-    /// (1 when the loop is fully pipelined).
-    pub initiation_interval: u64,
-}
-
-impl PipelineSpec {
-    /// A fully pipelined loop (II = 1) of the given depth.
-    pub fn fully_pipelined(depth: u64) -> Self {
-        PipelineSpec { depth, initiation_interval: 1 }
-    }
-
-    /// A loop that cannot be pipelined at all (II = depth).
-    pub fn unpipelined(depth: u64) -> Self {
-        PipelineSpec { depth, initiation_interval: depth }
-    }
-
-    /// Cycles needed to run `iterations` iterations of this loop.
-    pub fn cycles(&self, iterations: u64) -> u64 {
-        pipeline_cycles(iterations, self.depth, self.initiation_interval)
-    }
-}
+//! The paper's data-separation technique (Section VI-D) lowers the
+//! verification module's `ii` from its three-stage depth to 1 by running the
+//! stages as a dataflow region; `pefp-core` charges both schedules through
+//! [`pipeline_cycles`].
 
 /// Cycles for a pipelined loop: `depth + (n - 1) * ii`, or 0 when `n == 0`.
 pub fn pipeline_cycles(iterations: u64, depth: u64, initiation_interval: u64) -> u64 {
@@ -44,18 +15,6 @@ pub fn pipeline_cycles(iterations: u64, depth: u64, initiation_interval: u64) ->
     } else {
         depth + (iterations - 1) * initiation_interval.max(1)
     }
-}
-
-/// Cycles for a dataflow region whose stages run concurrently: the maximum of
-/// the stage costs (0 for an empty region).
-pub fn dataflow_cycles(stage_cycles: &[u64]) -> u64 {
-    stage_cycles.iter().copied().max().unwrap_or(0)
-}
-
-/// Cycles for the same stages executed *sequentially* (the unoptimised
-/// baseline the paper compares data separation against).
-pub fn sequential_cycles(stage_cycles: &[u64]) -> u64 {
-    stage_cycles.iter().sum()
 }
 
 #[cfg(test)]
@@ -71,31 +30,11 @@ mod tests {
 
     #[test]
     fn unpipelined_loop_is_linear_in_depth() {
-        let spec = PipelineSpec::unpipelined(4);
-        assert_eq!(spec.cycles(10), 4 + 9 * 4);
-    }
-
-    #[test]
-    fn dataflow_takes_the_maximum_stage() {
-        assert_eq!(dataflow_cycles(&[10, 30, 20]), 30);
-        assert_eq!(dataflow_cycles(&[]), 0);
-    }
-
-    #[test]
-    fn dataflow_beats_sequential_whenever_there_are_multiple_stages() {
-        let stages = [12, 7, 9];
-        assert!(dataflow_cycles(&stages) < sequential_cycles(&stages));
-        assert_eq!(sequential_cycles(&stages), 28);
+        assert_eq!(pipeline_cycles(10, 4, 4), 4 + 9 * 4);
     }
 
     #[test]
     fn zero_initiation_interval_is_treated_as_one() {
         assert_eq!(pipeline_cycles(10, 3, 0), 3 + 9);
-    }
-
-    #[test]
-    fn spec_constructors() {
-        assert_eq!(PipelineSpec::fully_pipelined(3).initiation_interval, 1);
-        assert_eq!(PipelineSpec::unpipelined(3).initiation_interval, 3);
     }
 }

@@ -4,7 +4,6 @@
 //! preprocessing are built from hop-bounded BFS distance computations; the
 //! reproduction shares one implementation here.
 
-use crate::csr::CsrGraph;
 use crate::ids::VertexId;
 use crate::view::GraphView;
 use std::collections::VecDeque;
@@ -214,52 +213,6 @@ impl BfsScratch {
     }
 }
 
-/// Shortest distance from `source` to `target` with at most `max_hops` hops,
-/// ignoring every vertex for which `blocked` returns `true` (except the
-/// endpoints themselves).
-///
-/// This is `sd(v, v'|p)` from the paper's notation table and the primitive
-/// behind the T-DFS baseline's aggressive verification.
-pub fn constrained_distance<F>(
-    g: &CsrGraph,
-    source: VertexId,
-    target: VertexId,
-    max_hops: u32,
-    mut blocked: F,
-) -> Option<u32>
-where
-    F: FnMut(VertexId) -> bool,
-{
-    if source == target {
-        return Some(0);
-    }
-    let n = g.num_vertices();
-    let mut dist = vec![UNREACHED; n];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        if du >= max_hops {
-            continue;
-        }
-        for &v in g.successors(u) {
-            if dist[v.index()] != UNREACHED {
-                continue;
-            }
-            if v == target {
-                return Some(du + 1);
-            }
-            if blocked(v) {
-                continue;
-            }
-            dist[v.index()] = du + 1;
-            queue.push_back(v);
-        }
-    }
-    None
-}
-
 /// Convenience: distances clamped to the paper's `k + 1` convention for
 /// unreached vertices.
 pub fn clamp_unreached(dist: &mut [u32], k: u32) {
@@ -273,6 +226,7 @@ pub fn clamp_unreached(dist: &mut [u32], k: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrGraph;
 
     fn chain() -> CsrGraph {
         // 0 -> 1 -> 2 -> 3 -> 4
@@ -308,35 +262,6 @@ mod tests {
         let mut d = khop_bfs(&g, VertexId(0), 2);
         clamp_unreached(&mut d, 2);
         assert_eq!(d, vec![0, 1, 2, 3, 3]);
-    }
-
-    #[test]
-    fn constrained_distance_avoids_blocked_vertices() {
-        // 0 -> 1 -> 3 and 0 -> 2 -> 3
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-        let unconstrained = constrained_distance(&g, VertexId(0), VertexId(3), 5, |_| false);
-        assert_eq!(unconstrained, Some(2));
-        // Block vertex 1: the path through 2 still works.
-        let avoid1 = constrained_distance(&g, VertexId(0), VertexId(3), 5, |v| v == VertexId(1));
-        assert_eq!(avoid1, Some(2));
-        // Block both middles: unreachable.
-        let blocked = constrained_distance(&g, VertexId(0), VertexId(3), 5, |v| {
-            v == VertexId(1) || v == VertexId(2)
-        });
-        assert_eq!(blocked, None);
-    }
-
-    #[test]
-    fn constrained_distance_respects_the_hop_bound() {
-        let g = chain();
-        assert_eq!(constrained_distance(&g, VertexId(0), VertexId(4), 3, |_| false), None);
-        assert_eq!(constrained_distance(&g, VertexId(0), VertexId(4), 4, |_| false), Some(4));
-    }
-
-    #[test]
-    fn source_equals_target_is_distance_zero() {
-        let g = chain();
-        assert_eq!(constrained_distance(&g, VertexId(2), VertexId(2), 0, |_| false), Some(0));
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod generators;
 pub mod ids;
 pub mod induced;
 pub mod io;
-pub mod labels;
 pub mod paths;
 pub mod placement;
 pub mod sampling;
@@ -58,7 +57,7 @@ pub mod sink;
 pub mod stats;
 pub mod view;
 
-pub use bfs::{constrained_distance, khop_bfs, khop_bfs_multi, BfsScratch, UNREACHED};
+pub use bfs::{khop_bfs, khop_bfs_multi, BfsScratch, UNREACHED};
 pub use csr::{CsrBuilder, CsrGraph};
 pub use datasets::{Dataset, DatasetSpec, ScaleProfile};
 pub use delta::{Epoch, GraphDelta, GraphSnapshot, SnapshotView, VersionedGraph};
@@ -69,7 +68,6 @@ pub use induced::{
     induce_subgraph, induce_subgraph_from_vertices, induce_subgraph_from_vertices_with,
     InducedSubgraph, RemapScratch,
 };
-pub use labels::{Label, LabelConstraint, VertexLabels};
 pub use paths::Path;
 pub use placement::{PlacementPolicy, RowPlacement};
 pub use sampling::{sample_reachable_pairs, sample_simple_paths};

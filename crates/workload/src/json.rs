@@ -8,8 +8,9 @@
 //!
 //! * [`JsonValue`] — build documents programmatically and [`JsonValue::render`]
 //!   them (RFC 8259 escaping, stable key order, pretty or compact);
-//! * [`JsonValue::parse`] — a strict recursive-descent parser, used by the
-//!   tests and the bench-regression gate to read the artefacts back;
+//! * [`JsonValue::parse`] — a strict recursive-descent parser, used by
+//!   `routing_table --check` to read `docs/routing_table.json` and by the
+//!   tests to read the artefacts back;
 //! * [`ToJson`] — implemented for the figure/report types, so
 //!   `figures --json` emits documents any JSON tool can consume.
 //!

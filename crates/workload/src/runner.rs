@@ -70,16 +70,6 @@ pub struct QueryComparison {
 }
 
 impl QueryComparison {
-    /// Query-time speedup of PEFP over JOIN.
-    pub fn query_speedup(&self) -> f64 {
-        safe_ratio(self.join.query_ms, self.pefp.query_ms)
-    }
-
-    /// Preprocessing-time speedup of PEFP over JOIN.
-    pub fn preprocess_speedup(&self) -> f64 {
-        safe_ratio(self.join.preprocess_ms, self.pefp.preprocess_ms)
-    }
-
     /// Total-time speedup of PEFP over JOIN.
     pub fn total_speedup(&self) -> f64 {
         safe_ratio(self.join.total_ms(), self.pefp.total_ms())

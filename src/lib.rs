@@ -7,7 +7,7 @@
 //! * [`graph`] — graph substrate: CSR graphs, generators, dataset catalog.
 //! * [`fpga`] — the simulated FPGA device (BRAM/DRAM/PCIe/pipeline cost model).
 //! * [`core`] — Pre-BFS preprocessing and the PEFP enumeration engine.
-//! * [`baselines`] — CPU baselines (JOIN, BC-DFS, T-DFS, T-DFS2, HP-Index).
+//! * [`baselines`] — CPU baselines (naive DFS/BFS, BC-DFS, JOIN).
 //! * [`workload`] — query workloads, experiment runner and figure drivers.
 //!
 //! The most common entry point is [`enumerate_paths`], which runs the full
