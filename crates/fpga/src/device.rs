@@ -433,6 +433,21 @@ mod tests {
     }
 
     #[test]
+    fn dataflow_charge_is_cheaper_than_sequential() {
+        // The three verification checks over 1 000 lanes: as a dataflow
+        // region (separated stages + merge, II = 1) or back-to-back
+        // (II = the serial module's depth).
+        let cfg = DeviceConfig::alveo_u200();
+        let mut a = Device::alveo_u200();
+        a.charge_cycles(pipeline_cycles(1000, cfg.dataflow_verify_depth + cfg.merge_depth, 1));
+        let mut b = Device::alveo_u200();
+        b.charge_cycles(pipeline_cycles(1000, cfg.basic_verify_depth, cfg.basic_verify_depth));
+        assert!(a.cycles() < b.cycles());
+        assert_eq!(a.cycles(), 1001);
+        assert_eq!(b.cycles(), 3000);
+    }
+
+    #[test]
     fn report_converts_cycles_to_time() {
         let mut d = Device::alveo_u200();
         d.charge_cycles(300_000); // 1 ms at 300 MHz
@@ -459,6 +474,18 @@ mod tests {
         let mut cfg = DeviceConfig::alveo_u200();
         cfg.clock_mhz = 0.0;
         Device::new(cfg);
+    }
+
+    #[test]
+    fn random_reads_cost_more_than_a_burst() {
+        let mut burst = Device::alveo_u200();
+        burst.charge_read(MemoryKind::Dram, 256);
+        let mut random = Device::alveo_u200();
+        for _ in 0..256 {
+            random.charge_read(MemoryKind::Dram, 1);
+        }
+        assert_eq!(random.report().counters.dram_words_read, 256);
+        assert!(random.cycles() > 4 * burst.cycles());
     }
 
     #[test]
@@ -734,5 +761,14 @@ mod tests {
         assert_eq!(charged.cycles(), free.cycles(), "nothing metered, nothing charged");
         assert_eq!(charged.report().bank_conflict_cycles, 0);
         assert_eq!(charged.report().turnaround_cycles, 0);
+    }
+
+    #[test]
+    fn unpipelined_loop_costs_more_than_pipelined() {
+        let mut a = Device::alveo_u200();
+        a.charge_cycles(pipeline_cycles(1000, 3, 1));
+        let mut b = Device::alveo_u200();
+        b.charge_cycles(pipeline_cycles(1000, 3, 3));
+        assert!(b.cycles() > 2 * a.cycles());
     }
 }

@@ -37,4 +37,16 @@ mod tests {
     fn zero_initiation_interval_is_treated_as_one() {
         assert_eq!(pipeline_cycles(10, 3, 0), 3 + 9);
     }
+
+    #[test]
+    fn dataflow_beats_sequential_whenever_there_are_multiple_stages() {
+        // `stages` checks run concurrently (II = 1) or back-to-back (II = stages).
+        for stages in 2..=5 {
+            assert!(pipeline_cycles(12, stages, 1) < pipeline_cycles(12, stages, stages));
+        }
+        // A single stage has nothing to overlap.
+        assert_eq!(pipeline_cycles(12, 1, 1), 12);
+        assert_eq!(pipeline_cycles(12, 3, 1), 14);
+        assert_eq!(pipeline_cycles(12, 3, 3), 36);
+    }
 }
