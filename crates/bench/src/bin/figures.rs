@@ -11,8 +11,8 @@
 //! Options:
 //!
 //! * `--scale tiny|small|medium` — size of the synthetic dataset stand-ins
-//!   (default `tiny`, which finishes in seconds; `small` is the EXPERIMENTS.md
-//!   setting).
+//!   (default `tiny`, which finishes in seconds; `small` is the base size of
+//!   each stand-in and the profile meant for figure regeneration).
 //! * `--queries N` — query pairs averaged per (dataset, k) point (default 5).
 //! * `--json DIR` — additionally write each figure's series/tables as JSON.
 

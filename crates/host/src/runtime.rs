@@ -1081,7 +1081,7 @@ fn record_engine(shared: &RuntimeShared, lane: usize, millis: f64) {
 /// time to that wall assignment would collide tenants onto one virtual CU
 /// and corrupt the makespan. The largest completion time is the runtime's
 /// simulated makespan — a machine-independent throughput denominator
-/// (queries / makespan) for the `host_concurrency` bench and gate.
+/// (queries / makespan) for the `host_concurrency/sessions4` gate case.
 #[derive(Debug)]
 struct VirtualClock {
     session_ready: HashMap<SessionId, u64>,

@@ -118,8 +118,7 @@ fn seeded_fault_matrix_preserves_every_answer() {
         ),
         ("crash-prone", FaultRates { cu_crash: 0.01, ..FaultRates::NONE }),
         (
-            // Every fault kind at once, hangs included: the `fault_storm`
-            // bench's mix.
+            // Every fault kind at once, hangs included.
             "storm",
             FaultRates {
                 dram_corruption: 0.01,

@@ -39,7 +39,7 @@ fn counting_the_k7_hub_query_takes_35188_cycles() {
 
 #[test]
 fn one_session_virtual_makespan_is_the_serial_batch_total() {
-    let runtime = concurrency_runtime(&gate_graph(), true);
+    let runtime = concurrency_runtime(&gate_graph());
     run_concurrency_clients(&runtime, 1, &gate_batch());
     assert_eq!(runtime.stats().virtual_makespan_cycles, 77_345);
 }

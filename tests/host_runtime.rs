@@ -176,8 +176,9 @@ fn concurrent_sessions_match_serial_results_byte_for_byte() {
 
 /// The counters of the same run, held only to bounds that every interleaving
 /// satisfies. (How *much* the shared cache absorbs and whether the tenants
-/// overlap in virtual time depend on scheduling; the `host_concurrency` bench
-/// reports and checks those.)
+/// overlap in virtual time depend on scheduling; the bench gate's
+/// `host_concurrency/cache_share` and `host_concurrency/sessions4` cases
+/// check those.)
 #[test]
 fn concurrent_sessions_keep_interleaving_independent_stats() {
     let handle = dataset_handle(Dataset::SocEpinions);

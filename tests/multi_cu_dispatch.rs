@@ -25,8 +25,8 @@ use pefp_bench::gate::{charged_nocache_scheduler, dispatch_scheduler, run_gate_b
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-/// The 10k Chung-Lu hub-pair batch, shared with the `multi_cu` bench and the
-/// bench gate's `bank_layout/*` cases.
+/// The 10k Chung-Lu hub-pair batch, shared with the bench gate's
+/// `bank_layout/*` cases.
 fn hub_batch() -> (GraphHandle, Vec<QueryRequest>) {
     (pefp_bench::gate::gate_graph(), pefp_bench::gate::gate_batch())
 }

@@ -58,7 +58,7 @@ fn prebfs_touches_the_frontier_not_the_graph() {
 }
 
 /// The work gate for the mutually pruned search, on exact counts: over a
-/// fixed query set on the microbench's Pre-BFS graph, the vertices Pre-BFS
+/// fixed query set on the 10k Chung-Lu gate graph, the vertices Pre-BFS
 /// reaches add up to at most a quarter of what two full `(k-1)`-hop balls —
 /// the search the paper specifies — reach for the same queries.
 #[test]
