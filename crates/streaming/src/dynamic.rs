@@ -4,9 +4,11 @@
 //! enumeration engines want; the streaming application instead needs to add
 //! an edge per transaction and drop edges as they age out of the detection
 //! window. [`DynamicGraph`] keeps an adjacency-set representation with edge
-//! timestamps, supports O(degree) insertion/removal, and snapshots to CSR on
-//! demand (the detector snapshots lazily — only when a query actually has to
-//! run).
+//! timestamps and supports O(degree) insertion/removal. It is the
+//! [`crate::window::SlidingWindow`]'s timestamp bookkeeping; the detector
+//! queries the runtime's epoch-versioned graph, and
+//! [`DynamicGraph::snapshot_csr`] serves the tests' rebuild-per-query
+//! oracles.
 
 use pefp_graph::{CsrGraph, VertexId};
 use std::collections::BTreeMap;
@@ -95,17 +97,10 @@ impl DynamicGraph {
             .flat_map(|succ| succ.keys().copied().map(VertexId))
     }
 
-    /// Removes every edge whose timestamp is strictly older than `cutoff`.
-    /// Returns the number of edges removed.
-    pub fn expire_older_than(&mut self, cutoff: u64) -> usize {
-        let mut dropped = Vec::new();
-        self.expire_older_than_into(cutoff, &mut dropped)
-    }
-
-    /// Like [`DynamicGraph::expire_older_than`], but also appends every
-    /// removed edge to `expired` — the removal list an epoch-versioned
-    /// runtime mirror needs to stage the matching
-    /// [`pefp_graph::GraphDelta`].
+    /// Removes every edge whose timestamp is strictly older than `cutoff`,
+    /// appending each removed edge to `expired` — the removal list an
+    /// epoch-versioned runtime mirror needs to stage the matching
+    /// [`pefp_graph::GraphDelta`]. Returns the number of edges removed.
     // Kept out of line: this scan is the fraud stream's hottest loop, and
     // inlined into both `SlidingWindow` callers its `BTreeMap::retain`
     // compiled to a shape ~15% slower per transaction.
@@ -190,8 +185,10 @@ mod tests {
         g.insert_edge(vid(0), vid(1), 5);
         g.insert_edge(vid(1), vid(2), 10);
         g.insert_edge(vid(2), vid(3), 15);
-        let removed = g.expire_older_than(10);
+        let mut expired = Vec::new();
+        let removed = g.expire_older_than_into(10, &mut expired);
         assert_eq!(removed, 1);
+        assert_eq!(expired, vec![(vid(0), vid(1))]);
         assert!(!g.has_edge(vid(0), vid(1)));
         assert!(g.has_edge(vid(1), vid(2)));
         assert_eq!(g.num_edges(), 2);

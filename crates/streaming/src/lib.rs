@@ -10,27 +10,24 @@
 //!
 //! This crate builds that surrounding system:
 //!
-//! * [`dynamic`] — a mutable transaction graph with edge insertion/expiry and
-//!   cheap snapshots to the CSR form the enumeration engines run on.
+//! * [`dynamic`] — a mutable, timestamped transaction graph with edge
+//!   insertion/expiry, and a CSR snapshot of it for offline oracles.
 //! * [`transaction`] — a deterministic transaction-stream generator with
 //!   injected fraud rings, so detection quality can be evaluated.
 //! * [`window`] — sliding-window maintenance (old transactions stop being
 //!   relevant for fraud detection).
-//! * [`detector`] — the real-time detector: for every arriving transaction it
-//!   enumerates the newly closed k-hop cycles, with the enumeration delegated
-//!   either to the simulated-FPGA PEFP engine or the CPU baseline.
-//! * [`runtime_detector`] — the same detection protocol running through the
-//!   multi-tenant [`pefp_host::HostRuntime`]: transactions become incremental
-//!   [`pefp_graph::GraphDelta`] batches (epoch-versioned snapshots, touched-
-//!   vertex cache invalidation) instead of per-query CSR rebuilds.
+//! * [`runtime_detector`] — the real-time detector: for every arriving
+//!   transaction it enumerates the newly closed k-hop cycles through the
+//!   multi-tenant [`pefp_host::HostRuntime`], with window expiries and the
+//!   new edge applied as incremental [`pefp_graph::GraphDelta`] batches
+//!   (epoch-versioned snapshots, touched-vertex cache invalidation).
 //!
 //! ## Quick example
 //!
 //! ```
-//! use pefp_streaming::detector::{CycleDetector, DetectorConfig};
-//! use pefp_streaming::transaction::Transaction;
+//! use pefp_streaming::{RuntimeCycleDetector, RuntimeDetectorConfig, Transaction};
 //!
-//! let mut detector = CycleDetector::new(DetectorConfig::default());
+//! let mut detector = RuntimeCycleDetector::new(RuntimeDetectorConfig::default());
 //! // 0 -> 1 -> 2, then 2 -> 0 closes a 3-hop cycle.
 //! assert_eq!(detector.ingest(&Transaction::new(0, 0, 1, 10.0)).cycles.len(), 0);
 //! assert_eq!(detector.ingest(&Transaction::new(1, 1, 2, 10.0)).cycles.len(), 0);
@@ -41,14 +38,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod detector;
 pub mod dynamic;
 pub mod runtime_detector;
 pub mod transaction;
 pub mod window;
 
-pub use detector::{CycleAlert, CycleDetector, DetectorConfig, DetectorEngine, DetectorStats};
 pub use dynamic::DynamicGraph;
-pub use runtime_detector::{RuntimeCycleDetector, RuntimeDetectorConfig};
+pub use runtime_detector::{
+    CycleAlert, DetectorStats, RuntimeCycleDetector, RuntimeDetectorConfig,
+};
 pub use transaction::{Transaction, TransactionGenerator, TransactionGeneratorConfig};
 pub use window::SlidingWindow;

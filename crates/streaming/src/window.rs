@@ -66,17 +66,10 @@ impl SlidingWindow {
     }
 
     /// Advances the window to `timestamp` without inserting anything,
-    /// expiring every edge that falls out of the new window. Used by the
-    /// detector to age the graph *before* querying it for cycles closed by a
-    /// transaction at `timestamp`.
-    pub fn advance_to(&mut self, timestamp: u64) -> usize {
-        let mut dropped = Vec::new();
-        self.advance_to_collecting(timestamp, &mut dropped)
-    }
-
-    /// Like [`SlidingWindow::advance_to`], but appends every expired edge to
-    /// `expired` so a runtime mirroring the window can stage the matching
-    /// removal delta.
+    /// expiring every edge that falls out of the new window and appending it
+    /// to `expired`, so a runtime mirroring the window can stage the matching
+    /// removal delta. The detector calls this to age the graph *before*
+    /// querying it for cycles closed by a transaction at `timestamp`.
     pub fn advance_to_collecting(
         &mut self,
         timestamp: u64,
@@ -89,15 +82,8 @@ impl SlidingWindow {
     }
 
     /// Ingests one transaction: inserts (or refreshes) its edge and expires
-    /// edges that fell out of the window. Returns `true` when the edge was
-    /// not already present.
-    pub fn ingest(&mut self, tx: &Transaction) -> bool {
-        let mut dropped = Vec::new();
-        self.ingest_collecting(tx, &mut dropped)
-    }
-
-    /// Like [`SlidingWindow::ingest`], but appends every edge the insertion
-    /// expired to `expired`.
+    /// edges that fell out of the window, appending each to `expired`.
+    /// Returns `true` when the edge was not already present.
     pub fn ingest_collecting(
         &mut self,
         tx: &Transaction,
@@ -116,19 +102,23 @@ impl SlidingWindow {
 mod tests {
     use super::*;
 
-    fn tx(ts: u64, from: u32, to: u32) -> Transaction {
-        Transaction::new(ts, from, to, 1.0)
+    /// Ingests the transaction `from → to` at `ts`, returning the edges it
+    /// expired.
+    fn ingest(w: &mut SlidingWindow, ts: u64, from: u32, to: u32) -> Vec<(VertexId, VertexId)> {
+        let mut expired = Vec::new();
+        w.ingest_collecting(&Transaction::new(ts, from, to, 1.0), &mut expired);
+        expired
     }
 
     #[test]
     fn edges_expire_once_the_window_slides_past_them() {
         let mut window = SlidingWindow::new(3);
-        window.ingest(&tx(0, 0, 1));
-        window.ingest(&tx(1, 1, 2));
-        window.ingest(&tx(2, 2, 3));
+        ingest(&mut window, 0, 0, 1);
+        ingest(&mut window, 1, 1, 2);
+        ingest(&mut window, 2, 2, 3);
         assert_eq!(window.graph().num_edges(), 3);
         // Timestamp 3: window now covers [1, 3], so the edge from ts 0 expires.
-        window.ingest(&tx(3, 3, 4));
+        assert_eq!(ingest(&mut window, 3, 3, 4), vec![(VertexId(0), VertexId(1))]);
         assert_eq!(window.graph().num_edges(), 3);
         assert!(!window.graph().has_edge(VertexId(0), VertexId(1)));
         assert_eq!(window.expired_edges(), 1);
@@ -138,9 +128,9 @@ mod tests {
     #[test]
     fn refreshing_an_edge_keeps_it_alive() {
         let mut window = SlidingWindow::new(3);
-        window.ingest(&tx(0, 0, 1));
-        window.ingest(&tx(2, 0, 1)); // same edge, newer timestamp
-        window.ingest(&tx(4, 1, 2));
+        ingest(&mut window, 0, 0, 1);
+        ingest(&mut window, 2, 0, 1); // same edge, newer timestamp
+        ingest(&mut window, 4, 1, 2);
         // Window covers [2, 4]; the refreshed edge (ts 2) survives.
         assert!(window.graph().has_edge(VertexId(0), VertexId(1)));
         assert_eq!(window.ingested(), 3);
@@ -149,8 +139,8 @@ mod tests {
     #[test]
     fn latest_timestamp_is_monotone_even_with_reordered_input() {
         let mut window = SlidingWindow::new(10);
-        window.ingest(&tx(5, 0, 1));
-        window.ingest(&tx(3, 1, 2)); // late arrival
+        ingest(&mut window, 5, 0, 1);
+        ingest(&mut window, 3, 1, 2); // late arrival
         assert_eq!(window.latest_timestamp(), 5);
         assert_eq!(window.graph().num_edges(), 2);
     }
@@ -158,8 +148,8 @@ mod tests {
     #[test]
     fn window_of_one_keeps_only_the_current_timestamp() {
         let mut window = SlidingWindow::new(1);
-        window.ingest(&tx(0, 0, 1));
-        window.ingest(&tx(1, 1, 2));
+        ingest(&mut window, 0, 0, 1);
+        ingest(&mut window, 1, 1, 2);
         assert_eq!(window.graph().num_edges(), 1);
         assert!(window.graph().has_edge(VertexId(1), VertexId(2)));
     }

@@ -3,8 +3,7 @@
 //! Every table and figure of the paper's evaluation (Section VII) has a
 //! driver here that produces the same rows/series, at the reduced scale of
 //! the synthetic stand-ins. The `figures` binary in `pefp-bench` is a thin
-//! CLI wrapper around [`run_figure`]; the Criterion benches exercise the same
-//! underlying runner methods.
+//! CLI wrapper around [`run_figure`].
 
 use crate::report::{format_millis, Series, TableReport};
 use crate::runner::Runner;

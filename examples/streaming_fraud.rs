@@ -3,61 +3,19 @@
 //! The `fraud_detection` example checks a handful of hand-picked transactions
 //! against a static graph; this one runs the full streaming system from
 //! `pefp-streaming`: a synthetic transaction stream with injected fraud
-//! rings flows through a sliding-window graph, and every arriving transaction
-//! triggers a constrained cycle check. The same stream is processed once with
-//! the PEFP engine on the simulated FPGA and once with the JOIN CPU baseline,
-//! so the end-to-end latency gap of the paper's motivating deployment is
-//! visible directly.
+//! rings flows through a sliding window, and every arriving transaction
+//! triggers a constrained cycle check on the simulated FPGA. The transaction
+//! graph lives inside a `HostRuntime`: window expiries and the new edge land
+//! as incremental graph deltas (one epoch each), and the cycle query runs
+//! through the runtime's admission queue and CU cluster.
 //!
 //! Run with `cargo run --release --example streaming_fraud`.
 
 use pefp::streaming::{
-    CycleDetector, DetectorConfig, DetectorEngine, Transaction, TransactionGenerator,
-    TransactionGeneratorConfig,
+    RuntimeCycleDetector, RuntimeDetectorConfig, TransactionGenerator, TransactionGeneratorConfig,
 };
 
-fn run_engine(engine: DetectorEngine, stream: &[Transaction]) -> (String, f64, f64) {
-    let mut detector = CycleDetector::new(DetectorConfig {
-        max_cycle_hops: 6,
-        window_size: 5_000,
-        engine,
-        ..DetectorConfig::default()
-    });
-    let alerts = detector.ingest_stream(stream);
-    let stats = detector.stats();
-    let name = match engine {
-        DetectorEngine::PefpSimulated => "PEFP (simulated FPGA)",
-        DetectorEngine::JoinCpu => "JOIN (CPU baseline)",
-        DetectorEngine::NaiveDfs => "naive DFS (oracle)",
-    };
-    println!("\n== {name} ==");
-    println!("transactions ingested     : {}", stats.transactions);
-    println!("alerts raised             : {} ({} cycles)", stats.alerts, stats.cycles);
-    println!("alerts on injected fraud  : {}", stats.true_positive_alerts);
-    println!("alerts on benign traffic  : {}", stats.benign_alerts);
-    println!("skipped by reachability   : {}", stats.skipped_by_precheck);
-    println!("fraud recall              : {:.1}%", detector.fraud_recall() * 100.0);
-    println!(
-        "host time {:.1} ms total ({:.4} ms/txn), simulated device time {:.1} ms",
-        stats.host_millis,
-        stats.host_millis / stats.transactions as f64,
-        stats.device_millis
-    );
-    if let Some(alert) = alerts.first() {
-        let path: Vec<String> = alert.cycles[0].iter().map(|v| v.0.to_string()).collect();
-        println!(
-            "first alert: txn {} -> {} closes cycle [{} -> {}]",
-            alert.transaction.from,
-            alert.transaction.to,
-            path.join(" -> "),
-            alert.transaction.to
-        );
-    }
-    (name.to_string(), stats.host_millis, stats.device_millis)
-}
-
 fn main() {
-    // One deterministic stream shared by every engine.
     let mut generator = TransactionGenerator::new(TransactionGeneratorConfig {
         num_accounts: 800,
         fraud_probability: 0.03,
@@ -73,18 +31,38 @@ fn main() {
         injected
     );
 
-    let engines = [DetectorEngine::PefpSimulated, DetectorEngine::JoinCpu];
-    let mut rows = Vec::new();
-    for engine in engines {
-        rows.push(run_engine(engine, &stream));
-    }
-
-    println!("\n== summary ==");
-    for (name, host_ms, device_ms) in rows {
-        println!("{name:<26} host {host_ms:9.1} ms   device {device_ms:9.2} ms");
-    }
+    let mut detector = RuntimeCycleDetector::new(RuntimeDetectorConfig {
+        max_cycle_hops: 6,
+        window_size: 5_000,
+        ..RuntimeDetectorConfig::default()
+    });
+    let alerts = detector.ingest_stream(&stream);
+    let stats = detector.stats();
+    let runtime = detector.runtime().stats();
+    println!("transactions ingested     : {}", stats.transactions);
+    println!("alerts raised             : {} ({} cycles)", stats.alerts, stats.cycles);
+    println!("alerts on injected fraud  : {}", stats.true_positive_alerts);
+    println!("alerts on benign traffic  : {}", stats.benign_alerts);
+    println!("skipped by reachability   : {}", stats.skipped_by_precheck);
+    println!("fraud recall              : {:.1}%", detector.fraud_recall() * 100.0);
     println!(
-        "\nBoth engines report identical cycles; the difference is where the per-transaction\n\
-         enumeration runs. See EXPERIMENTS.md for the corresponding figure-level comparison."
+        "host time {:.1} ms total ({:.4} ms/txn), simulated device time {:.2} ms",
+        stats.host_millis,
+        stats.host_millis / stats.transactions as f64,
+        stats.device_millis
     );
+    println!(
+        "runtime: epoch {}, {} cycle queries, {} device cycles, {} cached queries invalidated",
+        runtime.epoch, runtime.completed, runtime.total_device_cycles, runtime.cache_invalidated
+    );
+    if let Some(alert) = alerts.first() {
+        let path: Vec<String> = alert.cycles[0].iter().map(|v| v.0.to_string()).collect();
+        println!(
+            "first alert: txn {} -> {} closes cycle [{} -> {}]",
+            alert.transaction.from,
+            alert.transaction.to,
+            path.join(" -> "),
+            alert.transaction.to
+        );
+    }
 }

@@ -20,7 +20,7 @@ use pefp::host::{
     QueryRequest, SchedulerConfig, SessionConfig,
 };
 use pefp::streaming::{
-    CycleDetector, DetectorConfig, DetectorEngine, TransactionGenerator, TransactionGeneratorConfig,
+    RuntimeCycleDetector, RuntimeDetectorConfig, TransactionGenerator, TransactionGeneratorConfig,
 };
 
 const HELP: &str = "\
@@ -153,11 +153,10 @@ fn cmd_detect(args: &[String]) -> Result<(), String> {
         seed: 0xF2AD,
     });
     let stream = generator.stream(transactions);
-    let mut detector = CycleDetector::new(DetectorConfig {
+    let mut detector = RuntimeCycleDetector::new(RuntimeDetectorConfig {
         max_cycle_hops: 6,
         window_size: 10_000,
-        engine: DetectorEngine::PefpSimulated,
-        ..DetectorConfig::default()
+        ..RuntimeDetectorConfig::default()
     });
     let alerts = detector.ingest_stream(&stream);
     let stats = detector.stats();

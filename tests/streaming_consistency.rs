@@ -1,16 +1,24 @@
 //! Integration tests of the streaming layer against offline enumeration: the
-//! cycles the real-time detector reports must be exactly the s-t k-paths an
-//! offline engine finds on the same graph snapshot, independent of which
-//! enumeration engine the detector delegates to.
+//! cycles the real-time detector reports through its host runtime must be
+//! exactly the s-t k-paths an offline engine finds on a from-scratch CSR of
+//! the same graph.
 
 use pefp::baselines::naive_dfs_enumerate;
 use pefp::enumerate_paths;
 use pefp::graph::paths::{canonicalize, is_simple};
 use pefp::graph::VertexId;
 use pefp::streaming::{
-    CycleDetector, DetectorConfig, DetectorEngine, DynamicGraph, Transaction, TransactionGenerator,
+    DynamicGraph, RuntimeCycleDetector, RuntimeDetectorConfig, Transaction, TransactionGenerator,
     TransactionGeneratorConfig,
 };
+
+fn detector(max_cycle_hops: u32, window_size: u64) -> RuntimeCycleDetector {
+    RuntimeCycleDetector::new(RuntimeDetectorConfig {
+        max_cycle_hops,
+        window_size,
+        ..RuntimeDetectorConfig::default()
+    })
+}
 
 fn stream(seed: u64, count: usize) -> Vec<Transaction> {
     TransactionGenerator::new(TransactionGeneratorConfig {
@@ -25,12 +33,7 @@ fn stream(seed: u64, count: usize) -> Vec<Transaction> {
 #[test]
 fn detector_cycles_match_offline_enumeration_on_the_same_snapshot() {
     let txs = stream(5, 250);
-    let mut detector = CycleDetector::new(DetectorConfig {
-        max_cycle_hops: 5,
-        window_size: 1_000_000,
-        engine: DetectorEngine::PefpSimulated,
-        ..DetectorConfig::default()
-    });
+    let mut detector = detector(5, 1_000_000);
     // Maintain a shadow graph by hand and cross-check every alert.
     let mut shadow = DynamicGraph::new();
     for tx in &txs {
@@ -57,36 +60,9 @@ fn detector_cycles_match_offline_enumeration_on_the_same_snapshot() {
 }
 
 #[test]
-fn engines_report_identical_alert_sets() {
-    let txs = stream(11, 400);
-    let mut reference: Option<Vec<(u64, usize)>> = None;
-    for engine in [DetectorEngine::NaiveDfs, DetectorEngine::JoinCpu, DetectorEngine::PefpSimulated]
-    {
-        let mut detector = CycleDetector::new(DetectorConfig {
-            max_cycle_hops: 6,
-            window_size: 1_000_000,
-            engine,
-            ..DetectorConfig::default()
-        });
-        let alerts = detector.ingest_stream(&txs);
-        let signature: Vec<(u64, usize)> =
-            alerts.iter().map(|a| (a.transaction.timestamp, a.cycles.len())).collect();
-        match &reference {
-            None => reference = Some(signature),
-            Some(expected) => assert_eq!(&signature, expected, "engine {engine:?}"),
-        }
-    }
-}
-
-#[test]
 fn every_reported_cycle_is_simple_and_closed_by_the_new_edge() {
     let txs = stream(23, 300);
-    let mut detector = CycleDetector::new(DetectorConfig {
-        max_cycle_hops: 5,
-        window_size: 1_000_000,
-        engine: DetectorEngine::PefpSimulated,
-        ..DetectorConfig::default()
-    });
+    let mut detector = detector(5, 1_000_000);
     let mut total_cycles = 0usize;
     for tx in &txs {
         let alert = detector.ingest(tx);
@@ -140,12 +116,7 @@ fn dynamic_snapshot_queries_agree_with_a_statically_built_graph() {
 
 #[test]
 fn window_expiry_removes_old_cycles_but_keeps_recent_ones() {
-    let mut detector = CycleDetector::new(DetectorConfig {
-        max_cycle_hops: 4,
-        window_size: 4,
-        engine: DetectorEngine::NaiveDfs,
-        ..DetectorConfig::default()
-    });
+    let mut detector = detector(4, 4);
     // Old triangle, fully inside one window.
     detector.ingest(&Transaction::new(0, 0, 1, 1.0));
     detector.ingest(&Transaction::new(1, 1, 2, 1.0));
