@@ -38,6 +38,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+#[cfg(test)]
+mod detector;
 pub mod dynamic;
 pub mod runtime_detector;
 pub mod transaction;

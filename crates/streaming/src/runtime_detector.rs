@@ -331,70 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn hop_constraint_bounds_the_cycle_length() {
-        // A 4-cycle needs max_cycle_hops >= 4 to be reported.
-        let mut short = detector(3, 1_000_000);
-        let mut long = detector(4, 1_000_000);
-        let txs = [tx(0, 0, 1), tx(1, 1, 2), tx(2, 2, 3), tx(3, 3, 0)];
-        for t in &txs[..3] {
-            short.ingest(t);
-            long.ingest(t);
-        }
-        assert!(!short.ingest(&txs[3]).is_alert());
-        assert!(long.ingest(&txs[3]).is_alert());
-    }
-
-    #[test]
-    fn parallel_paths_produce_multiple_cycles() {
-        // 0 -> 1 -> 3 and 0 -> 2 -> 3, closing 3 -> 0 creates two 3-hop cycles.
-        let mut d = detector(4, 1_000_000);
-        for t in [tx(0, 0, 1), tx(1, 1, 3), tx(2, 0, 2), tx(3, 2, 3)] {
-            assert!(!d.ingest(&t).is_alert());
-        }
-        let alert = d.ingest(&tx(4, 3, 0));
-        assert_eq!(alert.cycles.len(), 2);
-        for c in &alert.cycles {
-            assert!(is_simple(c));
-            assert_eq!(c[0], VertexId(0));
-            assert_eq!(*c.last().unwrap(), VertexId(3));
-        }
-    }
-
-    #[test]
-    fn injected_fraud_rings_are_caught() {
-        let mut generator = TransactionGenerator::new(TransactionGeneratorConfig {
-            num_accounts: 200,
-            fraud_probability: 0.05,
-            ring_size: 4,
-            seed: 31,
-        });
-        let stream = generator.stream(1_500);
-        let mut d = detector(6, 1_000_000);
-        d.ingest_stream(&stream);
-        let stats = d.stats();
-        assert!(stats.alerts > 0);
-        assert!(stats.true_positive_alerts > 0);
-        // Every completed ring's closing transaction must alert: recall over
-        // fraud *transactions* is diluted by the non-closing ring edges, so
-        // just require a healthy floor.
-        assert!(d.fraud_recall() > 0.1, "recall {}", d.fraud_recall());
-        assert!(stats.device_millis > 0.0);
-    }
-
-    #[test]
-    fn repeated_transactions_do_not_double_count_cycles() {
-        let mut d = detector(4, 1_000_000);
-        d.ingest(&tx(0, 0, 1));
-        d.ingest(&tx(1, 1, 0)); // closes the 2-cycle
-        assert_eq!(d.stats().cycles, 1);
-        // Re-sending the same closing transaction finds the same single path
-        // again (the graph is unchanged), it does not accumulate duplicates
-        // inside one alert.
-        let again = d.ingest(&tx(2, 1, 0));
-        assert_eq!(again.cycles.len(), 1);
-    }
-
-    #[test]
     fn window_expiry_reaches_the_runtime_graph() {
         let mut d = detector(6, 2);
         d.ingest(&tx(0, 0, 1));
