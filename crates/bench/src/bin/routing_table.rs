@@ -14,7 +14,9 @@
 //! per engine, rounds aggressively and writes the table together with the
 //! routing decision of every sweep query.
 //!
-//! `--check` is what CI runs and is **fully deterministic** — no timing: the
+//! `--check` is the command to run after `--write`. It is **fully
+//! deterministic** — no timing — and tier-1 runs the same check
+//! (`routing_fit::tests::committed_table_matches_builtin_and_its_sweep`): the
 //! committed table must parse, validate, equal [`RoutingTable::builtin`]
 //! (so the in-code fallback can never drift from the committed file) and
 //! reproduce every recorded sweep decision. Whether the table routes *well*

@@ -17,9 +17,10 @@
 //!   **plus the routing decision of every sweep query** under it;
 //! * `--check` is fully deterministic (no timing): the committed table must
 //!   parse, validate, match [`RoutingTable::builtin`] exactly, and reproduce
-//!   the recorded decision of every sweep query. CI runs only `--check`;
-//!   whether the table routes *well* is gated separately by the `bench_gate`
-//!   floors `mixed_workload/router` and `mixed_workload/tiny_cpu`.
+//!   the recorded decision of every sweep query. Tier-1 runs the same check
+//!   on the committed file; whether the table routes *well* is gated
+//!   separately by the `bench_gate` floors `mixed_workload/router` and
+//!   `mixed_workload/tiny_cpu`.
 
 use pefp_core::{
     prepare_snapshot_with, route_query, run_prepared_on_device, PefpVariant, PrepareContext,
@@ -32,9 +33,6 @@ use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
 use pefp_host::DmaEngine;
 use pefp_workload::{routing_io, JsonValue, ToJson};
 use std::time::Instant;
-
-/// CUs assumed by every sweep decision (the gate runtime's fleet size).
-pub const SWEEP_COMPUTE_UNITS: usize = 4;
 
 /// [`calibration_median_ns`] on the reference machine. CPU measurements are
 /// rescaled to this reference before fitting, so the committed coefficients
@@ -182,13 +180,20 @@ pub fn calibration_median_ns() -> f64 {
     }) * 1e3
 }
 
+/// Simulated kernel time in microseconds of `prepared` on one default CU:
+/// the quantity the device line is fitted to.
+fn kernel_us(prepared: &PreparedQuery) -> f64 {
+    let device = Device::new(DeviceConfig::alveo_u200());
+    let opts = PefpVariant::Full.engine_options();
+    run_prepared_on_device(prepared, opts, device, &mut CountingSink::new()).query_millis * 1e3
+}
+
 /// Runs the sweep, timing the CPU engines (scaled by `cpu_scale`, the
 /// reference-machine ratio) and taking the modelled device latency.
 pub fn measure_sweep(cpu_scale: f64) -> Vec<FitMeasurement> {
     use pefp_baselines::{BcDfs, Join};
     use std::ops::ControlFlow;
 
-    let device_cfg = DeviceConfig::alveo_u200();
     sweep_specs()
         .into_iter()
         .map(|spec| {
@@ -224,13 +229,8 @@ pub fn measure_sweep(cpu_scale: f64) -> Vec<FitMeasurement> {
                         std::hint::black_box(count);
                     })
             });
-            let device_us = (features.feasible && !features.estimate.saturated).then(|| {
-                let opts = PefpVariant::Full.engine_options();
-                let device = Device::new(device_cfg.clone());
-                let mut sink = CountingSink::new();
-                let result = run_prepared_on_device(&prepared, opts, device, &mut sink);
-                result.query_millis * 1e3
-            });
+            let device_us =
+                (features.feasible && !features.estimate.saturated).then(|| kernel_us(&prepared));
 
             FitMeasurement { name: spec.name, features, bcdfs_us, join_us, device_us }
         })
@@ -268,8 +268,8 @@ fn round_sig(value: f64, digits: i32) -> f64 {
 
 /// Fits one `fixed + unit × work` line per engine from the sweep
 /// measurements and returns the rounded table. Engines without enough
-/// measured spread keep the builtin coefficients; the policy thresholds
-/// (CPU ceiling, multi-CU cutoff and efficiency) are not fitted.
+/// measured spread keep the builtin coefficients; the policy threshold
+/// (the CPU ceiling) is not fitted.
 pub fn fit_table(measurements: &[FitMeasurement]) -> RoutingTable {
     let mut table = RoutingTable::builtin();
 
@@ -308,10 +308,10 @@ pub fn fit_table(measurements: &[FitMeasurement]) -> RoutingTable {
     table
 }
 
-/// Routes every sweep query under `table` (at [`SWEEP_COMPUTE_UNITS`] CUs)
-/// and returns `(case name, engine name)` pairs. Fully deterministic.
+/// Routes every sweep query under `table` and returns `(case name, engine
+/// name)` pairs. Fully deterministic.
 pub fn sweep_decisions(table: &RoutingTable) -> Vec<(String, &'static str)> {
-    let ctx = RouteContext { compute_units: SWEEP_COMPUTE_UNITS, charge_banked: false };
+    let ctx = RouteContext::default();
     sweep_specs()
         .into_iter()
         .map(|spec| {
@@ -344,7 +344,6 @@ pub fn table_document(
             JsonValue::object(vec![
                 ("artefact", JsonValue::String("routing_table".to_string())),
                 ("note", JsonValue::String(note.to_string())),
-                ("compute_units", JsonValue::Number(SWEEP_COMPUTE_UNITS as f64)),
                 ("reference_calibration_ns", JsonValue::Number(REFERENCE_CALIBRATION_NS)),
             ]),
         ),
@@ -447,7 +446,7 @@ mod tests {
         assert_eq!(a.len(), sweep_specs().len());
         let engines: std::collections::BTreeSet<&str> = a.iter().map(|(_, e)| *e).collect();
         assert!(engines.contains("bc_dfs") || engines.contains("join"), "{engines:?}");
-        assert!(engines.contains("device") || engines.contains("device_multi_cu"), "{engines:?}");
+        assert!(engines.contains("device"), "{engines:?}");
     }
 
     #[test]
@@ -461,9 +460,53 @@ mod tests {
         assert!(check_document(&parsed, &recorded).is_empty());
         // A tampered decision is caught.
         let mut tampered = recorded.clone();
-        tampered[0].1 = "device_multi_cu".to_string();
+        tampered[0].1 = "join".to_string();
         let failures = check_document(&parsed, &tampered);
         assert_eq!(failures.len(), 1, "{failures:?}");
+    }
+
+    /// Plan vs actual: for every device-routed decision, the router's
+    /// predicted device cost without the transfer term is within 0.5–2× of
+    /// the simulated kernel time of the single-CU job the runtime runs.
+    /// Saturated decisions are skipped: their predicted magnitude is
+    /// meaningless by the router's own rationale.
+    #[test]
+    fn device_cost_predicts_the_kernel_the_runtime_runs() {
+        let table = RoutingTable::builtin();
+        let ctx = RouteContext { compute_units: 4, charge_banked: false };
+        let gate = SweepGraph::ChungLu { n: 10_000, deg_tenths: 80, seed: 3 };
+        let mut specs = sweep_specs();
+        for (s, t) in [(0, 1), (3, 7), (0, 3), (1, 2), (2, 5), (4, 9)] {
+            for k in 5..=7 {
+                specs.push(SweepSpec {
+                    name: format!("gate_s{s}_t{t}_k{k}"),
+                    graph: gate,
+                    s,
+                    t,
+                    k,
+                });
+            }
+        }
+        let mut checked = 0;
+        for spec in specs {
+            let prepared = spec.prepared();
+            let decision = route_query(&prepared, &table, &ctx);
+            if decision.choice.is_cpu() || decision.features.estimate.saturated {
+                continue;
+            }
+            let predicted =
+                decision.cost_estimate_us - table.transfer_us(decision.features.transfer_bytes);
+            let actual = kernel_us(&prepared);
+            let ratio = predicted / actual;
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "{}: {} predicted {predicted:.1} µs, kernel ran {actual:.1} µs (ratio {ratio:.2})",
+                spec.name,
+                decision.choice.name(),
+            );
+            checked += 1;
+        }
+        assert!(checked >= 6, "only {checked} device-routed decisions checked");
     }
 
     #[test]

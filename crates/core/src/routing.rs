@@ -6,8 +6,7 @@
 //! hub-heavy high-`k` queries are where the device pays off. This module
 //! turns the Pre-BFS product the pipeline already computes per query into a
 //! *routing decision*: run the query CPU-direct (BC-DFS or JOIN, skipping
-//! device transfer entirely), on a single device CU, or as multi-CU batch
-//! work.
+//! device transfer entirely) or on one device CU.
 //!
 //! The cost model is deliberately simple and fully deterministic: each engine
 //! gets a predicted latency in microseconds, linear in a per-engine *work
@@ -40,8 +39,6 @@ pub enum EngineChoice {
     CpuJoin,
     /// The simulated PEFP device, one compute unit.
     DeviceSingleCu,
-    /// The simulated PEFP device, placed as multi-CU batch work.
-    DeviceMultiCu,
 }
 
 impl EngineChoice {
@@ -57,19 +54,13 @@ impl EngineChoice {
             EngineChoice::CpuBcDfs => "bc_dfs",
             EngineChoice::CpuJoin => "join",
             EngineChoice::DeviceSingleCu => "device",
-            EngineChoice::DeviceMultiCu => "device_multi_cu",
         }
     }
 
     /// All routable engines, in deterministic preference order (CPU first:
     /// on a cost tie the cheaper infrastructure wins).
-    pub fn all() -> [EngineChoice; 4] {
-        [
-            EngineChoice::CpuBcDfs,
-            EngineChoice::CpuJoin,
-            EngineChoice::DeviceSingleCu,
-            EngineChoice::DeviceMultiCu,
-        ]
+    pub fn all() -> [EngineChoice; 3] {
+        [EngineChoice::CpuBcDfs, EngineChoice::CpuJoin, EngineChoice::DeviceSingleCu]
     }
 }
 
@@ -130,11 +121,6 @@ impl RouteFeatures {
             join_work,
         }
     }
-
-    /// Vertices that can reach the target within the budget (`bar <= k`).
-    pub fn reachable_vertices(&self) -> u64 {
-        self.barrier_histogram[..self.barrier_histogram.len() - 1].iter().sum()
-    }
 }
 
 /// Calibrated cost coefficients, loaded from `docs/routing_table.json` (or
@@ -167,10 +153,6 @@ pub struct RoutingTable {
     /// DFS work beyond this is "beyond CPU scale": the materialising CPU
     /// engines are not trusted past it and the query is device-tier.
     pub cpu_work_ceiling: f64,
-    /// Device work at or above this prefers multi-CU batch placement.
-    pub multi_cu_work_cutoff: f64,
-    /// Fraction of linear speedup a multi-CU placement actually achieves.
-    pub multi_cu_efficiency: f64,
 }
 
 impl RoutingTable {
@@ -189,8 +171,6 @@ impl RoutingTable {
             device_fixed_us: 12.0,
             transfer_us_per_kib: 0.014,
             cpu_work_ceiling: 2e8,
-            multi_cu_work_cutoff: 1e6,
-            multi_cu_efficiency: 0.85,
         }
     }
 
@@ -208,7 +188,6 @@ impl RoutingTable {
             ("device_us_per_unit", self.device_us_per_unit),
             ("transfer_us_per_kib", self.transfer_us_per_kib),
             ("cpu_work_ceiling", self.cpu_work_ceiling),
-            ("multi_cu_work_cutoff", self.multi_cu_work_cutoff),
         ];
         for (name, value) in positive {
             if !(value > 0.0 && value.is_finite()) {
@@ -226,12 +205,6 @@ impl RoutingTable {
             problems.push(format!(
                 "device_fixed_us must be non-negative, got {}",
                 self.device_fixed_us
-            ));
-        }
-        if !(self.multi_cu_efficiency > 0.0 && self.multi_cu_efficiency <= 1.0) {
-            problems.push(format!(
-                "multi_cu_efficiency must be in (0, 1], got {}",
-                self.multi_cu_efficiency
             ));
         }
         problems
@@ -257,7 +230,10 @@ pub const BANK_CONFLICT_COST_FRACTION: f64 = 0.08;
 /// Runtime context the router needs beyond the query itself.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteContext {
-    /// Compute units available for multi-CU placement.
+    /// Compute units in the fleet. The router does not read it: every
+    /// device route runs on one CU. `benchmark/src/layers.rs` builds this
+    /// struct by literal, so the field is removed by the benchmark-only
+    /// change that updates that literal.
     pub compute_units: usize,
     /// Whether the runtime charges banked DRAM stalls to CU clocks; adds the
     /// [`BANK_CONFLICT_COST_FRACTION`] term to the device engines' costs.
@@ -279,8 +255,6 @@ pub struct EngineCosts {
     pub join_us: f64,
     /// Device, single CU (includes the transfer model).
     pub device_us: f64,
-    /// Device, multi-CU batch placement (`f64::INFINITY` with one CU).
-    pub device_multi_us: f64,
 }
 
 impl EngineCosts {
@@ -290,7 +264,6 @@ impl EngineCosts {
             EngineChoice::CpuBcDfs => self.bc_dfs_us,
             EngineChoice::CpuJoin => self.join_us,
             EngineChoice::DeviceSingleCu => self.device_us,
-            EngineChoice::DeviceMultiCu => self.device_multi_us,
         }
     }
 }
@@ -361,7 +334,7 @@ pub fn route_query(
              (bounded-memory Batch-DFS)"
                 .to_string(),
         );
-        let choice = device_tier(&features, table, ctx, &mut rationale);
+        let choice = EngineChoice::DeviceSingleCu;
         let cost_estimate_us = costs.of(choice);
         return RouteDecision { choice, features, costs, cost_estimate_us, rationale };
     }
@@ -373,19 +346,18 @@ pub fn route_query(
             "dfs work {:.0} exceeds the CPU ceiling {:.0}: device-tier",
             features.dfs_work, table.cpu_work_ceiling
         ));
-        let choice = device_tier(&features, table, ctx, &mut rationale);
+        let choice = EngineChoice::DeviceSingleCu;
         let cost_estimate_us = costs.of(choice);
         return RouteDecision { choice, features, costs, cost_estimate_us, rationale };
     }
 
     // Step 4: linear cost model, cheapest engine wins; ties prefer CPU.
     rationale.push(format!(
-        "predicted µs — bc_dfs {:.1}, join {:.1}, device {:.1} (transfer {:.1}), multi-CU {:.1}",
+        "predicted µs — bc_dfs {:.1}, join {:.1}, device {:.1} (transfer {:.1})",
         costs.bc_dfs_us,
         costs.join_us,
         costs.device_us,
         table.transfer_us(features.transfer_bytes),
-        costs.device_multi_us,
     ));
     let mut choice = EngineChoice::CpuBcDfs;
     for candidate in EngineChoice::all() {
@@ -420,26 +392,6 @@ pub fn route_query(
     RouteDecision { choice, features, costs, cost_estimate_us, rationale }
 }
 
-/// Picks between single- and multi-CU device placement once the query is
-/// known to be device-tier.
-fn device_tier(
-    features: &RouteFeatures,
-    table: &RoutingTable,
-    ctx: &RouteContext,
-    rationale: &mut Vec<String>,
-) -> EngineChoice {
-    if ctx.compute_units > 1 && features.dfs_work >= table.multi_cu_work_cutoff {
-        rationale.push(format!(
-            "dfs work {:.0} ≥ multi-CU cutoff {:.0} and {} CUs available: multi-CU batch placement",
-            features.dfs_work, table.multi_cu_work_cutoff, ctx.compute_units
-        ));
-        EngineChoice::DeviceMultiCu
-    } else {
-        rationale.push("single-CU device placement".to_string());
-        EngineChoice::DeviceSingleCu
-    }
-}
-
 /// Evaluates the linear cost model for every engine.
 fn engine_costs(features: &RouteFeatures, table: &RoutingTable, ctx: &RouteContext) -> EngineCosts {
     let transfer = table.transfer_us(features.transfer_bytes);
@@ -450,15 +402,7 @@ fn engine_costs(features: &RouteFeatures, table: &RoutingTable, ctx: &RouteConte
     let bank_factor = if ctx.charge_banked { 1.0 + BANK_CONFLICT_COST_FRACTION } else { 1.0 };
     let device_compute = table.device_us_per_unit * features.dfs_work * bank_factor;
     let device_us = table.device_fixed_us + transfer + device_compute;
-    let device_multi_us =
-        if ctx.compute_units > 1 && features.dfs_work >= table.multi_cu_work_cutoff {
-            table.device_fixed_us
-                + transfer
-                + device_compute / (ctx.compute_units as f64 * table.multi_cu_efficiency)
-        } else {
-            f64::INFINITY
-        };
-    EngineCosts { bc_dfs_us, join_us, device_us, device_multi_us }
+    EngineCosts { bc_dfs_us, join_us, device_us }
 }
 
 #[cfg(test)]
@@ -518,23 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_cu_needs_more_than_one_cu() {
-        let mut edges = Vec::new();
-        for a in 0..12u32 {
-            for b in 0..12u32 {
-                if a != b {
-                    edges.push((a, b));
-                }
-            }
-        }
-        let g = CsrGraph::from_edges(12, &edges);
-        let single = route(&g, 0, 1, 30, 1);
-        assert_eq!(single.choice, EngineChoice::DeviceSingleCu);
-        let multi = route(&g, 0, 1, 30, 4);
-        assert_eq!(multi.choice, EngineChoice::DeviceMultiCu);
-    }
-
-    #[test]
     fn decisions_are_deterministic() {
         let g = chung_lu(500, 6.0, 2.2, 13).to_csr();
         for &(s, t, k) in &[(0u32, 250u32, 3u32), (1, 100, 5), (7, 400, 6)] {
@@ -553,7 +480,6 @@ mod tests {
         let features = RouteFeatures::compute(&prepared);
         let total: u64 = features.barrier_histogram.iter().sum();
         assert_eq!(total, prepared.graph.num_vertices() as u64);
-        assert!(features.reachable_vertices() <= total);
     }
 
     #[test]

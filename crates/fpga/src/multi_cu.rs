@@ -238,14 +238,6 @@ impl CuCluster {
         }
     }
 
-    /// Non-blocking [`CuCluster::checkout`]: `None` when every CU is leased.
-    pub fn try_checkout(&self) -> Option<CuLease<'_>> {
-        let mut leased = self.leased.lock().expect("lease table poisoned");
-        let cu = leased.iter().position(|taken| !taken)?;
-        leased[cu] = true;
-        Some(CuLease { cluster: self, cu })
-    }
-
     /// Reserves a *specific* compute unit without blocking: `None` when `cu`
     /// is currently leased. The host's CU-health layer uses this to steer
     /// jobs onto healthy CUs and probes onto quarantined ones.
@@ -524,11 +516,11 @@ mod tests {
         let b = cluster.checkout();
         assert_ne!(a.cu(), b.cu(), "two live leases never alias a CU");
         assert_eq!(cluster.leased_cus(), 2);
-        assert!(cluster.try_checkout().is_none(), "no third CU to lease");
+        assert!((0..2).all(|cu| cluster.try_checkout_cu(cu).is_none()), "no third CU to lease");
         let freed = a.cu();
         drop(a);
         assert_eq!(cluster.leased_cus(), 1);
-        let c = cluster.try_checkout().expect("returned CU is leasable again");
+        let c = cluster.try_checkout_cu(freed).expect("returned CU is leasable again");
         assert_eq!(c.cu(), freed);
         // The lease builds devices for its own CU.
         assert_eq!(c.device().cycles(), 0);

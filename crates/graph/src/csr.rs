@@ -73,12 +73,6 @@ impl CsrGraph {
         self.offsets[i]..self.offsets[i + 1]
     }
 
-    /// The target vertex of edge index `e` (an index into the flat edge array).
-    #[inline]
-    pub fn edge_target(&self, e: u32) -> VertexId {
-        self.targets[e as usize]
-    }
-
     /// Slice of edge targets for an arbitrary edge-index range.
     #[inline]
     pub fn edge_slice(&self, range: std::ops::Range<u32>) -> &[VertexId] {
@@ -260,10 +254,7 @@ mod tests {
         let g = sample();
         for v in g.vertices() {
             let r = g.neighbor_range(v);
-            assert_eq!(g.edge_slice(r.clone()), g.successors(v));
-            for e in r {
-                assert!(g.successors(v).contains(&g.edge_target(e)));
-            }
+            assert_eq!(g.edge_slice(r), g.successors(v));
         }
     }
 

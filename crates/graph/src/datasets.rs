@@ -14,7 +14,6 @@
 
 use crate::digraph::DiGraph;
 use crate::generators;
-use crate::stats::GraphStats;
 use serde::{Deserialize, Serialize};
 
 /// The 12 datasets of Table II, identified by the paper's two-letter code.
@@ -405,12 +404,6 @@ impl DatasetSpec {
         g.dedup_edges();
         g
     }
-
-    /// Computes the measured statistics of the stand-in (for the Table II
-    /// reproduction) using `samples` BFS sources.
-    pub fn measured_stats(&self, profile: ScaleProfile, samples: usize) -> GraphStats {
-        GraphStats::compute(&self.generate(profile).to_csr(), samples)
-    }
 }
 
 // Seeds spelled as the ASCII codes of the dataset abbreviations so each
@@ -433,6 +426,7 @@ mod seeds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::GraphStats;
 
     #[test]
     fn all_lists_twelve_unique_datasets() {
@@ -469,8 +463,9 @@ mod tests {
 
     #[test]
     fn amazon_standin_has_higher_diameter_than_twitter_standin() {
-        let am = Dataset::Amazon.spec().measured_stats(ScaleProfile::Tiny, 12);
-        let ts = Dataset::TwitterSocial.spec().measured_stats(ScaleProfile::Tiny, 12);
+        let stats =
+            |d: Dataset| GraphStats::compute(&d.spec().generate(ScaleProfile::Tiny).to_csr(), 12);
+        let (am, ts) = (stats(Dataset::Amazon), stats(Dataset::TwitterSocial));
         assert!(
             am.effective_diameter_90 > ts.effective_diameter_90,
             "AM D90 {} should exceed TS D90 {}",

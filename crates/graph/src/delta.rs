@@ -123,7 +123,7 @@ pub struct GraphSnapshot {
     base_reverse: Arc<CsrGraph>,
     forward_rows: OverlayRows,
     reverse_rows: OverlayRows,
-    compacted: OnceLock<(Arc<CsrGraph>, Arc<CsrGraph>)>,
+    compacted: OnceLock<Arc<CsrGraph>>,
 }
 
 impl GraphSnapshot {
@@ -226,23 +226,7 @@ impl GraphSnapshot {
         if self.is_compact() {
             return Arc::clone(&self.base);
         }
-        Arc::clone(&self.compacted_pair().0)
-    }
-
-    /// Reverse companion of [`GraphSnapshot::full_csr`].
-    pub fn full_reverse(&self) -> Arc<CsrGraph> {
-        if self.is_compact() {
-            return Arc::clone(&self.base_reverse);
-        }
-        Arc::clone(&self.compacted_pair().1)
-    }
-
-    fn compacted_pair(&self) -> &(Arc<CsrGraph>, Arc<CsrGraph>) {
-        self.compacted.get_or_init(|| {
-            let forward = self.to_csr();
-            let reverse = Arc::new(forward.reverse());
-            (Arc::new(forward), reverse)
-        })
+        Arc::clone(self.compacted.get_or_init(|| Arc::new(self.to_csr())))
     }
 }
 
@@ -484,7 +468,6 @@ mod tests {
         let snap = vg.apply(&delta);
         let rebuilt = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (2, 3), (3, 0), (1, 2)]);
         assert_eq!(snap.to_csr(), rebuilt);
-        assert_eq!(snap.to_csr().reverse(), *snap.full_reverse());
         // BFS over the view agrees with BFS over the rebuilt CSR.
         assert_eq!(khop_bfs(&rebuilt, VertexId(3), 5), {
             let mut scratch = crate::bfs::BfsScratch::new();
@@ -576,6 +559,5 @@ mod tests {
         let b = snap.full_csr();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(*a, snap.to_csr());
-        assert_eq!(*snap.full_reverse(), a.reverse());
     }
 }

@@ -70,13 +70,6 @@ impl DiGraph {
         self.out.is_empty()
     }
 
-    /// Adds a new isolated vertex and returns its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = VertexId::from_index(self.out.len());
-        self.out.push(Vec::new());
-        id
-    }
-
     /// Ensures the graph has at least `n` vertices.
     pub fn ensure_vertices(&mut self, n: usize) {
         if n > self.out.len() {
@@ -280,8 +273,6 @@ mod tests {
     #[test]
     fn add_vertex_returns_fresh_ids() {
         let mut g = DiGraph::empty();
-        assert_eq!(g.add_vertex(), VertexId(0));
-        assert_eq!(g.add_vertex(), VertexId(1));
         g.ensure_vertices(5);
         assert_eq!(g.num_vertices(), 5);
         g.ensure_vertices(2);

@@ -12,7 +12,7 @@
 use crate::digraph::DiGraph;
 use crate::ids::VertexId;
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 
 /// The edge-list dialects understood by [`read_graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,18 +92,6 @@ pub struct LoadedGraph {
     pub self_loops: usize,
     /// Number of comment lines skipped.
     pub comment_lines: usize,
-}
-
-impl LoadedGraph {
-    /// Looks up the internal id assigned to an external vertex identifier.
-    pub fn internal_id(&self, external: u64) -> Option<VertexId> {
-        self.external_ids.iter().position(|&e| e == external).map(VertexId::from_index)
-    }
-
-    /// The external identifier of an internal vertex.
-    pub fn external_id(&self, v: VertexId) -> u64 {
-        self.external_ids[v.index()]
-    }
 }
 
 /// Guesses the dialect from the first non-empty line of `content`.
@@ -208,27 +196,6 @@ pub fn read_graph_file<P: AsRef<std::path::Path>>(path: P) -> Result<LoadedGraph
     read_graph_auto(&content)
 }
 
-/// Writes `g` as a SNAP-style edge list with a descriptive comment header.
-pub fn write_snap<W: Write>(g: &DiGraph, name: &str, mut writer: W) -> io::Result<()> {
-    writeln!(writer, "# Directed graph: {name}")?;
-    writeln!(writer, "# Nodes: {} Edges: {}", g.num_vertices(), g.num_edges())?;
-    writeln!(writer, "# FromNodeId\tToNodeId")?;
-    for e in g.edges() {
-        writeln!(writer, "{}\t{}", e.from.0, e.to.0)?;
-    }
-    Ok(())
-}
-
-/// Writes `g` as a KONECT-style edge list.
-pub fn write_konect<W: Write>(g: &DiGraph, mut writer: W) -> io::Result<()> {
-    writeln!(writer, "% asym unweighted")?;
-    writeln!(writer, "% {} {}", g.num_edges(), g.num_vertices())?;
-    for e in g.edges() {
-        writeln!(writer, "{} {}", e.from.0, e.to.0)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,9 +233,7 @@ mod tests {
         assert_eq!(loaded.graph.num_vertices(), 3);
         // First appearance order: 1000000, 42, 777.
         assert_eq!(loaded.external_ids, vec![1_000_000, 42, 777]);
-        assert_eq!(loaded.internal_id(42), Some(VertexId(1)));
-        assert_eq!(loaded.external_id(VertexId(2)), 777);
-        assert_eq!(loaded.internal_id(99), None);
+        assert!(loaded.graph.has_edge(VertexId(1), VertexId(2)), "42 -> 777");
     }
 
     #[test]
@@ -299,11 +264,10 @@ mod tests {
         g.add_edge(VertexId(0), VertexId(1));
         g.add_edge(VertexId(1), VertexId(2));
         g.add_edge(VertexId(2), VertexId(3));
-        let mut buf = Vec::new();
-        write_snap(&g, "test", &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(detect_format(&text), GraphFormat::Snap);
-        let loaded = read_graph_auto(&text).unwrap();
+        let text = "# Directed graph: test\n# Nodes: 4 Edges: 3\n# FromNodeId\tToNodeId\n\
+                    0\t1\n1\t2\n2\t3\n";
+        assert_eq!(detect_format(text), GraphFormat::Snap);
+        let loaded = read_graph_auto(text).unwrap();
         assert_eq!(loaded.graph.num_edges(), 3);
         assert_eq!(loaded.graph.to_csr(), g.to_csr());
     }
@@ -313,11 +277,9 @@ mod tests {
         let mut g = DiGraph::new(3);
         g.add_edge(VertexId(0), VertexId(1));
         g.add_edge(VertexId(2), VertexId(0));
-        let mut buf = Vec::new();
-        write_konect(&g, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(detect_format(&text), GraphFormat::Konect);
-        let loaded = read_graph_auto(&text).unwrap();
+        let text = "% asym unweighted\n% 2 3\n0 1\n2 0\n";
+        assert_eq!(detect_format(text), GraphFormat::Konect);
+        let loaded = read_graph_auto(text).unwrap();
         assert_eq!(loaded.graph.to_csr(), g.to_csr());
     }
 
@@ -326,12 +288,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pefp_formats_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("graph.txt");
-        let mut g = DiGraph::new(5);
-        g.add_edge(VertexId(0), VertexId(4));
-        g.add_edge(VertexId(4), VertexId(2));
-        let mut buf = Vec::new();
-        write_snap(&g, "file-test", &mut buf).unwrap();
-        std::fs::write(&path, buf).unwrap();
+        std::fs::write(&path, "# Directed graph: file-test\n0\t4\n4\t2\n").unwrap();
         let loaded = read_graph_file(&path).unwrap();
         assert_eq!(loaded.graph.num_edges(), 2);
         std::fs::remove_file(&path).ok();

@@ -38,12 +38,6 @@ impl VertexId {
         debug_assert!(index < u32::MAX as usize, "vertex index {index} overflows u32");
         VertexId(index as u32)
     }
-
-    /// Whether this id is the [`VertexId::INVALID`] sentinel.
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        self != Self::INVALID
-    }
 }
 
 impl fmt::Display for VertexId {
@@ -99,13 +93,6 @@ mod tests {
         assert_eq!(v.index(), 42);
         assert_eq!(u32::from(v), 42);
         assert_eq!(VertexId::from(42u32), v);
-    }
-
-    #[test]
-    fn invalid_sentinel_is_not_valid() {
-        assert!(!VertexId::INVALID.is_valid());
-        assert!(VertexId(0).is_valid());
-        assert!(VertexId(u32::MAX - 1).is_valid());
     }
 
     #[test]

@@ -155,13 +155,6 @@ pub fn induce_subgraph_from_vertices(g: &CsrGraph, kept: Vec<VertexId>) -> Induc
     induce_subgraph_from_vertices_with(&mut RemapScratch::new(), g, kept)
 }
 
-/// Extracts the subgraph induced by an explicit vertex set given as a boolean
-/// mask (`mask[v] == true` keeps `v`).
-pub fn induce_from_mask(g: &CsrGraph, mask: &[bool]) -> InducedSubgraph {
-    assert_eq!(mask.len(), g.num_vertices(), "mask length must equal |V|");
-    induce_subgraph(g, |v| mask[v.index()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,16 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_variant_matches_closure_variant() {
-        let g = sample();
-        let mask = vec![true, true, false, true, false];
-        let a = induce_from_mask(&g, &mask);
-        let b = induce_subgraph(&g, |v| mask[v.index()]);
-        assert_eq!(a.graph, b.graph);
-        assert_eq!(a.old_of_new, b.old_of_new);
-    }
-
-    #[test]
     fn vertex_list_variant_matches_closure_variant() {
         let g = sample();
         // Unsorted, with a duplicate: the list variant must normalise it.
@@ -258,13 +241,6 @@ mod tests {
     fn vertex_list_out_of_range_is_rejected() {
         let g = sample();
         induce_subgraph_from_vertices(&g, vec![VertexId(0), VertexId(99)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length")]
-    fn mask_length_is_checked() {
-        let g = sample();
-        induce_from_mask(&g, &[true, false]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::digraph::DiGraph;
 use crate::ids::VertexId;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Errors produced while parsing an edge list.
@@ -101,12 +101,6 @@ pub fn write_edge_list<W: Write>(g: &DiGraph, mut writer: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes a graph to an edge-list file on disk. See [`write_edge_list`].
-pub fn write_edge_list_file<P: AsRef<Path>>(g: &DiGraph, path: P) -> io::Result<()> {
-    let file = File::create(path)?;
-    write_edge_list(g, BufWriter::new(file))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,8 +156,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pefp_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.txt");
-        let g = DiGraph::from_edges([(0, 5), (5, 2)]);
-        write_edge_list_file(&g, &path).unwrap();
+        std::fs::write(&path, "0 5\n5 2\n").unwrap();
         let g2 = read_edge_list_file(&path).unwrap();
         assert_eq!(g2.num_vertices(), 6);
         assert!(g2.has_edge(VertexId(0), VertexId(5)));

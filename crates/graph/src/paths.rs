@@ -23,11 +23,6 @@ pub fn is_simple(path: &[VertexId]) -> bool {
     path.iter().all(|v| seen.insert(*v))
 }
 
-/// Whether every consecutive pair of the path is an edge of `g`.
-pub fn is_connected_in(g: &CsrGraph, path: &[VertexId]) -> bool {
-    path.windows(2).all(|w| g.has_edge(w[0], w[1]))
-}
-
 /// Sorts paths lexicographically and removes duplicates, producing the
 /// canonical form used for cross-algorithm comparisons.
 pub fn canonicalize(mut paths: Vec<Path>) -> Vec<Path> {
@@ -126,13 +121,6 @@ mod tests {
         assert_eq!(path_len(&v(&[0, 1, 2])), 2);
         assert_eq!(path_len(&v(&[0])), 0);
         assert_eq!(path_len(&[]), 0);
-    }
-
-    #[test]
-    fn connectivity_check_uses_graph_edges() {
-        let g = diamond();
-        assert!(is_connected_in(&g, &v(&[0, 1, 3])));
-        assert!(!is_connected_in(&g, &v(&[0, 3])));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (Section VII-A) generates 1,000 random `(s, t)`
 //! query pairs per dataset such that `s` can reach `t` within `k` hops. The
-//! workload crate builds on the primitives here: seeded vertex sampling,
-//! hop-bounded reachable-pair sampling, and bounded random walks (used to
+//! workload crate builds on the primitives here: hop-bounded reachable-pair
+//! sampling and bounded random walks (used to
 //! sample intermediate paths of a prescribed length for Table III).
 
 use crate::csr::CsrGraph;
@@ -16,18 +16,6 @@ use rand_chacha::ChaCha8Rng;
 /// Creates the seeded RNG used by every sampler in this module.
 pub fn sampler_rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
-}
-
-/// Samples `count` vertices uniformly at random (with replacement) from the
-/// non-isolated vertices of `g` — vertices with at least one outgoing edge.
-/// Returns fewer than `count` only when the graph has no such vertex.
-pub fn sample_source_vertices(g: &CsrGraph, count: usize, seed: u64) -> Vec<VertexId> {
-    let candidates: Vec<VertexId> = g.vertices().filter(|&v| g.out_degree(v) > 0).collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = sampler_rng(seed);
-    (0..count).map(|_| candidates[rng.gen_range(0..candidates.len())]).collect()
 }
 
 /// Samples up to `count` pairs `(s, t)` such that `t` is reachable from `s`
@@ -156,24 +144,6 @@ mod tests {
 
     fn test_graph() -> CsrGraph {
         chung_lu(300, 6.0, 2.2, 42).to_csr()
-    }
-
-    #[test]
-    fn source_sampling_is_deterministic_and_skips_sinks() {
-        let g = test_graph();
-        let a = sample_source_vertices(&g, 50, 7);
-        let b = sample_source_vertices(&g, 50, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 50);
-        assert!(a.iter().all(|&v| g.out_degree(v) > 0));
-        let c = sample_source_vertices(&g, 50, 8);
-        assert_ne!(a, c, "different seeds should give different samples");
-    }
-
-    #[test]
-    fn source_sampling_on_edgeless_graph_is_empty() {
-        let g = CsrGraph::empty(10);
-        assert!(sample_source_vertices(&g, 5, 1).is_empty());
     }
 
     #[test]

@@ -114,16 +114,6 @@ pub fn load_edge_list_file<P: AsRef<Path>>(path: P) -> Result<GraphHandle, HostE
     Ok(handle_from_loaded(path.display().to_string(), loaded))
 }
 
-/// Loads a graph from an in-memory edge-list string (any dialect).
-pub fn load_edge_list_str(name: &str, content: &str) -> Result<GraphHandle, HostError> {
-    let loaded =
-        read_graph_auto(content).map_err(|e| HostError::GraphLoad(format!("{name}: {e}")))?;
-    if loaded.graph.num_vertices() == 0 {
-        return Err(HostError::GraphLoad(format!("{name}: input contains no edges")));
-    }
-    Ok(handle_from_loaded(name.to_string(), loaded))
-}
-
 /// Generates one of the paper's dataset stand-ins at the given scale and
 /// wraps it in a handle.
 pub fn load_dataset(dataset: Dataset, profile: ScaleProfile) -> GraphHandle {
@@ -138,10 +128,20 @@ mod tests {
     use super::*;
     use pefp_graph::VertexId;
 
+    /// Writes `content` to a per-test file and loads it.
+    fn load_str(name: &str, content: &str) -> Result<GraphHandle, HostError> {
+        let file = format!("pefp_loader_{}_{name}.txt", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        std::fs::write(&path, content).unwrap();
+        let loaded = load_edge_list_file(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
     #[test]
     fn loads_a_snap_style_string() {
         let text = "# tiny\n0 1\n1 2\n2 3\n0 3\n";
-        let handle = load_edge_list_str("tiny", text).unwrap();
+        let handle = load_str("tiny", text).unwrap();
         assert_eq!(handle.num_vertices(), 4);
         assert_eq!(handle.num_edges(), 4);
         assert_eq!(handle.duplicate_edges, 0);
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn counts_dropped_duplicates_and_self_loops() {
         let text = "0 1\n0 1\n2 2\n1 2\n";
-        let handle = load_edge_list_str("dups", text).unwrap();
+        let handle = load_str("dups", text).unwrap();
         assert_eq!(handle.duplicate_edges, 1);
         assert_eq!(handle.self_loops, 1);
         assert_eq!(handle.num_edges(), 2);
@@ -161,9 +161,9 @@ mod tests {
 
     #[test]
     fn empty_input_is_rejected() {
-        let err = load_edge_list_str("empty", "").unwrap_err();
+        let err = load_str("empty", "").unwrap_err();
         assert!(matches!(err, HostError::GraphLoad(_)));
-        let err = load_edge_list_str("comments-only", "# nothing\n").unwrap_err();
+        let err = load_str("comments-only", "# nothing\n").unwrap_err();
         assert!(matches!(err, HostError::GraphLoad(_)));
     }
 

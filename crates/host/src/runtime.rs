@@ -681,7 +681,7 @@ impl Route {
         match self.choice {
             EngineChoice::CpuBcDfs => Some(CpuEngine::BcDfs),
             EngineChoice::CpuJoin => Some(CpuEngine::Join),
-            EngineChoice::DeviceSingleCu | EngineChoice::DeviceMultiCu => None,
+            EngineChoice::DeviceSingleCu => None,
         }
     }
 }

@@ -79,11 +79,6 @@ impl DynamicGraph {
         self.adjacency.get(from.index()).is_some_and(|succ| succ.contains_key(&to.0))
     }
 
-    /// The timestamp stored on edge `from → to`, if present.
-    pub fn edge_timestamp(&self, from: VertexId, to: VertexId) -> Option<u64> {
-        self.adjacency.get(from.index()).and_then(|succ| succ.get(&to.0).copied())
-    }
-
     /// Out-degree of `v` (0 for out-of-range vertices).
     pub fn out_degree(&self, v: VertexId) -> usize {
         self.adjacency.get(v.index()).map_or(0, |s| s.len())
@@ -166,7 +161,10 @@ mod tests {
         assert!(g.insert_edge(vid(1), vid(2), 10));
         assert!(!g.insert_edge(vid(1), vid(2), 20));
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.edge_timestamp(vid(1), vid(2)), Some(20));
+        // The refreshed timestamp (20), not the first (10), decides expiry.
+        let mut expired = Vec::new();
+        assert_eq!(g.expire_older_than_into(15, &mut expired), 0);
+        assert_eq!(g.expire_older_than_into(21, &mut expired), 1);
     }
 
     #[test]

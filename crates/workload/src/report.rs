@@ -41,16 +41,6 @@ impl Series {
             y,
         }
     }
-
-    /// Geometric mean of the series values (ignoring non-positive entries).
-    pub fn geomean(&self) -> f64 {
-        let positive: Vec<f64> = self.y.iter().copied().filter(|v| *v > 0.0).collect();
-        if positive.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = positive.iter().map(|v| v.ln()).sum();
-        (log_sum / positive.len() as f64).exp()
-    }
 }
 
 /// A simple ASCII table with a caption, used for Table II / Table III style
@@ -136,14 +126,6 @@ mod tests {
         let join = Series::new("JOIN", vec![3.0, 4.0], vec![10.0, 40.0]);
         let s = pefp.speedup_against(&join);
         assert_eq!(s.y, vec![10.0, 20.0]);
-    }
-
-    #[test]
-    fn geomean_ignores_zeros() {
-        let s = Series::new("x", vec![1.0, 2.0, 3.0], vec![1.0, 100.0, 0.0]);
-        assert!((s.geomean() - 10.0).abs() < 1e-9);
-        let empty = Series::new("y", vec![1.0], vec![0.0]);
-        assert_eq!(empty.geomean(), 0.0);
     }
 
     #[test]

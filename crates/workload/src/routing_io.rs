@@ -22,8 +22,6 @@ impl ToJson for RoutingTable {
             ("device_fixed_us", JsonValue::Number(self.device_fixed_us)),
             ("transfer_us_per_kib", JsonValue::Number(self.transfer_us_per_kib)),
             ("cpu_work_ceiling", JsonValue::Number(self.cpu_work_ceiling)),
-            ("multi_cu_work_cutoff", JsonValue::Number(self.multi_cu_work_cutoff)),
-            ("multi_cu_efficiency", JsonValue::Number(self.multi_cu_efficiency)),
         ])
     }
 }
@@ -45,8 +43,6 @@ pub fn routing_table_from_json(value: &JsonValue) -> Result<RoutingTable, String
         "device_fixed_us",
         "transfer_us_per_kib",
         "cpu_work_ceiling",
-        "multi_cu_work_cutoff",
-        "multi_cu_efficiency",
     ];
     for (key, _) in pairs {
         if !known.contains(&key.as_str()) {
@@ -69,8 +65,6 @@ pub fn routing_table_from_json(value: &JsonValue) -> Result<RoutingTable, String
         device_fixed_us: number("device_fixed_us")?,
         transfer_us_per_kib: number("transfer_us_per_kib")?,
         cpu_work_ceiling: number("cpu_work_ceiling")?,
-        multi_cu_work_cutoff: number("multi_cu_work_cutoff")?,
-        multi_cu_efficiency: number("multi_cu_efficiency")?,
     };
     let problems = table.validate();
     if !problems.is_empty() {
@@ -101,7 +95,6 @@ impl ToJson for RouteDecision {
                     ("bc_dfs", JsonValue::Number(self.costs.bc_dfs_us)),
                     ("join", JsonValue::Number(self.costs.join_us)),
                     ("device", JsonValue::Number(self.costs.device_us)),
-                    ("device_multi_cu", JsonValue::Number(self.costs.device_multi_us)),
                 ]),
             ),
             (
@@ -152,6 +145,16 @@ mod tests {
             pairs.push(("typo_coefficient".to_string(), JsonValue::Number(1.0)));
         }
         assert!(routing_table_from_json(&value).is_err());
+    }
+
+    #[test]
+    fn retired_multi_cu_keys_are_rejected() {
+        let mut value = RoutingTable::builtin().to_json();
+        if let JsonValue::Object(pairs) = &mut value {
+            pairs.push(("multi_cu_work_cutoff".to_string(), JsonValue::Number(1e6)));
+        }
+        let err = routing_table_from_json(&value).unwrap_err();
+        assert!(err.contains("unknown routing table key"), "{err}");
     }
 
     #[test]
