@@ -36,8 +36,11 @@ use std::time::Instant;
 
 /// [`calibration_median_ns`] on the reference machine. CPU measurements are
 /// rescaled to this reference before fitting, so the committed coefficients
-/// are machine-independent up to rounding.
-pub const REFERENCE_CALIBRATION_NS: f64 = 11_318_851.0;
+/// are machine-independent up to rounding. Rescaled from 11 318 851 by
+/// 0.7071 when `chung_lu` dropped its per-insert dedup scan (the probe's
+/// median on a 2-core x86-64 VM went 25.35 ms → 17.92 ms, generator and
+/// CSR build alone).
+pub const REFERENCE_CALIBRATION_NS: f64 = 8_003_122.0;
 
 /// CPU engines are only *timed* on queries whose work proxy stays below this
 /// (the fit only needs the linear region; past it the sweep still records

@@ -95,6 +95,11 @@ impl DiGraph {
     /// Returns `true` when the edge was inserted. This is the convenient entry
     /// point for generators, which must not create self loops (a self loop can
     /// never be part of a simple path).
+    ///
+    /// The duplicate check scans `from`'s out-list, so one call costs
+    /// O(out-degree of `from`) and building a row of degree `d` this way costs
+    /// O(d²). A generator that cannot produce a duplicate should use
+    /// [`DiGraph::add_edge`] with its own self-loop check.
     pub fn add_edge_unique(&mut self, from: VertexId, to: VertexId) -> bool {
         if from == to {
             return false;

@@ -42,9 +42,16 @@ pub fn power_law_degrees(n: usize, avg_degree: f64, gamma: f64) -> Vec<f64> {
 /// use independently shuffled ranks so in- and out-degree are not perfectly
 /// correlated (as in real web graphs).
 ///
-/// For efficiency this uses the "expected adjacency skip" trick: for each `u`
-/// we geometrically skip over the candidate targets, so generation is
-/// `O(|V| + |E|)` instead of `O(|V|^2)`.
+/// For efficiency this uses the "expected adjacency skip" trick (Miller and
+/// Hagberg): the targets are sorted once by descending in-weight, and for
+/// each `u` a geometric skip jumps over the candidates the current (largest
+/// remaining) probability would reject. Generation costs one
+/// `O(|V| log |V|)` sort plus an expected `O(|V| + |E|)` walk.
+///
+/// The walk inserts with plain [`DiGraph::add_edge`]: its index strictly
+/// increases and the candidate array is a permutation of the vertices, so a
+/// source never reaches the same target twice and the result has no
+/// parallel edges (self loops are the one case the walk has to skip).
 pub fn chung_lu(n: usize, avg_degree: f64, gamma: f64, seed: u64) -> DiGraph {
     let mut rng = rng_from_seed(seed);
     let w_out = power_law_degrees(n, avg_degree, gamma);
@@ -57,35 +64,35 @@ pub fn chung_lu(n: usize, avg_degree: f64, gamma: f64, seed: u64) -> DiGraph {
     let total: f64 = w_out.iter().sum();
 
     let mut g = DiGraph::new(n);
-    // Sort target candidates by descending in-weight so the skip-sampling walk
-    // visits high-probability targets first (classic Miller–Hagberg approach).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| w_in[b].partial_cmp(&w_in[a]).unwrap());
+    // Target candidates as `(in-weight, vertex)`, sorted by descending weight
+    // so the skip-sampling walk visits high-probability targets first. The
+    // sort is stable: equal weights keep vertex order.
+    let mut candidates: Vec<(f64, VertexId)> =
+        w_in.iter().enumerate().map(|(v, &w)| (w, VertexId::from_index(v))).collect();
+    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
 
     for (u, &wu) in w_out.iter().enumerate() {
         if wu <= 0.0 {
             continue;
         }
+        let from = VertexId::from_index(u);
         let mut idx = 0usize;
         // Probability used for the skip distribution: the max over remaining targets.
         while idx < n {
-            let p_max = (wu * w_in[order[idx]] / total).min(1.0);
+            let p_max = (wu * candidates[idx].0 / total).min(1.0);
             if p_max <= 0.0 {
                 break;
             }
-            // Geometric skip: number of candidates to jump over.
             let r: f64 = rng.gen::<f64>();
-            let skip =
-                if p_max >= 1.0 { 0 } else { (r.ln() / (1.0 - p_max).ln()).floor() as usize };
-            idx += skip;
+            idx = idx.saturating_add(geometric_skip(r, p_max));
             if idx >= n {
                 break;
             }
-            let v = order[idx];
-            let p = (wu * w_in[v] / total).min(1.0);
+            let (w_v, v) = candidates[idx];
+            let p = (wu * w_v / total).min(1.0);
             // Accept with probability p / p_max to correct for the bound.
-            if rng.gen::<f64>() < p / p_max && u != v {
-                g.add_edge_unique(VertexId::from_index(u), VertexId::from_index(v));
+            if rng.gen::<f64>() < p / p_max && from != v {
+                g.add_edge(from, v);
             }
             idx += 1;
         }
@@ -93,9 +100,30 @@ pub fn chung_lu(n: usize, avg_degree: f64, gamma: f64, seed: u64) -> DiGraph {
     g
 }
 
+/// Number of candidates to jump over before the next trial, for a uniform
+/// draw `r` in `[0, 1)` and per-candidate probability `p_max`: a geometric
+/// variate. It saturates at `usize::MAX` (`r == 0.0` gives `+inf`), so the
+/// caller must add it with `saturating_add`.
+fn geometric_skip(r: f64, p_max: f64) -> usize {
+    if p_max >= 1.0 {
+        0
+    } else {
+        (r.ln() / (1.0 - p_max).ln()).floor() as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CsrGraph, Dataset, ScaleProfile};
+
+    /// Edge counts and CSR row hashes recorded while the generator still
+    /// deduplicated each insert: a match shows the plain insert adds exactly
+    /// the same edges.
+    const HUB_EDGES: usize = 149_970;
+    const HUB_FINGERPRINT: u64 = 0x5b6e_8a83_e7fc_27fb;
+    const STANDIN_EDGES: usize = 22_616;
+    const STANDIN_FINGERPRINT: u64 = 0x9999_eed4_0d83_c63e;
 
     #[test]
     fn degree_sequence_mean_matches_request() {
@@ -124,6 +152,57 @@ mod tests {
     #[should_panic(expected = "exponent")]
     fn gamma_must_exceed_one() {
         power_law_degrees(10, 3.0, 1.0);
+    }
+
+    /// FNV-1a (64-bit) over every CSR row as little-endian `u32` words: the
+    /// row's degree, then its targets.
+    fn csr_fingerprint(g: &CsrGraph) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |word: u32| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for v in g.vertices() {
+            let row = g.successors(v);
+            feed(row.len() as u32);
+            row.iter().for_each(|t| feed(t.0));
+        }
+        hash
+    }
+
+    #[test]
+    fn hub_heavy_chung_lu_matches_its_fingerprint() {
+        let csr = chung_lu(20_000, 8.0, 2.2, 3).to_csr();
+        assert_eq!(csr.num_edges(), HUB_EDGES);
+        assert_eq!(csr_fingerprint(&csr), HUB_FINGERPRINT);
+    }
+
+    #[test]
+    fn power_law_dataset_standin_matches_its_fingerprint() {
+        let csr = Dataset::SocEpinions.generate(ScaleProfile::Small).to_csr();
+        assert_eq!(csr.num_edges(), STANDIN_EDGES);
+        assert_eq!(csr_fingerprint(&csr), STANDIN_FINGERPRINT);
+    }
+
+    #[test]
+    fn chung_lu_never_inserts_a_duplicate_or_a_self_loop() {
+        for seed in [0, 1, 7, 42, 7003] {
+            let g = chung_lu(3_000, 10.0, 2.0, seed);
+            // `to_csr` drops parallel edges and self loops.
+            assert_eq!(g.num_edges(), g.to_csr().num_edges(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn geometric_skip_saturates_at_a_zero_draw() {
+        assert_eq!(geometric_skip(0.0, 0.25), usize::MAX);
+        assert_eq!(geometric_skip(0.0, 1.0), 0);
+        assert_eq!(geometric_skip(0.5, 0.5), 1);
+        assert_eq!(geometric_skip(0.9, 0.5), 0);
+        // The walk's step past the end stops it rather than wrapping.
+        assert_eq!(5usize.saturating_add(geometric_skip(0.0, 0.25)), usize::MAX);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::HostError;
 use pefp_graph::formats::{read_graph_auto, LoadedGraph};
-use pefp_graph::{CsrGraph, Dataset, GraphSnapshot, GraphStats, PlacementPolicy, ScaleProfile};
+use pefp_graph::{CsrGraph, Dataset, GraphSnapshot, PlacementPolicy, ScaleProfile};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -18,6 +18,12 @@ use std::sync::Arc;
 /// Both CSR directions are shared (`Arc`), so sessions, schedulers and the
 /// [`GraphSnapshot`]s they prepare against reference one resident copy
 /// instead of cloning graph arrays per component or per query.
+///
+/// Loading does no more than build the two CSR directions, in
+/// `O(|V| + |E|)`. The Table II statistics (diameter, effective diameter)
+/// take one BFS per sampled source; `figures table2` and `pefp_cli
+/// datasets` compute them with [`pefp_graph::GraphStats::compute`] when
+/// they print them.
 #[derive(Debug, Clone)]
 pub struct GraphHandle {
     /// Where the graph came from (file path, dataset code, or "inline").
@@ -27,8 +33,6 @@ pub struct GraphHandle {
     /// Reverse CSR, built once so each query's backward BFS does not pay for
     /// it again; every [`GraphHandle::snapshot`] carries it.
     pub reverse: Arc<CsrGraph>,
-    /// Basic statistics (computed from a small BFS sample).
-    pub stats: GraphStats,
     /// Number of duplicate edges dropped at load time (0 for generated data).
     pub duplicate_edges: usize,
     /// Number of self-loops dropped at load time (0 for generated data).
@@ -47,12 +51,10 @@ impl GraphHandle {
     pub fn from_csr(source: impl Into<String>, csr: impl Into<Arc<CsrGraph>>) -> GraphHandle {
         let csr = csr.into();
         let reverse = Arc::new(csr.reverse());
-        let stats = GraphStats::compute(&csr, 16);
         GraphHandle {
             source: source.into(),
             csr,
             reverse,
-            stats,
             duplicate_edges: 0,
             self_loops: 0,
             placement: PlacementPolicy::Natural,
@@ -82,15 +84,12 @@ impl GraphHandle {
         self.csr.num_edges()
     }
 
-    /// One-line summary used in logs and session banners.
+    /// One-line summary used in logs and session banners; the average
+    /// degree is `|E| / |V|` (0 for a graph with no vertices).
     pub fn summary(&self) -> String {
-        format!(
-            "{}: {} vertices, {} edges, avg degree {:.2}",
-            self.source,
-            self.num_vertices(),
-            self.num_edges(),
-            self.stats.avg_degree
-        )
+        let (n, m) = (self.num_vertices(), self.num_edges());
+        let avg_degree = if n == 0 { 0.0 } else { m as f64 / n as f64 };
+        format!("{}: {n} vertices, {m} edges, avg degree {avg_degree:.2}", self.source)
     }
 }
 
@@ -118,9 +117,7 @@ pub fn load_edge_list_file<P: AsRef<Path>>(path: P) -> Result<GraphHandle, HostE
 /// wraps it in a handle.
 pub fn load_dataset(dataset: Dataset, profile: ScaleProfile) -> GraphHandle {
     let csr = dataset.generate(profile).to_csr();
-    let mut handle = GraphHandle::from_csr(format!("dataset:{}", dataset.code()), csr);
-    handle.stats = GraphStats::compute(&handle.csr, 32);
-    handle
+    GraphHandle::from_csr(format!("dataset:{}", dataset.code()), csr)
 }
 
 #[cfg(test)]
@@ -191,8 +188,22 @@ mod tests {
         let handle = load_dataset(Dataset::Reactome, ScaleProfile::Tiny);
         assert!(handle.num_vertices() > 0);
         assert!(handle.num_edges() > 0);
-        assert!(handle.stats.avg_degree > 0.0);
         assert!(handle.source.contains("RT"));
+        let avg = handle.num_edges() as f64 / handle.num_vertices() as f64;
+        assert_eq!(
+            handle.summary(),
+            format!(
+                "dataset:RT: {} vertices, {} edges, avg degree {avg:.2}",
+                handle.num_vertices(),
+                handle.num_edges()
+            )
+        );
+    }
+
+    #[test]
+    fn empty_graph_summary_reads_zero_average_degree() {
+        let handle = GraphHandle::from_csr("empty", CsrGraph::empty(0));
+        assert_eq!(handle.summary(), "empty: 0 vertices, 0 edges, avg degree 0.00");
     }
 
     #[test]

@@ -119,13 +119,34 @@ mod tests {
             [tx(0, 7, 7), tx(1, 900, 901)].iter().map(|t| d.ingest(t)).collect();
         for alert in &alerts {
             assert!(!alert.is_alert());
-            // No query ran, so no device time is charged.
+            // No query ran, so no device or transfer time is charged.
             assert_eq!(alert.device_millis, 0.0);
+            assert_eq!(alert.transfer_millis, 0.0);
         }
         let stats = d.stats();
         assert_eq!(stats.transactions, 2);
         assert_eq!(stats.skipped_by_precheck, 2);
         assert_eq!(stats.device_millis, 0.0);
+        assert_eq!(stats.transfer_millis, 0.0);
+    }
+
+    #[test]
+    fn cycle_queries_report_their_transfer_time() {
+        let mut d = detector(6, 1_000_000);
+        let alerts: Vec<CycleAlert> =
+            [tx(0, 0, 1), tx(1, 1, 2), tx(2, 2, 0)].iter().map(|t| d.ingest(t)).collect();
+        // The first two transactions close no path, so the pre-check skips
+        // their query; the closing one runs on the device and pays the DMA
+        // model for its prepared payload.
+        assert_eq!(alerts[0].transfer_millis, 0.0);
+        assert_eq!(alerts[1].transfer_millis, 0.0);
+        assert!(alerts[2].is_alert());
+        assert!(alerts[2].transfer_millis > 0.0);
+        let stats = d.stats();
+        let total: f64 = alerts.iter().map(|a| a.transfer_millis).sum();
+        assert_eq!(stats.transfer_millis, total);
+        // The device time stays the kernel's alone.
+        assert_eq!(stats.device_millis, alerts[2].device_millis);
     }
 
     #[test]

@@ -53,6 +53,10 @@ pub struct CycleAlert {
     /// engine's wall time when the runtime routes the query to, or fails it
     /// over to, a CPU engine; 0 when no query ran).
     pub device_millis: f64,
+    /// Simulated PCIe/DMA time of the cycle query's prepared payload in
+    /// milliseconds (the query's `transfer.total_millis`; 0 when no query
+    /// ran).
+    pub transfer_millis: f64,
 }
 
 impl CycleAlert {
@@ -82,6 +86,8 @@ pub struct DetectorStats {
     pub host_millis: f64,
     /// Total [`CycleAlert::device_millis`] over the ingested transactions.
     pub device_millis: f64,
+    /// Total [`CycleAlert::transfer_millis`] over the ingested transactions.
+    pub transfer_millis: f64,
 }
 
 impl DetectorStats {
@@ -239,6 +245,7 @@ impl RuntimeCycleDetector {
 
         let mut cycles = Vec::new();
         let mut device_millis = 0.0;
+        let mut transfer_millis = 0.0;
         let snapshot = self.runtime.current_snapshot();
         let in_range = path_source.index() < snapshot.num_vertices()
             && path_target.index() < snapshot.num_vertices();
@@ -256,6 +263,7 @@ impl RuntimeCycleDetector {
                     Ok(outcome) => {
                         cycles = outcome.paths;
                         device_millis = outcome.device_millis;
+                        transfer_millis = outcome.transfer.total_millis;
                     }
                     Err(HostError::QueryInvalid(_)) => self.stats.skipped_by_precheck += 1,
                     Err(e) => panic!("fraud-stream query failed: {e}"),
@@ -275,6 +283,7 @@ impl RuntimeCycleDetector {
         let host_millis = started.elapsed().as_secs_f64() * 1e3;
         self.stats.host_millis += host_millis;
         self.stats.device_millis += device_millis;
+        self.stats.transfer_millis += transfer_millis;
         if !cycles.is_empty() {
             self.stats.alerts += 1;
             self.stats.cycles += cycles.len() as u64;
@@ -284,7 +293,7 @@ impl RuntimeCycleDetector {
                 self.stats.benign_alerts += 1;
             }
         }
-        CycleAlert { transaction: *tx, cycles, host_millis, device_millis }
+        CycleAlert { transaction: *tx, cycles, host_millis, device_millis, transfer_millis }
     }
 
     /// Ingests a whole stream, returning only the transactions that raised an
