@@ -194,19 +194,6 @@ impl BcDfs {
     }
 }
 
-/// One-shot streaming wrapper: builds a [`BcDfs`] and streams a single
-/// query's result paths into `sink`. Returns [`ControlFlow::Break`] when the
-/// sink stopped the enumeration early.
-pub fn bc_dfs_stream<S: PathSink + ?Sized>(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    sink: &mut S,
-) -> ControlFlow<()> {
-    BcDfs::new(g, t, k).enumerate_into(g, s, t, k, sink)
-}
-
 /// One-shot convenience wrapper: builds a [`BcDfs`] and runs a single query.
 pub fn bc_dfs_enumerate(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> Vec<Path> {
     BcDfs::new(g, t, k).enumerate(g, s, t, k)
@@ -305,10 +292,11 @@ mod tests {
     fn streaming_matches_collected_enumeration() {
         let g = chung_lu(90, 4.0, 2.2, 7).to_csr();
         for &(s, t, k) in &[(0u32, 7u32, 4u32), (1, 50, 5), (5, 6, 6)] {
+            let (s, t) = (VertexId(s), VertexId(t));
             let mut sink = CollectSink::new();
-            let flow = bc_dfs_stream(&g, VertexId(s), VertexId(t), k, &mut sink);
+            let flow = BcDfs::new(&g, t, k).enumerate_into(&g, s, t, k, &mut sink);
             assert_eq!(flow, ControlFlow::Continue(()));
-            let expected = canonicalize(bc_dfs_enumerate(&g, VertexId(s), VertexId(t), k));
+            let expected = canonicalize(bc_dfs_enumerate(&g, s, t, k));
             assert_eq!(canonicalize(sink.into_paths()), expected);
         }
     }

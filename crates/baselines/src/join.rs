@@ -281,19 +281,6 @@ impl Join {
     }
 }
 
-/// One-shot streaming wrapper: preprocesses and streams a single JOIN query's
-/// result paths into `sink`. Returns [`ControlFlow::Break`] when the sink
-/// stopped the enumeration early.
-pub fn join_stream<S: PathSink + ?Sized>(
-    g: &CsrGraph,
-    s: VertexId,
-    t: VertexId,
-    k: u32,
-    sink: &mut S,
-) -> ControlFlow<()> {
-    Join::new().enumerate_into(g, s, t, k, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,12 +373,12 @@ mod tests {
         let (s, t, k) = (VertexId(0), VertexId(17), 4);
         let expected = canonicalize(Join::new().enumerate(&g, s, t, k));
         let mut sink = CollectSink::new();
-        assert_eq!(join_stream(&g, s, t, k, &mut sink), ControlFlow::Continue(()));
+        assert_eq!(Join::new().enumerate_into(&g, s, t, k, &mut sink), ControlFlow::Continue(()));
         assert_eq!(canonicalize(sink.into_paths()), expected);
         // A saturated FirstN stops the join early.
         if expected.len() > 1 {
             let mut first = FirstN::new(1, CollectSink::new());
-            assert_eq!(join_stream(&g, s, t, k, &mut first), ControlFlow::Break(()));
+            assert_eq!(Join::new().enumerate_into(&g, s, t, k, &mut first), ControlFlow::Break(()));
             assert_eq!(first.emitted(), 1);
         }
     }

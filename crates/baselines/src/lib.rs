@@ -14,10 +14,10 @@
 //! All entry points take a [`pefp_graph::CsrGraph`], a source, a target and a
 //! hop constraint `k`, and return the complete set of simple paths of length
 //! `<= k` as `Vec<Vec<VertexId>>`. The routable engines additionally offer
-//! streaming forms ([`naive_dfs_stream`], [`bc_dfs_stream`], [`join_stream`])
-//! that push into a [`pefp_graph::PathSink`] instead of materialising, so the
-//! host's adaptive engine router can run any of them through the exact result
-//! pipeline the device engine uses.
+//! streaming forms ([`naive_dfs_stream`], [`BcDfs::enumerate_into`],
+//! [`Join::enumerate_into`]) that push into a [`pefp_graph::PathSink`]
+//! instead of materialising, so the host's adaptive engine router can run any
+//! of them through the exact result pipeline the device engine uses.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,6 +26,6 @@ pub mod bc_dfs;
 pub mod join;
 pub mod naive;
 
-pub use bc_dfs::{bc_dfs_enumerate, bc_dfs_stream, BcDfs};
-pub use join::{join_stream, Join, JoinPreprocess};
+pub use bc_dfs::{bc_dfs_enumerate, BcDfs};
+pub use join::{Join, JoinPreprocess};
 pub use naive::{naive_bfs_enumerate, naive_dfs_enumerate, naive_dfs_stream};

@@ -153,7 +153,8 @@ pub struct CuCluster {
     multi_cu: MultiCuConfig,
     arbiter: Arc<DramArbiter>,
     /// CU lease table (`true` = checked out): concurrent jobs reserve a CU
-    /// through [`CuCluster::checkout`] so no two ever alias one device slot.
+    /// through [`CuCluster::try_checkout_cu`] or [`CuCluster::checkout_among`]
+    /// so no two ever alias one device slot.
     leased: Mutex<Vec<bool>>,
     /// Woken when a lease is returned.
     returned: Condvar,
@@ -223,21 +224,6 @@ impl CuCluster {
         self.fault_plan.as_ref()
     }
 
-    /// Reserves a free compute unit, blocking until one is returned. The
-    /// lease is exclusive: while it lives, no other `checkout` can hand out
-    /// the same CU, so concurrent jobs never alias a device. Dropping the
-    /// lease checks the CU back in.
-    pub fn checkout(&self) -> CuLease<'_> {
-        let mut leased = self.leased.lock().expect("lease table poisoned");
-        loop {
-            if let Some(cu) = leased.iter().position(|taken| !taken) {
-                leased[cu] = true;
-                return CuLease { cluster: self, cu };
-            }
-            leased = self.returned.wait(leased).expect("lease table poisoned");
-        }
-    }
-
     /// Reserves a *specific* compute unit without blocking: `None` when `cu`
     /// is currently leased. The host's CU-health layer uses this to steer
     /// jobs onto healthy CUs and probes onto quarantined ones.
@@ -257,9 +243,9 @@ impl CuCluster {
 
     /// Reserves any free CU out of `candidates`, waiting up to `timeout` for
     /// one to be returned. Returns `None` on timeout or when `candidates` is
-    /// empty — unlike [`CuCluster::checkout`], this can never park a caller
-    /// forever on a wedged fleet, and it never hands out a CU outside the
-    /// candidate set (the health layer's quarantine boundary).
+    /// empty, so it can never park a caller forever on a wedged fleet, and it
+    /// never hands out a CU outside the candidate set (the health layer's
+    /// quarantine boundary).
     pub fn checkout_among(&self, candidates: &[usize], timeout: Duration) -> Option<CuLease<'_>> {
         if candidates.is_empty() {
             return None;
@@ -324,7 +310,8 @@ impl CuCluster {
 }
 
 /// An exclusive claim on one compute unit of a [`CuCluster`], handed out by
-/// [`CuCluster::checkout`] and returned on drop. Holding the lease is the
+/// [`CuCluster::try_checkout_cu`] or [`CuCluster::checkout_among`] and
+/// returned on drop. Holding the lease is the
 /// only sanctioned way for concurrent jobs to obtain devices: two live leases
 /// always name different CUs.
 #[derive(Debug)]
@@ -512,8 +499,8 @@ mod tests {
             DeviceConfig::alveo_u200(),
             MultiCuConfig { compute_units: 2, per_cu_bandwidth_share: 0.5, charge_banked: false },
         );
-        let a = cluster.checkout();
-        let b = cluster.checkout();
+        let a = cluster.checkout_among(&[0, 1], Duration::ZERO).expect("CU free");
+        let b = cluster.checkout_among(&[0, 1], Duration::ZERO).expect("CU free");
         assert_ne!(a.cu(), b.cu(), "two live leases never alias a CU");
         assert_eq!(cluster.leased_cus(), 2);
         assert!((0..2).all(|cu| cluster.try_checkout_cu(cu).is_none()), "no third CU to lease");
@@ -524,21 +511,6 @@ mod tests {
         assert_eq!(c.cu(), freed);
         // The lease builds devices for its own CU.
         assert_eq!(c.device().cycles(), 0);
-    }
-
-    #[test]
-    fn blocking_checkout_waits_for_a_returned_lease() {
-        let cluster =
-            Arc::new(CuCluster::new(DeviceConfig::alveo_u200(), MultiCuConfig::default()));
-        let lease = cluster.checkout();
-        std::thread::scope(|scope| {
-            let cluster = Arc::clone(&cluster);
-            let waiter = scope.spawn(move || cluster.checkout().cu());
-            // Give the waiter a moment to park, then return the only CU.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            drop(lease);
-            assert_eq!(waiter.join().expect("waiter panicked"), 0);
-        });
     }
 
     #[test]

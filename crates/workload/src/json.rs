@@ -1,10 +1,9 @@
 //! Hand-rolled JSON for the figure/report artefacts.
 //!
-//! The build environment serves `serde`/`serde_json` from offline shims whose
-//! derives are no-ops, so `serde_json::to_string_pretty` falls back to Rust
-//! `{:#?}` debug text — structured, but not machine-readable. The figure
-//! harness needs *real* JSON (CI parses it, EXPERIMENTS.md regeneration diffs
-//! it), so this module provides a small, dependency-free JSON document model:
+//! The build environment serves `serde` from an offline shim whose derives
+//! are no-ops, and has no JSON serialiser. The figure harness needs *real*
+//! JSON (CI parses it with `python3 -m json.tool`), so this module provides a
+//! small, dependency-free JSON document model:
 //!
 //! * [`JsonValue`] — build documents programmatically and [`JsonValue::render`]
 //!   them (RFC 8259 escaping, stable key order, pretty or compact);
@@ -15,8 +14,8 @@
 //!   `figures --json` emits documents any JSON tool can consume.
 //!
 //! Numbers are stored as `f64` (ample for cycle counts below 2^53 and every
-//! timing the harness produces); non-finite floats render as `null`, matching
-//! `serde_json`'s behaviour.
+//! timing the harness produces); non-finite floats render as `null`, as
+//! serde_json renders them.
 
 use crate::figures::{FigurePanel, FigureResult};
 use crate::report::{Series, TableReport};

@@ -3,9 +3,9 @@
 //! Provides marker `Serialize`/`Deserialize` traits and re-exports the no-op
 //! derive macros from the sibling `serde_derive` shim. The traits carry no
 //! methods: they exist so that `#[derive(Serialize, Deserialize)]` across the
-//! workspace compiles and `T: Serialize` bounds (e.g. in the `serde_json`
-//! shim) are satisfiable. Swap these shims for the real crates once registry
-//! access is available — no workspace code needs to change.
+//! workspace compiles and `T: Serialize` bounds are satisfiable. Swap these
+//! shims for the real crates once registry access is available — no
+//! workspace code needs to change.
 
 pub use serde_derive::{Deserialize, Serialize};
 

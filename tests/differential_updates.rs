@@ -10,19 +10,23 @@
 //! applied, proving that epochs are immutable: an in-flight query pinned to
 //! epoch N keeps seeing epoch N no matter what lands afterwards.
 
-use proptest::prelude::*;
-
 use pefp::baselines::naive_dfs_enumerate;
 use pefp::core::PefpVariant;
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::canonicalize;
 use pefp::graph::{CsrGraph, GraphDelta, GraphSnapshot, Path, VersionedGraph, VertexId};
+use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 #[path = "support/pefp_run.rs"]
 mod pefp_run;
 use pefp_run::run_variant;
+
+#[path = "support/seeded_cases.rs"]
+mod seeded_cases;
+use seeded_cases::for_each_seed;
 
 /// A query pinned to its admission epoch: the snapshot it was prepared
 /// against, the live edge set frozen at that moment, and the `(s, t, k)`
@@ -60,11 +64,7 @@ fn enumerate_rebuilt(n: usize, edges: &BTreeSet<(u32, u32)>, s: u32, t: u32, k: 
 /// Runs one interleaving against a [`VersionedGraph`] with the given overlay
 /// compaction threshold, checking every query three ways and replaying every
 /// pinned snapshot after the full mutation history has been applied.
-fn check_interleaving(
-    n: u32,
-    ops: &[(u32, u32, u32, u32)],
-    compact_rows: usize,
-) -> Result<(), TestCaseError> {
+fn check_interleaving(n: u32, ops: &[(u32, u32, u32, u32)], compact_rows: usize) {
     let mut versioned = VersionedGraph::from_csr(CsrGraph::from_edges(n as usize, &[]))
         .with_compaction_threshold(compact_rows);
     let mut live: BTreeSet<(u32, u32)> = BTreeSet::new();
@@ -98,7 +98,7 @@ fn check_interleaving(
                 let snapshot = Arc::clone(versioned.current());
                 let overlay = enumerate_snapshot(&snapshot, s, t, k);
                 let rebuilt = enumerate_rebuilt(n as usize, &live, s, t, k);
-                prop_assert_eq!(
+                assert_eq!(
                     &overlay,
                     &rebuilt,
                     "overlay vs rebuild at epoch {} for ({s},{t},k={k})",
@@ -108,11 +108,11 @@ fn check_interleaving(
                     CsrGraph::from_edges(n as usize, &live.iter().copied().collect::<Vec<_>>());
                 let oracle =
                     canonicalize(naive_dfs_enumerate(&oracle_graph, VertexId(s), VertexId(t), k));
-                prop_assert_eq!(canonicalize(overlay), oracle);
+                assert_eq!(canonicalize(overlay), oracle);
                 pinned.push((snapshot, live.clone(), (s, t, k)));
             }
         }
-        prop_assert_eq!(versioned.epoch(), expected_epoch);
+        assert_eq!(versioned.epoch(), expected_epoch);
     }
 
     // Epoch immutability: every pinned snapshot still answers exactly as its
@@ -120,43 +120,48 @@ fn check_interleaving(
     for (snapshot, frozen_edges, (s, t, k)) in pinned {
         let overlay = enumerate_snapshot(&snapshot, s, t, k);
         let rebuilt = enumerate_rebuilt(n as usize, &frozen_edges, s, t, k);
-        prop_assert_eq!(
+        assert_eq!(
             overlay,
             rebuilt,
             "pinned epoch {} drifted after later updates",
             snapshot.epoch()
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A random interleaving of 1..24 steps on `4..12` vertices: `(kind, a, b, k)`
+/// with `kind` decoded by [`decode_op`] and `k` in `1..5`.
+fn random_ops(rng: &mut ChaCha8Rng) -> (u32, Vec<(u32, u32, u32, u32)>) {
+    let n = rng.gen_range(4u32..12);
+    let ops = (0..rng.gen_range(1..24))
+        .map(|_| {
+            let (kind, a, b) =
+                (rng.gen_range(0..6), rng.gen_range(0u32..12), rng.gen_range(0u32..12));
+            (kind, a % n, b % n, rng.gen_range(1..5))
+        })
+        .collect();
+    (n, ops)
+}
 
-    /// Overlay answers are byte-identical to from-scratch rebuilds across
-    /// random insert/expire/query interleavings, with overlays left to
-    /// accumulate (compaction effectively disabled).
-    #[test]
-    fn overlay_matches_rebuild_without_compaction(
-        n in 4u32..12,
-        ops in proptest::collection::vec((0u32..6, 0u32..12, 0u32..12, 1u32..5), 1..24),
-    ) {
-        let ops: Vec<(u32, u32, u32, u32)> =
-            ops.into_iter().map(|(kind, a, b, k)| (kind, a % n, b % n, k)).collect();
-        check_interleaving(n, &ops, usize::MAX)?;
-    }
+/// Overlay answers are byte-identical to from-scratch rebuilds across
+/// random insert/expire/query interleavings, with overlays left to
+/// accumulate (compaction effectively disabled).
+#[test]
+fn overlay_matches_rebuild_without_compaction() {
+    for_each_seed(0x0F00_0000, 64, |rng| {
+        let (n, ops) = random_ops(rng);
+        check_interleaving(n, &ops, usize::MAX);
+    });
+}
 
-    /// The same property with compaction after every delta, so the
-    /// compact-into-fresh-CSR path is what answers most queries.
-    #[test]
-    fn overlay_matches_rebuild_with_aggressive_compaction(
-        n in 4u32..12,
-        ops in proptest::collection::vec((0u32..6, 0u32..12, 0u32..12, 1u32..5), 1..24),
-    ) {
-        let ops: Vec<(u32, u32, u32, u32)> =
-            ops.into_iter().map(|(kind, a, b, k)| (kind, a % n, b % n, k)).collect();
-        check_interleaving(n, &ops, 0)?;
-    }
+/// The same property with compaction after every delta, so the
+/// compact-into-fresh-CSR path is what answers most queries.
+#[test]
+fn overlay_matches_rebuild_with_aggressive_compaction() {
+    for_each_seed(0x1000_0000, 64, |rng| {
+        let (n, ops) = random_ops(rng);
+        check_interleaving(n, &ops, 0);
+    });
 }
 
 /// A deterministic interleaving dense in cycles and re-insertions, run at a
@@ -177,5 +182,5 @@ fn dense_interleaving_crosses_the_compaction_boundary() {
         ops.push((3, 2 * i, 2 * i + 1, 1));
         ops.push((4, (i + 1) % 8, i, 4));
     }
-    check_interleaving(8, &ops, 4).expect("differential check failed");
+    check_interleaving(8, &ops, 4);
 }

@@ -32,17 +32,15 @@ use pefp::core::{
 use pefp::fpga::DeviceConfig;
 use pefp::graph::paths::{canonicalize, validate_result, Path};
 use pefp::graph::{CsrGraph, GraphDelta, GraphSnapshot, VersionedGraph, VertexId};
-use proptest::prelude::*;
+use rand::Rng;
 
 #[path = "support/pefp_run.rs"]
 mod pefp_run;
 use pefp_run::run_collect;
 
-/// Strategy: a directed graph with up to `n` vertices and `m` edges.
-fn arb_graph(n: u32, m: usize) -> impl Strategy<Value = CsrGraph> {
-    prop::collection::vec((0..n, 0..n), 0..m)
-        .prop_map(move |edges| CsrGraph::from_edges(n as usize, &edges))
-}
+#[path = "support/seeded_cases.rs"]
+mod seeded_cases;
+use seeded_cases::{for_each_seed, random_edges, random_graph};
 
 /// Runs one routable CPU engine on a prepared query through the sink
 /// pipeline, translating each emitted path back to original vertex ids —
@@ -79,52 +77,36 @@ fn cpu_engine_paths(prepared: &PreparedQuery, engine: EngineChoice) -> Vec<Path>
 
 /// Asserts that the device engine, BC-DFS and JOIN — all fed from `prepared`
 /// — agree canonically with `expected` (the naive oracle on the full graph).
-fn assert_engines_agree(
-    prepared: &PreparedQuery,
-    expected: &[Path],
-    label: &str,
-) -> Result<(), TestCaseError> {
+fn assert_engines_agree(prepared: &PreparedQuery, expected: &[Path], label: &str) {
     let (_, device_paths) =
         run_collect(prepared, PefpVariant::Full.engine_options(), &DeviceConfig::default());
-    prop_assert_eq!(
-        canonicalize(device_paths),
-        expected.to_vec(),
-        "device disagrees with the oracle on {}",
-        label
-    );
+    assert_eq!(canonicalize(device_paths), expected, "device disagrees with the oracle on {label}");
     for engine in [EngineChoice::CpuBcDfs, EngineChoice::CpuJoin] {
-        prop_assert_eq!(
+        assert_eq!(
             canonicalize(cpu_engine_paths(prepared, engine)),
-            expected.to_vec(),
-            "{} disagrees with the oracle on {}",
-            engine.name(),
-            label
+            expected,
+            "{} disagrees with the oracle on {label}",
+            engine.name()
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Every engine the router can pick returns the same canonical path set,
-    /// and the decision itself is deterministic and internally consistent.
-    #[test]
-    fn routable_engines_agree_on_random_graphs(
-        g in arb_graph(22, 80),
-        s in 0u32..22,
-        t in 0u32..22,
-        k in 0u32..6,
-    ) {
-        let s = VertexId(s);
-        let t = VertexId(t);
+/// Every engine the router can pick returns the same canonical path set,
+/// and the decision itself is deterministic and internally consistent.
+#[test]
+fn routable_engines_agree_on_random_graphs() {
+    for_each_seed(0x0D00_0000, 48, |rng| {
+        let g = random_graph(rng, 22, 80);
+        let s = VertexId(rng.gen_range(0..22));
+        let t = VertexId(rng.gen_range(0..22));
+        let k = rng.gen_range(0..6);
         let expected = canonicalize(naive_dfs_enumerate(&g, s, t, k));
-        prop_assert!(validate_result(&g, s, t, k as usize, &expected).is_empty());
+        assert!(validate_result(&g, s, t, k as usize, &expected).is_empty());
 
         let g = GraphSnapshot::from_csr(g);
         let mut ctx = PrepareContext::new();
         let prepared = prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full);
-        assert_engines_agree(&prepared, &expected, "the base graph")?;
+        assert_engines_agree(&prepared, &expected, "the base graph");
 
         // The decision layer: deterministic, finite, and honest about its
         // pick (the chosen engine's cost is the reported estimate).
@@ -132,24 +114,24 @@ proptest! {
         let rtx = RouteContext { compute_units: 4, charge_banked: false };
         let d1 = route_query(&prepared, &table, &rtx);
         let d2 = route_query(&prepared, &table, &rtx);
-        prop_assert_eq!(d1.choice, d2.choice);
-        prop_assert_eq!(d1.cost_estimate_us.to_bits(), d2.cost_estimate_us.to_bits());
-        prop_assert!(d1.cost_estimate_us.is_finite() && d1.cost_estimate_us >= 0.0);
-        prop_assert!(!d1.rationale.is_empty());
-    }
+        assert_eq!(d1.choice, d2.choice);
+        assert_eq!(d1.cost_estimate_us.to_bits(), d2.cost_estimate_us.to_bits());
+        assert!(d1.cost_estimate_us.is_finite() && d1.cost_estimate_us >= 0.0);
+        assert!(!d1.rationale.is_empty());
+    });
+}
 
-    /// The agreement holds over snapshot overlays pinned at an epoch, and
-    /// keeps holding after later mutations land on the versioned graph.
-    #[test]
-    fn routable_engines_agree_on_pinned_snapshots(
-        n in 6u32..18,
-        inserts in prop::collection::vec((0u32..18, 0u32..18), 1..40),
-        later in prop::collection::vec((0u32..18, 0u32..18), 0..20),
-        s in 0u32..18,
-        t in 0u32..18,
-        k in 1u32..5,
-    ) {
-        let (s, t) = (s % n, t % n);
+/// The agreement holds over snapshot overlays pinned at an epoch, and
+/// keeps holding after later mutations land on the versioned graph.
+#[test]
+fn routable_engines_agree_on_pinned_snapshots() {
+    for_each_seed(0x0E00_0000, 48, |rng| {
+        let n = rng.gen_range(6u32..18);
+        let inserts = random_edges(rng, 18, 1..40);
+        let later = random_edges(rng, 18, 0..20);
+        let s = rng.gen_range(0u32..18) % n;
+        let t = rng.gen_range(0u32..18) % n;
+        let k = rng.gen_range(1..5);
         let mut versioned = VersionedGraph::from_csr(CsrGraph::from_edges(n as usize, &[]));
         let mut live: BTreeSet<(u32, u32)> = BTreeSet::new();
         for &(a, b) in &inserts {
@@ -167,14 +149,18 @@ proptest! {
         let snapshot: Arc<GraphSnapshot> = Arc::clone(versioned.current());
         let edges: Vec<(u32, u32)> = live.iter().copied().collect();
         let rebuilt = CsrGraph::from_edges(n as usize, &edges);
-        let expected =
-            canonicalize(naive_dfs_enumerate(&rebuilt, VertexId(s), VertexId(t), k));
+        let expected = canonicalize(naive_dfs_enumerate(&rebuilt, VertexId(s), VertexId(t), k));
 
         let mut ctx = PrepareContext::new();
         let prepared = prepare_snapshot_with(
-            &mut ctx, &snapshot, VertexId(s), VertexId(t), k, PefpVariant::Full,
+            &mut ctx,
+            &snapshot,
+            VertexId(s),
+            VertexId(t),
+            k,
+            PefpVariant::Full,
         );
-        assert_engines_agree(&prepared, &expected, "the pinned snapshot")?;
+        assert_engines_agree(&prepared, &expected, "the pinned snapshot");
 
         // Mutate the versioned graph afterwards; the pinned prepared query
         // must still answer for its own epoch on every engine.
@@ -191,6 +177,6 @@ proptest! {
             }
             versioned.apply(&delta);
         }
-        assert_engines_agree(&prepared, &expected, "the pinned snapshot after mutations")?;
-    }
+        assert_engines_agree(&prepared, &expected, "the pinned snapshot after mutations");
+    });
 }

@@ -153,7 +153,7 @@ fn context_prepared_queries_run_to_the_same_results() {
 
 #[test]
 fn dirty_context_output_is_byte_identical_to_one_shot() {
-    // Deterministic cross-check on a structured graph (the proptest shim
+    // Deterministic cross-check on a structured graph (`property_extended`
     // covers random Chung-Lu graphs; this pins an exact-equality case): a
     // reused context against a fresh one per query, on the same snapshot.
     let g = GraphSnapshot::from_csr(chung_lu(600, 6.0, 2.2, 99).to_csr());

@@ -14,17 +14,16 @@ use pefp::core::{
 };
 use pefp::fpga::{Device, DeviceConfig};
 use pefp::graph::generators::{layered_dag, layered_full_path_count, layered_sink, layered_source};
-use pefp::graph::{CsrGraph, GraphSnapshot, Path, VertexId};
-use proptest::prelude::*;
+use pefp::graph::{GraphSnapshot, Path, VertexId};
+use rand::Rng;
 
 #[path = "support/pefp_run.rs"]
 mod pefp_run;
 use pefp_run::{prepare_fresh, run_collect};
 
-fn arb_graph(n: u32, m: usize) -> impl Strategy<Value = CsrGraph> {
-    prop::collection::vec((0..n, 0..n), 0..m)
-        .prop_map(move |edges| CsrGraph::from_edges(n as usize, &edges))
-}
+#[path = "support/seeded_cases.rs"]
+mod seeded_cases;
+use seeded_cases::{for_each_seed, random_graph};
 
 /// The legacy collect-everything run: `PefpEngine::run` in collect mode
 /// (device ids), translated afterwards — what the sink pipeline replaced.
@@ -43,63 +42,57 @@ fn legacy_collect(
     (out.num_paths, out.stats, out.paths.iter().map(|p| prep.translate_path(p)).collect())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn collect_sink_is_byte_identical_to_legacy_run_query(
-        g in arb_graph(24, 90),
-        s in 0u32..24,
-        t in 0u32..24,
-        k in 0u32..6,
-    ) {
-        let s = VertexId(s);
-        let t = VertexId(t);
+#[test]
+fn collect_sink_is_byte_identical_to_legacy_run_query() {
+    for_each_seed(0x1100_0000, 48, |rng| {
+        let g = GraphSnapshot::from_csr(random_graph(rng, 24, 90));
+        let s = VertexId(rng.gen_range(0..24));
+        let t = VertexId(rng.gen_range(0..24));
+        let k = rng.gen_range(0..6);
         let device = DeviceConfig::alveo_u200();
-        let g = GraphSnapshot::from_csr(g);
         for variant in [PefpVariant::Full, PefpVariant::NoPreBfs] {
             let prep = prepare_fresh(&g, s, t, k, variant);
-            let (num_paths, stats, paths) = legacy_collect(&prep, variant.engine_options(), &device);
+            let (num_paths, stats, paths) =
+                legacy_collect(&prep, variant.engine_options(), &device);
             let (streamed, streamed_paths) = run_collect(&prep, variant.engine_options(), &device);
             // Same paths, same order, same ids — not just the same set.
-            prop_assert_eq!(streamed_paths, paths, "variant {}", variant.name());
-            prop_assert_eq!(streamed.num_paths, num_paths);
-            prop_assert_eq!(streamed.stats, stats);
-            prop_assert!(streamed.paths.is_empty());
+            assert_eq!(streamed_paths, paths, "variant {}", variant.name());
+            assert_eq!(streamed.num_paths, num_paths);
+            assert_eq!(streamed.stats, stats);
+            assert!(streamed.paths.is_empty());
         }
-    }
+    });
+}
 
-    #[test]
-    fn first_n_returns_exactly_the_first_n_paths(
-        g in arb_graph(20, 80),
-        s in 0u32..20,
-        t in 0u32..20,
-        k in 1u32..6,
-        n in 1u64..8,
-    ) {
-        let s = VertexId(s);
-        let t = VertexId(t);
+#[test]
+fn first_n_returns_exactly_the_first_n_paths() {
+    for_each_seed(0x1200_0000, 48, |rng| {
+        let g = GraphSnapshot::from_csr(random_graph(rng, 20, 80));
+        let s = VertexId(rng.gen_range(0..20));
+        let t = VertexId(rng.gen_range(0..20));
+        let k = rng.gen_range(1..6);
+        let n = rng.gen_range(1u64..8);
         let device = DeviceConfig::alveo_u200();
-        let prep = prepare_fresh(&GraphSnapshot::from_csr(g), s, t, k, PefpVariant::Full);
+        let prep = prepare_fresh(&g, s, t, k, PefpVariant::Full);
         let opts = PefpVariant::Full.engine_options();
         let (legacy_paths, legacy_stats, legacy) = legacy_collect(&prep, opts.clone(), &device);
 
         let mut sink = FirstN::new(n, CollectSink::new());
         let streamed = run_prepared_on_device(&prep, opts, Device::new(device), &mut sink);
         let expect = (n as usize).min(legacy.len());
-        prop_assert_eq!(streamed.num_paths as usize, expect);
-        prop_assert_eq!(sink.emitted() as usize, expect);
+        assert_eq!(streamed.num_paths as usize, expect);
+        assert_eq!(sink.emitted() as usize, expect);
         let collected = sink.into_inner().into_paths();
-        prop_assert_eq!(&collected[..], &legacy[..expect]);
+        assert_eq!(&collected[..], &legacy[..expect]);
         // The cap breaks with the n-th path, so any run that reached it is
         // flagged as cut short — even when n happened to be the total count.
         if legacy_paths >= n {
-            prop_assert!(streamed.stats.early_terminated);
+            assert!(streamed.stats.early_terminated);
         } else {
-            prop_assert!(!streamed.stats.early_terminated);
-            prop_assert_eq!(streamed.stats, legacy_stats);
+            assert!(!streamed.stats.early_terminated);
+            assert_eq!(streamed.stats, legacy_stats);
         }
-    }
+    });
 }
 
 /// Acceptance: `FirstN(1)` on a query with >= 10^5 results must do
