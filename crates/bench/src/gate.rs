@@ -15,14 +15,19 @@
 //!   absolute wall-clock number.
 
 use crate::loadgen::{run_open_loop, LoadConfig, LoadProtocol, LoadReport};
+use pefp_core::{
+    prepare_snapshot_with, run_prepared_on_cluster, MeasuredMultiCu, PefpRunResult, PefpVariant,
+    PrepareContext,
+};
 use pefp_fpga::MultiCuConfig;
+use pefp_fpga::{CuCluster, DeviceConfig};
 use pefp_graph::generators::chung_lu;
 use pefp_graph::{PlacementPolicy, VertexId};
 use pefp_host::{
-    BatchOutcome, BatchScheduler, GraphHandle, HostRuntime, NetConfig, NetServer, QueryRequest,
-    RuntimeConfig, RuntimeStats, SchedulerConfig,
+    GraphHandle, HostRuntime, NetConfig, NetServer, QueryRequest, RuntimeConfig, RuntimeStats,
 };
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 /// Rounds per measured side of a ratio; floors read the median (or the
@@ -173,22 +178,28 @@ pub fn gate_batch() -> Vec<QueryRequest> {
     requests
 }
 
-/// A batch scheduler for `cus` compute units at the default bandwidth share.
-pub fn dispatch_scheduler(cus: usize) -> BatchScheduler {
-    BatchScheduler::new(SchedulerConfig {
-        multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
-        ..SchedulerConfig::default()
-    })
-}
-
-/// Runs `requests` as one [`BatchScheduler`] batch on `handle`'s epoch-0
-/// snapshot, under the handle's row placement.
-pub fn run_gate_batch(
-    scheduler: &BatchScheduler,
+/// Runs `requests`, prepared under `variant` on `handle`'s epoch-0 snapshot, as
+/// one [`run_prepared_on_cluster`] dispatch on a private U200 cluster of
+/// `multi_cu` under the handle's row placement; `on_path` sees every path.
+pub fn dispatch_batch<F>(
     handle: &GraphHandle,
     requests: &[QueryRequest],
-) -> BatchOutcome {
-    scheduler.run_batch(&handle.snapshot(), handle.placement, requests).expect("gate batch")
+    variant: PefpVariant,
+    multi_cu: MultiCuConfig,
+    on_path: F,
+) -> (Vec<PefpRunResult>, MeasuredMultiCu)
+where
+    F: FnMut(usize, &[VertexId]) -> ControlFlow<()> + Send,
+{
+    let (snapshot, mut ctx) = (handle.snapshot(), PrepareContext::new());
+    let prepared: Vec<_> = requests
+        .iter()
+        .map(|q| prepare_snapshot_with(&mut ctx, &snapshot, q.s, q.t, q.k, variant))
+        .collect();
+    let mut options = variant.engine_options();
+    options.bank_placement = handle.placement;
+    let cluster = CuCluster::new(DeviceConfig::alveo_u200(), multi_cu);
+    run_prepared_on_cluster(&cluster, &prepared, options, on_path)
 }
 
 /// A 4-CU multi-tenant [`HostRuntime`] over `handle` with a 256-entry shared
@@ -456,20 +467,13 @@ fn mixed_tiny_speedup() -> f64 {
 /// Compute-unit counts the charged bank-layout comparison runs at.
 const BANK_LAYOUT_CUS: [usize; 2] = [2, 4];
 
-/// A batch scheduler for the charged bank-layout rounds: `cus` compute units
-/// at the default bandwidth share, BRAM graph caching disabled (the
-/// adjacency rows stream from DRAM, so the CSR bank layout is what the banks
-/// actually see) and bank-conflict/turnaround charging on.
-pub fn charged_nocache_scheduler(cus: usize) -> BatchScheduler {
-    BatchScheduler::new(SchedulerConfig {
-        variant: pefp_core::PefpVariant::NoCache,
-        multi_cu: MultiCuConfig {
-            compute_units: cus,
-            charge_banked: true,
-            ..MultiCuConfig::default()
-        },
-        ..SchedulerConfig::default()
-    })
+/// One charged bank-layout round: the counted [`gate_batch`] on `cus` CUs with
+/// bank-conflict/turnaround charging on and BRAM graph caching off (the
+/// adjacency rows stream from DRAM, so the banks see the CSR layout).
+pub fn measure_charged_nocache(handle: &GraphHandle, cus: usize) -> MeasuredMultiCu {
+    let multi_cu = MultiCuConfig { compute_units: cus, charge_banked: true, ..Default::default() };
+    let count = |_: usize, _: &[VertexId]| ControlFlow::Continue(());
+    dispatch_batch(handle, &gate_batch(), PefpVariant::NoCache, multi_cu, count).1
 }
 
 /// `bank_layout/conflict_reduction_cusN`: the relative cut in charged
@@ -478,13 +482,11 @@ pub fn charged_nocache_scheduler(cus: usize) -> BatchScheduler {
 /// CUs racing on one arbiter the exact conflict total depends on the
 /// interleaving.
 fn bank_conflict_reduction(cus: usize) -> f64 {
-    let requests = gate_batch();
-    let scheduler = charged_nocache_scheduler(cus);
     let conflicts = |handle: &GraphHandle| -> u64 {
         median(
             (0..GATE_ROUNDS)
                 .map(|_| {
-                    let measured = run_gate_batch(&scheduler, handle, &requests).measured;
+                    let measured = measure_charged_nocache(handle, cus);
                     measured.per_cu_bank_conflict_cycles.iter().sum::<u64>()
                 })
                 .collect(),
@@ -504,14 +506,12 @@ fn bank_conflict_reduction(cus: usize) -> f64 {
 /// [`GATE_ROUNDS`] rounds of both layouts at every [`BANK_LAYOUT_CUS`]
 /// width — the same ≤ 30% bound the uncharged model is held to in tier-1.
 fn charged_model_accuracy() -> f64 {
-    let requests = gate_batch();
     let layouts = [gate_graph(), gate_graph().with_placement(PlacementPolicy::BankAware)];
     let mut worst = f64::INFINITY;
     for cus in BANK_LAYOUT_CUS {
-        let scheduler = charged_nocache_scheduler(cus);
         for handle in &layouts {
             for _ in 0..GATE_ROUNDS {
-                let measured = run_gate_batch(&scheduler, handle, &requests).measured;
+                let measured = measure_charged_nocache(handle, cus);
                 worst = worst.min(1.0 - measured.model_error());
             }
         }

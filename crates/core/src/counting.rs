@@ -7,8 +7,8 @@
 //!
 //! * the engine router ([`crate::routing`]) scores each engine from the
 //!   [`QueryEstimate`] of the pruned subgraph `G'`;
-//! * the host's batch scheduler orders a batch longest-first by
-//!   [`count_st_walks`] on each prepared subgraph.
+//! * the cluster dispatch ([`crate::run_prepared_on_cluster`]) orders its
+//!   queries longest-first by [`count_st_walks`] on each prepared subgraph.
 //!
 //! For small inputs an exact simple-path counter (bounded DFS that counts
 //! without materialising) is also provided; it is the correctness oracle for

@@ -17,8 +17,10 @@
 //!   batching, BRAM caching, and the basic / data-separated verification
 //!   pipelines, all charged against the simulated device.
 //! * [`variants`] — the full system plus the four ablation variants
-//!   (No-Pre-BFS, No-Batch-DFS, No-Cache, No-DataSep) and
-//!   [`run_prepared_on_device`], the device run of a prepared query.
+//!   (No-Pre-BFS, No-Batch-DFS, No-Cache, No-DataSep),
+//!   [`run_prepared_on_device`], the device run of a prepared query, and
+//!   [`run_prepared_on_cluster`], the measured LPT dispatch of many prepared
+//!   queries onto the compute units of a [`pefp_fpga::CuCluster`].
 //!
 //! A query takes two calls: [`prepare_snapshot_with`] prepares it on the host
 //! against a [`pefp_graph::GraphSnapshot`], and [`run_prepared_on_device`]
@@ -71,7 +73,7 @@ pub use routing::{
     route_query, EngineChoice, EngineCosts, RouteContext, RouteDecision, RouteFeatures,
     RoutingTable,
 };
-pub use variants::{run_prepared_on_device, PefpVariant};
+pub use variants::{run_prepared_on_cluster, run_prepared_on_device, MeasuredMultiCu, PefpVariant};
 
 // The streaming-result vocabulary used by the sink-generic entry points,
 // re-exported so `pefp-core` callers need not name `pefp-graph` directly.

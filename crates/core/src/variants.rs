@@ -14,15 +14,22 @@
 //! A query is prepared on the host by [`crate::prepare_snapshot_with`] (the
 //! variant picks Pre-BFS or the whole-graph ablation) and run by
 //! [`run_prepared_on_device`]: PCIe transfer, the device engine run, and
-//! result translation back to original vertex ids.
+//! result translation back to original vertex ids. A set of prepared queries
+//! runs on the compute units of a [`CuCluster`] through
+//! [`run_prepared_on_cluster`], which measures the makespan next to its
+//! [`pefp_fpga::predict_dispatch`] prediction.
 
+use crate::counting::count_st_walks;
 use crate::engine::PefpEngine;
 use crate::options::{BatchStrategy, EngineOptions, VerificationPipeline};
 use crate::preprocess::PreparedQuery;
 use crate::result::PefpRunResult;
-use pefp_fpga::Device;
-use pefp_graph::sink::{PathSink, TranslateSink};
+use pefp_fpga::{predict_dispatch, ArbiterStats, CuCluster, CuWorkload, Device, MultiCuSchedule};
+use pefp_graph::sink::{FnSink, PathSink, TranslateSink};
+use pefp_graph::VertexId;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// The PEFP system configurations evaluated in the paper.
@@ -133,16 +140,278 @@ pub fn run_prepared_on_device<S: PathSink + ?Sized>(
     }
 }
 
+/// Measured execution of prepared queries on a [`CuCluster`]: what actually
+/// happened when they ran on the CUs, next to the traffic-aware prediction,
+/// so the model error is a first-class number.
+#[derive(Debug, Clone)]
+pub struct MeasuredMultiCu {
+    /// Number of compute units the queries executed on.
+    pub compute_units: usize,
+    /// Simulated cycles each CU was busy (contention stalls included),
+    /// indexed by CU.
+    pub per_cu_busy_cycles: Vec<u64>,
+    /// Number of queries each CU executed.
+    pub per_cu_queries: Vec<usize>,
+    /// Measured makespan: the busiest CU's cycles.
+    pub makespan_cycles: u64,
+    /// Sum of the queries' cycles without bus contention — what one CU
+    /// would need (charged bank stalls included).
+    pub serial_cycles: u64,
+    /// Total contention stalls the shared-DRAM arbiter injected.
+    pub contention_cycles: u64,
+    /// Bank-conflict stall cycles each CU was *charged* (zero unless the
+    /// cluster runs with banked charging on), indexed by CU.
+    pub per_cu_bank_conflict_cycles: Vec<u64>,
+    /// Read↔write turnaround stall cycles each CU was charged, indexed by CU.
+    pub per_cu_turnaround_cycles: Vec<u64>,
+    /// Aggregate refill traffic metered by the arbiter.
+    pub arbiter: ArbiterStats,
+    /// The traffic-aware prediction ([`pefp_fpga::predict_dispatch`]) from
+    /// the same uncontended per-query costs, for model-error accounting.
+    pub predicted: MultiCuSchedule,
+    /// Host wall-clock spent in the dispatch (ms) — the time the real OS
+    /// threads took, as opposed to the simulated cycle domain above.
+    pub wall_millis: f64,
+}
+
+impl MeasuredMultiCu {
+    /// Measured speedup over a single CU (serial cycles divided by the
+    /// measured makespan).
+    pub fn speedup(&self) -> f64 {
+        if self.makespan_cycles == 0 {
+            1.0
+        } else {
+            self.serial_cycles as f64 / self.makespan_cycles as f64
+        }
+    }
+
+    /// Relative error of the predicted makespan against the measured one
+    /// (0.0 = perfect model; 0.3 = off by 30%).
+    pub fn model_error(&self) -> f64 {
+        if self.makespan_cycles == 0 {
+            return 0.0;
+        }
+        (self.predicted.makespan_cycles as f64 - self.makespan_cycles as f64).abs()
+            / self.makespan_cycles as f64
+    }
+}
+
+/// Runs every query of `prepared` on the compute units of `cluster`, one OS
+/// thread per CU (the calling thread is CU 0, so a one-CU cluster — the
+/// paper's single kernel — spawns nothing). Returns the per-query results in
+/// the order of `prepared` and the measured per-CU accounting.
+///
+/// Each worker owns one CU (its own simulated BRAM, counters and clock,
+/// behind the cluster's shared DRAM arbiter) and pulls the next query from a
+/// work queue ordered longest-estimated-first — the greedy LPT policy
+/// [`pefp_fpga::predict_dispatch`] models, driven by the walk-count estimate
+/// on each prepared subgraph. Pops are gated on *simulated* CU load (see
+/// `DispatchQueue`), so the assignment tracks the co-simulated device clocks
+/// rather than the host scheduler, while the engine runs themselves execute
+/// concurrently.
+///
+/// Every result path (original graph ids) goes to `on_path` with the index
+/// of the query that produced it. The callback runs on the CU threads,
+/// serialised through a mutex; returning [`ControlFlow::Break`] ends *that
+/// query's* enumeration and the others run on.
+pub fn run_prepared_on_cluster<F>(
+    cluster: &CuCluster,
+    prepared: &[PreparedQuery],
+    options: EngineOptions,
+    on_path: F,
+) -> (Vec<PefpRunResult>, MeasuredMultiCu)
+where
+    F: FnMut(usize, &[VertexId]) -> ControlFlow<()> + Send,
+{
+    let cus = cluster.compute_units();
+    // LPT estimate: the k-hop s-t walk count on the prepared subgraph (an
+    // upper bound on the result volume) plus its edge count.
+    let estimates: Vec<u64> = prepared
+        .iter()
+        .map(|prep| {
+            if !prep.feasible {
+                return 0;
+            }
+            count_st_walks(&prep.graph, prep.s, prep.t, prep.k)
+                .saturating_add(prep.graph.num_edges() as u64)
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..prepared.len()).collect();
+    order.sort_by(|&a, &b| estimates[b].cmp(&estimates[a]).then(a.cmp(&b)));
+    let queue = DispatchQueue::new(order, estimates, cus);
+    let emit = Mutex::new(on_path);
+
+    // One CU's worker: drain the queue onto this CU's device. The CU counts
+    // as bus-active until it drains the queue: a worker parked on the queue
+    // gate is *busy in simulated time* (its next job just has not been
+    // wall-executed yet), so dropping activation there would understate
+    // contention whenever the host has fewer cores than CUs.
+    let work = |cu: usize| {
+        let _active = cluster.arbiter().activate();
+        let mut rows = Vec::new();
+        while let Some((job, estimate)) = queue.pop(cu) {
+            let mut sink = FnSink(|path: &[VertexId]| {
+                let mut cb = emit.lock().expect("path callback poisoned");
+                (*cb)(job, path)
+            });
+            let result = run_prepared_on_device(
+                &prepared[job],
+                options.clone(),
+                cluster.device_for_cu(cu),
+                &mut sink,
+            );
+            queue.complete(cu, estimate, result.device.cycles);
+            rows.push((job, result));
+        }
+        rows
+    };
+    let wall_start = Instant::now();
+    let per_cu: Vec<Vec<(usize, PefpRunResult)>> = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..cus).map(|cu| scope.spawn(move || work(cu))).collect();
+        let mut per_cu = vec![work(0)];
+        per_cu.extend(others.into_iter().map(|h| h.join().expect("CU worker panicked")));
+        per_cu
+    });
+    let wall_millis = wall_start.elapsed().as_secs_f64() * 1e3;
+
+    let mut results: Vec<Option<PefpRunResult>> = vec![None; prepared.len()];
+    let mut workloads = vec![CuWorkload::default(); prepared.len()];
+    let mut per_cu_busy_cycles = vec![0u64; cus];
+    let mut per_cu_queries = vec![0usize; cus];
+    let mut per_cu_bank_conflict_cycles = vec![0u64; cus];
+    let mut per_cu_turnaround_cycles = vec![0u64; cus];
+    let mut contention_cycles = 0u64;
+    for (cu, rows) in per_cu.into_iter().enumerate() {
+        for (job, result) in rows {
+            let device = &result.device;
+            per_cu_busy_cycles[cu] += device.cycles;
+            per_cu_queries[cu] += 1;
+            per_cu_bank_conflict_cycles[cu] += device.bank_conflict_cycles;
+            per_cu_turnaround_cycles[cu] += device.turnaround_cycles;
+            contention_cycles += device.contention_cycles;
+            // Uncontended cost: strip what the shared bus (contention) and
+            // the bank model (charged conflict + turnaround stalls) injected;
+            // the predictor adds both back from its own terms.
+            let bank_stall_cycles = device.bank_conflict_cycles + device.turnaround_cycles;
+            workloads[job] = CuWorkload {
+                cycles: device.cycles - device.contention_cycles - bank_stall_cycles,
+                dram_cycles: device.dram_cycles,
+                bank_stall_cycles,
+            };
+            results[job] = Some(result);
+        }
+    }
+    let measured = MeasuredMultiCu {
+        compute_units: cus,
+        makespan_cycles: per_cu_busy_cycles.iter().copied().max().unwrap_or(0),
+        serial_cycles: workloads.iter().map(|w| w.cycles + w.bank_stall_cycles).sum(),
+        per_cu_busy_cycles,
+        per_cu_queries,
+        contention_cycles,
+        per_cu_bank_conflict_cycles,
+        per_cu_turnaround_cycles,
+        arbiter: cluster.arbiter().stats(),
+        predicted: predict_dispatch(&workloads, cluster.multi_cu()),
+        wall_millis,
+    };
+    let results = results.into_iter().map(|r| r.expect("every query executed")).collect();
+    (results, measured)
+}
+
+/// The dispatch work queue: LPT-ordered jobs, popped in *simulated-time*
+/// order.
+///
+/// Real hardware hands the next queued query to whichever CU becomes free
+/// first — free in *device* time. When N simulated device clocks are
+/// co-simulated by N host threads, "whoever locks the queue first" instead
+/// reflects the host scheduler (on a single-core runner one thread can drain
+/// the entire queue), which would corrupt the measured makespan. This queue
+/// therefore gates each pop on the poppers' simulated load: a CU may take
+/// the next job only while it is the least-loaded CU, counting in-flight
+/// jobs at their LPT estimate until their true cycle count replaces it on
+/// completion. Engine execution itself happens outside the lock, fully
+/// concurrently.
+struct DispatchQueue {
+    state: Mutex<DispatchState>,
+    wakeup: Condvar,
+    order: Vec<usize>,
+    estimates: Vec<u64>,
+}
+
+struct DispatchState {
+    /// Next position in `order` to hand out.
+    next: usize,
+    /// Per-CU simulated load: completed cycles plus in-flight estimates.
+    load: Vec<u64>,
+    /// Workers that observed queue exhaustion and exited.
+    done: Vec<bool>,
+}
+
+impl DispatchQueue {
+    fn new(order: Vec<usize>, estimates: Vec<u64>, cus: usize) -> Self {
+        DispatchQueue {
+            state: Mutex::new(DispatchState {
+                next: 0,
+                load: vec![0; cus],
+                done: vec![false; cus],
+            }),
+            wakeup: Condvar::new(),
+            order,
+            estimates,
+        }
+    }
+
+    /// Takes the next job for `cu`, blocking while a less-loaded CU should
+    /// pop first. Returns the job index and the estimate charged to the CU's
+    /// load (to be replaced by the true cycle count via [`Self::complete`]),
+    /// or `None` once the queue is empty.
+    fn pop(&self, cu: usize) -> Option<(usize, u64)> {
+        let mut state = self.state.lock().expect("dispatch queue poisoned");
+        loop {
+            if state.next >= self.order.len() {
+                state.done[cu] = true;
+                self.wakeup.notify_all();
+                return None;
+            }
+            let my_load = state.load[cu];
+            let am_least_loaded = (0..state.load.len()).filter(|&w| w != cu).all(|w| {
+                state.done[w] || state.load[w] > my_load || (state.load[w] == my_load && w > cu)
+            });
+            if am_least_loaded {
+                let job = self.order[state.next];
+                state.next += 1;
+                // Charge the estimate so concurrent poppers see this CU as
+                // busy; `complete` swaps in the measured cycles. At least 1,
+                // so even a zero-estimate job marks the CU as loaded.
+                let estimate = self.estimates[job].max(1);
+                state.load[cu] += estimate;
+                self.wakeup.notify_all();
+                return Some((job, estimate));
+            }
+            state = self.wakeup.wait(state).expect("dispatch queue poisoned");
+        }
+    }
+
+    /// Replaces `cu`'s in-flight estimate with the measured cycle count.
+    fn complete(&self, cu: usize, estimate: u64, actual_cycles: u64) {
+        let mut state = self.state.lock().expect("dispatch queue poisoned");
+        state.load[cu] = state.load[cu] - estimate + actual_cycles;
+        self.wakeup.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::preprocess::{prepare_csr, prepare_snapshot_with, PrepareContext};
     use pefp_baselines::naive_dfs_enumerate;
     use pefp_fpga::DeviceConfig;
+    use pefp_fpga::MultiCuConfig;
     use pefp_graph::generators::chung_lu;
     use pefp_graph::paths::{canonicalize, validate_result, Path};
+    use pefp_graph::sampling::sample_reachable_pairs;
     use pefp_graph::sink::CollectSink;
-    use pefp_graph::{CsrGraph, GraphSnapshot, VertexId};
+    use pefp_graph::{CsrGraph, GraphSnapshot};
 
     /// Prepares and runs `variant` on a fresh U200, collecting the paths.
     fn run(
@@ -208,7 +477,6 @@ mod tests {
 
     #[test]
     fn cluster_device_run_matches_the_standalone_device() {
-        use pefp_fpga::{CuCluster, MultiCuConfig};
         let g = chung_lu(150, 5.0, 2.2, 77).to_csr();
         let (s, t, k) = (VertexId(0), VertexId(70), 4);
         let cfg = DeviceConfig::alveo_u200();
@@ -252,7 +520,7 @@ mod tests {
 
     #[test]
     fn pcie_fault_on_the_transfer_dma_is_reported_on_the_run() {
-        use pefp_fpga::{CuCluster, FaultKind, FaultPlan, MultiCuConfig, ScriptedFault};
+        use pefp_fpga::{FaultKind, FaultPlan, ScriptedFault};
         let g = chung_lu(120, 5.0, 2.2, 31).to_csr();
         let prep = prepare_csr(&g, VertexId(0), VertexId(55), 5);
         let plan = FaultPlan::scripted(1);
@@ -270,6 +538,132 @@ mod tests {
         assert_eq!(fault.kind, FaultKind::PcieError);
         assert_eq!(result.num_paths, 0, "the engine aborts before emitting anything");
         assert!(sink.into_paths().is_empty());
+    }
+
+    /// Sampled reachable pairs of a 250-vertex power-law graph at `k`, each
+    /// with its naive-DFS answer, and the pairs prepared for the full system.
+    fn sampled_batch(k: u32, count: usize) -> (Vec<Vec<Path>>, Vec<PreparedQuery>) {
+        let g = GraphSnapshot::from_csr(chung_lu(250, 5.0, 2.2, 61).to_csr());
+        let mut ctx = PrepareContext::new();
+        sample_reachable_pairs(g.base(), k, count, 99)
+            .into_iter()
+            .map(|(s, t)| {
+                let oracle = canonicalize(naive_dfs_enumerate(g.base(), s, t, k));
+                (oracle, prepare_snapshot_with(&mut ctx, &g, s, t, k, PefpVariant::Full))
+            })
+            .unzip()
+    }
+
+    fn cluster_of(cus: usize) -> CuCluster {
+        let multi_cu = MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() };
+        CuCluster::new(DeviceConfig::alveo_u200(), multi_cu)
+    }
+
+    /// Counts every query of `prepared` on a fresh `cus`-CU cluster.
+    fn count_on(cus: usize, prepared: &[PreparedQuery]) -> (Vec<PefpRunResult>, MeasuredMultiCu) {
+        let options = PefpVariant::Full.engine_options();
+        run_prepared_on_cluster(&cluster_of(cus), prepared, options, |_, _| {
+            ControlFlow::Continue(())
+        })
+    }
+
+    fn num_paths(results: &[PefpRunResult]) -> Vec<u64> {
+        results.iter().map(|r| r.num_paths).collect()
+    }
+
+    #[test]
+    fn dispatch_counts_match_the_serial_batch_on_every_cu_width() {
+        let (oracles, prepared) = sampled_batch(4, 10);
+        assert!(prepared.len() >= 4);
+        let (single, single_measured) = count_on(1, &prepared);
+        let oracle_counts: Vec<u64> = oracles.iter().map(|o| o.len() as u64).collect();
+        assert_eq!(num_paths(&single), oracle_counts, "1 CU vs the naive oracle");
+        // A single CU cannot contend with itself: measured == serial.
+        assert_eq!(single_measured.makespan_cycles, single_measured.serial_cycles);
+        assert_eq!(single_measured.contention_cycles, 0);
+        for cus in [2usize, 4] {
+            let (results, measured) = count_on(cus, &prepared);
+            assert_eq!(num_paths(&results), num_paths(&single), "cus = {cus}");
+            assert_eq!(measured.compute_units, cus);
+            assert_eq!(measured.per_cu_queries.iter().sum::<usize>(), prepared.len());
+            assert!(measured.makespan_cycles <= measured.serial_cycles);
+            assert_eq!(
+                measured.serial_cycles, single_measured.serial_cycles,
+                "uncontended cycles are deterministic"
+            );
+        }
+    }
+
+    #[test]
+    fn dispatch_streams_every_path_and_honours_break() {
+        let (oracles, prepared) = sampled_batch(3, 6);
+        assert!(!prepared.is_empty());
+        let options = PefpVariant::Full.engine_options();
+        let cluster = cluster_of(2);
+        let mut streamed = vec![Vec::new(); prepared.len()];
+        let (results, measured) = run_prepared_on_cluster(&cluster, &prepared, options.clone(), {
+            let streamed = &mut streamed;
+            move |job, path| {
+                streamed[job].push(path.to_vec());
+                ControlFlow::Continue(())
+            }
+        });
+        let streamed: Vec<Vec<Path>> = streamed.into_iter().map(canonicalize).collect();
+        assert_eq!(streamed, oracles);
+        // The counting run agrees on every aggregate.
+        let (counted, counted_measured) = count_on(2, &prepared);
+        assert_eq!(num_paths(&results), num_paths(&counted));
+        assert_eq!(measured.serial_cycles, counted_measured.serial_cycles);
+
+        // Break terminates only the victim query's enumeration.
+        let Some(victim) = counted.iter().position(|r| r.num_paths > 1) else {
+            return;
+        };
+        let (results, _) = run_prepared_on_cluster(&cluster_of(2), &prepared, options, |job, _| {
+            if job == victim {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        for (job, (got, want)) in results.iter().zip(&counted).enumerate() {
+            let want = if job == victim { 1 } else { want.num_paths };
+            assert_eq!(got.num_paths, want, "job {job} (victim {victim})");
+        }
+    }
+
+    #[test]
+    fn dispatch_measurement_and_prediction_share_the_cycle_domain() {
+        // Queries on this tiny graph finish in microseconds, so how many a
+        // given CU wins from the queue is timing-dependent; this test only
+        // asserts the invariants that hold for *every* interleaving. The
+        // tight predicted-vs-measured bound lives in the integration tests,
+        // on a batch heavy enough that all CUs overlap.
+        let (_, prepared) = sampled_batch(4, 16);
+        assert!(prepared.len() >= 8);
+        let (_, measured) = count_on(2, &prepared);
+        // Two CUs at share 0.5 never saturate the bus: no contention, so the
+        // per-CU busy cycles partition the serial total exactly.
+        assert_eq!(measured.contention_cycles, 0);
+        assert_eq!(measured.per_cu_busy_cycles.iter().sum::<u64>(), measured.serial_cycles);
+        assert!(measured.makespan_cycles <= measured.serial_cycles);
+        assert!(measured.makespan_cycles * 2 >= measured.serial_cycles, "2 CUs cap at 2x");
+        let predicted = &measured.predicted;
+        assert!(predicted.makespan_cycles > 0);
+        assert!(predicted.makespan_cycles <= predicted.serial_cycles);
+        assert!(predicted.makespan_cycles * 2 >= predicted.serial_cycles);
+        assert_eq!(predicted.serial_cycles, measured.serial_cycles);
+        assert!(measured.speedup() >= 1.0);
+        assert!(measured.wall_millis > 0.0);
+    }
+
+    #[test]
+    fn empty_batch_is_a_cheap_no_op() {
+        let (results, measured) = count_on(2, &[]);
+        assert!(results.is_empty());
+        assert_eq!(measured.makespan_cycles, 0);
+        assert_eq!(measured.per_cu_queries, vec![0, 0]);
+        assert_eq!(measured.model_error(), 0.0);
     }
 
     #[test]

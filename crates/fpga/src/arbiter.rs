@@ -15,8 +15,8 @@
 //! why measured multi-CU makespans beat the old closed-form prediction on
 //! cache-friendly workloads.
 //!
-//! The arbiter is shared across OS threads (one per CU in the host's
-//! batch scheduler and runtime), so all of its state is atomic; the accounting is
+//! The arbiter is shared across OS threads (one per CU in the cluster
+//! dispatch and the host runtime), so all of its state is atomic; the accounting is
 //! intentionally lock-free and approximate in the same way real memory
 //! controllers are: the factor seen by a refill depends on the set of CUs
 //! active at that moment.

@@ -282,6 +282,11 @@ impl CuCluster {
         self.multi_cu.compute_units.max(1)
     }
 
+    /// The CU count and bandwidth law the cluster was built with.
+    pub fn multi_cu(&self) -> &MultiCuConfig {
+        &self.multi_cu
+    }
+
     /// The per-CU device profile.
     pub fn device_config(&self) -> &DeviceConfig {
         &self.device_config

@@ -382,11 +382,14 @@ impl DatasetSpec {
         profile.vertex_budget(self.base_vertices)
     }
 
-    /// Generates the stand-in graph at the requested scale.
+    /// Generates the stand-in graph at the requested scale. No generator used
+    /// here can emit a parallel edge or a self loop (`chung_lu` visits each
+    /// target once per source; the others insert through
+    /// [`DiGraph::add_edge_unique`]), so the graph ships as generated.
     pub fn generate(&self, profile: ScaleProfile) -> DiGraph {
         let n = self.vertices_at(profile);
         let d = self.target_avg_degree;
-        let mut g = match self.topology {
+        match self.topology {
             TopologyClass::PowerLaw { gamma } => generators::chung_lu(n, d, gamma, self.seed),
             TopologyClass::Web { beta } => {
                 generators::copying_model(n, d.round().max(2.0) as usize, beta, self.seed)
@@ -400,9 +403,7 @@ impl DatasetSpec {
                 let k_half = ((d / 2.0).round() as usize).max(1);
                 generators::small_world(n, k_half, 0.02, self.seed)
             }
-        };
-        g.dedup_edges();
-        g
+        }
     }
 }
 
@@ -451,6 +452,16 @@ mod tests {
             let g = d.generate(ScaleProfile::Tiny);
             assert!(g.num_vertices() >= 100, "{}: too few vertices", d.code());
             assert!(g.num_edges() > g.num_vertices() / 2, "{}: too few edges", d.code());
+        }
+    }
+
+    #[test]
+    fn standin_generators_emit_no_duplicate_edge_or_self_loop() {
+        // `to_csr` drops parallel edges and self loops, so equal counts mean
+        // the generator emitted neither.
+        for d in Dataset::all() {
+            let g = d.generate(ScaleProfile::Tiny);
+            assert_eq!(g.num_edges(), g.to_csr().num_edges(), "{}", d.code());
         }
     }
 

@@ -6,11 +6,11 @@
 //! not move a payload as one blob: the host driver splits it into bounded
 //! descriptors (scatter/gather entries), each of which carries its own setup
 //! overhead. This module models that framing so transfer-time estimates react
-//! to payload size *and* fragmentation, and so the scheduler can demonstrate
-//! why batching many small query payloads into one transfer is cheaper than
-//! sending them one by one.
+//! to payload size *and* fragmentation, and so a batch can show why one
+//! transfer of many small query payloads is cheaper than sending them one by
+//! one ([`crate::RuntimeBatchOutcome::batched_transfer`]).
 
-use pefp_fpga::Pcie;
+use pefp_fpga::{DeviceConfig, Pcie};
 use serde::{Deserialize, Serialize};
 
 /// One scatter/gather descriptor.
@@ -23,7 +23,7 @@ pub struct DmaDescriptor {
 }
 
 /// Report of one DMA transfer (one payload, possibly many descriptors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct DmaTransferReport {
     /// Payload size in bytes.
     pub bytes: usize,
@@ -48,6 +48,17 @@ impl DmaTransferReport {
             setup_millis: 0.0,
             total_millis: 0.0,
         }
+    }
+}
+
+/// Folds in a transfer that ran back to back with this one.
+impl std::ops::AddAssign for DmaTransferReport {
+    fn add_assign(&mut self, other: DmaTransferReport) {
+        self.bytes += other.bytes;
+        self.descriptors += other.descriptors;
+        self.wire_millis += other.wire_millis;
+        self.setup_millis += other.setup_millis;
+        self.total_millis += other.total_millis;
     }
 }
 
@@ -81,6 +92,11 @@ impl DmaEngine {
     /// capped at 4 MiB with 5 µs of setup each, typical of XDMA-style shells.
     pub fn with_defaults(pcie: Pcie) -> Self {
         DmaEngine::new(pcie, 4 << 20, 5.0)
+    }
+
+    /// [`DmaEngine::with_defaults`] over the PCIe link of `device`.
+    pub fn for_device(device: &DeviceConfig) -> Self {
+        DmaEngine::with_defaults(Pcie::new(device.pcie_gbps, device.pcie_setup_us))
     }
 
     /// Splits a payload of `bytes` bytes into descriptors.

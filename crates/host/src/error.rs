@@ -60,6 +60,9 @@ pub enum HostError {
         /// Number of quarantined CUs at rejection time.
         quarantined: usize,
     },
+    /// The job was dropped before it completed: its worker panicked while
+    /// running it. The worker survives and serves the next job.
+    Abandoned,
 }
 
 impl fmt::Display for HostError {
@@ -85,6 +88,9 @@ impl fmt::Display for HostError {
             }
             HostError::NoHealthyCu { quarantined } => {
                 write!(f, "no healthy compute unit ({quarantined} quarantined) and CPU fallback is disabled")
+            }
+            HostError::Abandoned => {
+                write!(f, "job abandoned: its worker panicked while running it")
             }
         }
     }
@@ -125,6 +131,7 @@ mod tests {
             (HostError::FaultAfterEmit { event: event(), emitted: 5 }, "stream aborted"),
             (HostError::DeadlineExceeded { millis: 250 }, "deadline"),
             (HostError::NoHealthyCu { quarantined: 4 }, "no healthy compute unit"),
+            (HostError::Abandoned, "worker panicked"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

@@ -17,7 +17,10 @@
 //! * [`runtime`] — the concurrent [`HostRuntime`]: a persistent worker pool
 //!   (one worker per simulated CU) behind a bounded, session-fair admission
 //!   queue, sharing one `(s, t, k)`-keyed prepared-query cache across every
-//!   attached session. Jobs complete through cancellable [`JobTicket`]s.
+//!   attached session. Jobs complete through cancellable [`JobTicket`]s. A
+//!   batch of queries is one admission unit ([`HostRuntime::submit_batch`])
+//!   and reports, next to its per-query figures, the single DMA transfer of
+//!   the methodology of Section VII-A.
 //! * [`session`] — a per-client [`HostSession`] handle over a runtime (a
 //!   private single-CU one by default): per-query records and aggregate
 //!   statistics. Results can be collected or streamed through a
@@ -27,19 +30,14 @@
 //!   [`wire::Request`] into session/runtime calls and [`wire::Reply`]s, and
 //!   holds the command table and every front-door limit.
 //! * [`server`] — the text codec: the line protocol (`QUERY s t k`, …) in
-//!   front of [`execute`], plus the text-only `HELP`/`GRAPH`/`BATCH … CUS=n`.
+//!   front of [`execute`], plus the text-only `HELP`/`GRAPH`/`BATCH … CUS=n`
+//!   (a measured [`pefp_core::run_prepared_on_cluster`] dispatch on a
+//!   private cluster of `n` CUs).
 //! * [`wire`] — the binary codec: length-prefixed, checksummed frames for the
 //!   same requests and replies.
 //! * [`net`] — the TCP front door: a [`std::net::TcpListener`] accepting
 //!   concurrent text or binary connections into one shared [`HostRuntime`],
 //!   with typed BUSY backpressure and cancellation on client disconnect.
-//! * [`scheduler`] — batch scheduling of many queries into a single transfer
-//!   (the methodology of Section VII-A) against one graph snapshot, with
-//!   optional parallel host-side preprocessing. One execution loop runs the
-//!   batch on a [`pefp_fpga::CuCluster`] of one or more CUs (one CU is the
-//!   paper's single kernel) and reports the measured makespan next to its
-//!   prediction; `run_batch` counts, `run_batch_streaming` hands every path
-//!   to a callback.
 //!
 //! ## Quick example
 //!
@@ -64,7 +62,6 @@ pub mod loader;
 pub mod net;
 pub mod query;
 pub mod runtime;
-pub mod scheduler;
 pub mod server;
 pub mod session;
 pub mod wire;
@@ -82,9 +79,8 @@ pub use loader::{load_dataset, load_edge_list_file, GraphHandle};
 pub use net::{NetConfig, NetServer, NetStats};
 pub use query::QueryRequest;
 pub use runtime::{
-    BatchTicket, EngineLaneStats, FaultToleranceConfig, HostRuntime, JobTicket,
+    BatchQueryResult, BatchTicket, EngineLaneStats, FaultToleranceConfig, HostRuntime, JobTicket,
     RuntimeBatchOutcome, RuntimeConfig, RuntimeStats, SessionId,
 };
-pub use scheduler::{BatchOutcome, BatchScheduler, MeasuredMultiCu, SchedulerConfig};
 pub use server::{handle_line, serve, Reply};
 pub use session::{HostSession, QueryOutcome, SessionConfig, SessionStats};

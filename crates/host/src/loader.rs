@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// A graph resident in host main memory, ready to serve queries.
 ///
-/// Both CSR directions are shared (`Arc`), so sessions, schedulers and the
+/// Both CSR directions are shared (`Arc`), so sessions, runtimes and the
 /// [`GraphSnapshot`]s they prepare against reference one resident copy
 /// instead of cloning graph arrays per component or per query.
 ///
@@ -68,8 +68,8 @@ impl GraphHandle {
         self
     }
 
-    /// The epoch-0 [`GraphSnapshot`] over the shared CSR pair — what a
-    /// [`crate::BatchScheduler`] batch on this graph prepares against.
+    /// The epoch-0 [`GraphSnapshot`] over the shared CSR pair, to prepare
+    /// queries against with [`pefp_core::prepare_snapshot_with`].
     pub fn snapshot(&self) -> GraphSnapshot {
         GraphSnapshot::initial(Arc::clone(&self.csr), Arc::clone(&self.reverse))
     }

@@ -59,7 +59,8 @@ impl QueryRequest {
     /// Validates the request against a graph of `n` vertices. Runtimes serving
     /// a versioned graph validate against the *current snapshot's* vertex
     /// count, which can exceed the base CSR's after edge inserts grew the
-    /// vertex set.
+    /// vertex set. `s == t` is valid: like every engine and the naive oracle,
+    /// the serving surface answers it with the one zero-hop path `[s]`.
     pub fn validate_for(&self, n: usize) -> Result<(), HostError> {
         if self.s.index() >= n {
             return Err(HostError::QueryInvalid(format!(
@@ -72,11 +73,6 @@ impl QueryRequest {
                 "target {} out of range (graph has {n} vertices)",
                 self.t
             )));
-        }
-        if self.s == self.t {
-            return Err(HostError::QueryInvalid(
-                "source and target must differ (a path with zero hops is trivial)".to_string(),
-            ));
         }
         if self.k == 0 {
             return Err(HostError::QueryInvalid("hop constraint k must be at least 1".to_string()));
@@ -129,6 +125,7 @@ mod tests {
         let g = graph();
         assert!(QueryRequest::new(0, 4, 4).validate(&g).is_ok());
         assert!(QueryRequest::new(4, 0, 1).validate(&g).is_ok());
+        assert!(QueryRequest::new(2, 2, 3).validate(&g).is_ok(), "s == t answers [s]");
     }
 
     #[test]
@@ -141,10 +138,6 @@ mod tests {
         assert!(matches!(
             QueryRequest::new(0, 9, 3).validate(&g),
             Err(HostError::QueryInvalid(msg)) if msg.contains("target")
-        ));
-        assert!(matches!(
-            QueryRequest::new(2, 2, 3).validate(&g),
-            Err(HostError::QueryInvalid(msg)) if msg.contains("differ")
         ));
         assert!(matches!(
             QueryRequest::new(0, 1, 0).validate(&g),

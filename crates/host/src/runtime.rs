@@ -44,7 +44,8 @@
 //! Scheduling is fair in two dimensions: the admission queue serves
 //! **sessions round-robin** (a tenant flooding the queue cannot starve the
 //! others) and **longest-estimated-first within a session** (the LPT policy
-//! the batch scheduler uses, so a session's heavyweight queries start early).
+//! of [`pefp_core::run_prepared_on_cluster`], so a session's heavyweight
+//! queries start early).
 //! The CPU queue is plain FIFO: only jobs the router predicts cheaper on the
 //! CPU than one device launch get there, so there is nothing long to reorder.
 //! Both queues are bounded by [`RuntimeConfig::queue_capacity`]:
@@ -64,18 +65,17 @@
 //! multi-tenant one.
 
 use crate::binfmt::payload_bytes;
-use crate::dma::DmaEngine;
+use crate::dma::{DmaEngine, DmaTransferReport};
 use crate::error::HostError;
 use crate::loader::GraphHandle;
 use crate::query::QueryRequest;
-use crate::scheduler::BatchQueryResult;
 use crate::session::QueryOutcome;
 use pefp_baselines::{naive_dfs_stream, BcDfs, Join};
 use pefp_core::{
     prepare_snapshot_with, route_query, run_prepared_on_device, CancelToken, EngineChoice,
     PefpVariant, PrepareContext, PreparedQuery, RouteContext, RouteDecision, RoutingTable,
 };
-use pefp_fpga::{CuCluster, CuLease, DeviceConfig, FaultEvent, FaultPlan, MultiCuConfig, Pcie};
+use pefp_fpga::{CuCluster, CuLease, DeviceConfig, FaultEvent, FaultPlan, MultiCuConfig};
 use pefp_graph::sink::{CollectSink, CountingSink, FnSink};
 use pefp_graph::view::GraphView;
 use pefp_graph::{Epoch, GraphDelta, GraphSnapshot, VersionedGraph, VertexId};
@@ -83,9 +83,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -260,8 +261,11 @@ impl<T> TicketInner<T> {
         })
     }
 
+    /// Fills the slot and wakes the waiter. It never panics, so a
+    /// [`Completion`] may call it while a worker panic unwinds: a poisoned
+    /// slot is still whole, since its one update is this assignment.
     fn complete(&self, result: Result<T, HostError>) {
-        let mut slot = self.slot.lock().expect("ticket poisoned");
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = Some(result);
         self.finished.store(true, Ordering::Release);
         self.done.notify_all();
@@ -274,6 +278,27 @@ impl<T> TicketInner<T> {
             HostError::DeadlineExceeded { millis: self.deadline_millis.load(Ordering::Relaxed) }
         } else {
             HostError::Cancelled
+        }
+    }
+}
+
+/// The worker side of a queued job's ticket. Dropping it before the job
+/// completed — a worker panic unwinding through the job — completes the
+/// ticket with [`HostError::Abandoned`], so no waiter parks forever.
+struct Completion(Arc<TicketInner<QueryOutcome>>);
+
+impl std::ops::Deref for Completion {
+    type Target = TicketInner<QueryOutcome>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if !self.0.finished.load(Ordering::Acquire) {
+            self.0.complete(Err(HostError::Abandoned));
         }
     }
 }
@@ -352,7 +377,7 @@ struct Job {
     /// while it is queued or running — a query's answer is always consistent
     /// with *one* version of the graph.
     snapshot: Arc<GraphSnapshot>,
-    ticket: Arc<TicketInner<QueryOutcome>>,
+    ticket: Completion,
     /// The cache entry admission found for this job — always device-routed,
     /// because a CPU-routed hit never enters this queue. `None` is a miss:
     /// the worker looks once more (another job may have prepared the query
@@ -561,7 +586,7 @@ struct CpuJob {
     engine: CpuEngine,
     preprocess_millis: f64,
     cache_hit: bool,
-    ticket: Arc<TicketInner<QueryOutcome>>,
+    ticket: Completion,
 }
 
 struct CpuQueueState {
@@ -1075,11 +1100,11 @@ fn record_engine(shared: &RuntimeShared, lane: usize, millis: f64) {
 /// session's own clock (a tenant is a closed loop), and each job is placed on
 /// the **virtually least-loaded CU**, occupying
 /// `max(session ready, CU free) .. + cycles`. Charging the virtual CU rather
-/// than the physical one matters for the same reason the batch scheduler's
-/// dispatch queue gates pops on simulated load: on a busy or small host the
-/// OS may run many jobs on few threads back to back, and binding virtual
-/// time to that wall assignment would collide tenants onto one virtual CU
-/// and corrupt the makespan. The largest completion time is the runtime's
+/// than the physical one matters for the same reason the dispatch queue of
+/// [`pefp_core::run_prepared_on_cluster`] gates pops on simulated load: on a
+/// busy or small host the OS may run many jobs on few threads back to back,
+/// and binding virtual time to that wall assignment would collide tenants
+/// onto one virtual CU and corrupt the makespan. The largest completion time is the runtime's
 /// simulated makespan — a machine-independent throughput denominator
 /// (queries / makespan) for the `host_concurrency/sessions4` gate case.
 #[derive(Debug)]
@@ -1316,6 +1341,10 @@ struct RuntimeShared {
     /// once per prepared entry.
     #[cfg(test)]
     route_calls: AtomicU64,
+    /// A request whose job panics on its worker, for the tests that hold a
+    /// worker panic to the job's own ticket.
+    #[cfg(test)]
+    panic_on: Mutex<Option<QueryRequest>>,
     virt: Mutex<VirtualClock>,
     /// Per-CU circuit breaker state.
     health: CuHealth,
@@ -1326,6 +1355,13 @@ struct RuntimeShared {
 }
 
 impl RuntimeShared {
+    /// Panics when `request` is the one [`RuntimeShared::panic_on`] names.
+    #[cfg(test)]
+    fn panic_if_hooked(&self, request: QueryRequest) {
+        let hooked = *self.panic_on.lock().expect("panic hook poisoned") == Some(request);
+        assert!(!hooked, "panic hook fired for {request:?}");
+    }
+
     fn route_context(&self) -> RouteContext {
         RouteContext {
             compute_units: self.config.compute_units.max(1),
@@ -1430,6 +1466,8 @@ impl HostRuntime {
             deadline_cv: Condvar::new(),
             #[cfg(test)]
             route_calls: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_on: Mutex::new(None),
             cluster,
             graph,
             config,
@@ -1699,7 +1737,8 @@ impl HostRuntime {
             self.admit(&mut admission, session, *request, JobKind::Count, &snapshot, ticket);
         }
         self.enqueue(admission, &tickets, self.shared.config.default_deadline)?;
-        Ok(BatchTicket { tickets, requests: unique, slot_of, deduplicated })
+        let dma = DmaEngine::for_device(&self.shared.config.device);
+        Ok(BatchTicket { tickets, requests: unique, slot_of, deduplicated, dma })
     }
 
     fn submit(
@@ -1740,6 +1779,7 @@ impl HostRuntime {
         snapshot: &Arc<GraphSnapshot>,
         ticket: Arc<TicketInner<QueryOutcome>>,
     ) {
+        let ticket = Completion(ticket);
         let started = Instant::now();
         let hit = self.shared.cache.get_at_admission(&request, snapshot.epoch());
         let key = match &hit {
@@ -1893,6 +1933,8 @@ pub struct BatchTicket {
     requests: Vec<QueryRequest>,
     slot_of: Vec<usize>,
     deduplicated: usize,
+    /// Frames the batch's one transfer.
+    dma: DmaEngine,
 }
 
 impl BatchTicket {
@@ -1900,16 +1942,18 @@ impl BatchTicket {
     /// per-slot results (duplicates answered from their unique execution).
     /// The first failing query fails the batch; the remaining tickets are
     /// dropped, which cancels their jobs.
-    pub fn wait(self) -> Result<RuntimeBatchOutcome, HostError> {
+    pub fn wait(mut self) -> Result<RuntimeBatchOutcome, HostError> {
         let mut unique_rows = Vec::with_capacity(self.tickets.len());
         let mut preprocess_millis = 0.0;
         let mut transfer_millis = 0.0;
+        let mut payload_bytes = 0;
         let mut device_millis = 0.0;
         let mut cache_hits = 0u64;
         for (ticket, request) in self.tickets.into_iter().zip(&self.requests) {
             let outcome = ticket.wait()?;
             preprocess_millis += outcome.preprocess_millis;
             transfer_millis += outcome.transfer.total_millis;
+            payload_bytes += outcome.transfer.bytes;
             device_millis += outcome.device_millis;
             cache_hits += u64::from(outcome.cache_hit);
             unique_rows.push(BatchQueryResult {
@@ -1925,16 +1969,30 @@ impl BatchTicket {
             cache_hits,
             preprocess_millis,
             transfer_millis,
+            batched_transfer: match payload_bytes {
+                0 => DmaTransferReport::none(),
+                bytes => self.dma.transfer(bytes),
+            },
             device_millis,
         })
     }
 }
 
+/// Per-query result row of a batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchQueryResult {
+    /// The request.
+    pub request: QueryRequest,
+    /// Number of result paths.
+    pub num_paths: u64,
+    /// Simulated device time for this query in milliseconds.
+    pub device_millis: f64,
+}
+
 /// The outcome of a batch submitted through [`HostRuntime::submit_batch`].
-/// Unlike the discrete-event [`crate::BatchOutcome`] of the batch scheduler,
-/// this is the multi-tenant path: the batch's queries shared the admission
-/// queue and CU pool with every other session's work.
-#[derive(Debug, Clone)]
+/// The batch's queries shared the admission queue and CU pool with every
+/// other session's work.
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeBatchOutcome {
     /// Per-query results, in submission order (duplicates resolved to the
     /// same numbers).
@@ -1945,8 +2003,13 @@ pub struct RuntimeBatchOutcome {
     pub cache_hits: u64,
     /// Summed host preprocessing time (ms).
     pub preprocess_millis: f64,
-    /// Summed DMA transfer time (ms).
+    /// Summed DMA transfer time (ms) of the unique jobs, each framed as its
+    /// own transfer — what the batch cost on the runtime.
     pub transfer_millis: f64,
+    /// The same payload bytes as *one* DMA transfer: the paper's batched
+    /// shipment (Section VII-A), which pays the descriptor setup once per
+    /// descriptor instead of once per query. CPU-routed jobs ship nothing.
+    pub batched_transfer: DmaTransferReport,
     /// Summed simulated device time (ms).
     pub device_millis: f64,
 }
@@ -1975,10 +2038,14 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
     // scratch amortises across every job this worker ever runs (each job's
     // snapshot carries both CSR directions).
     let mut ctx = PrepareContext::new();
-    let pcie = Pcie::new(shared.config.device.pcie_gbps, shared.config.device.pcie_setup_us);
-    let mut dma = DmaEngine::with_defaults(pcie);
+    let mut dma = DmaEngine::for_device(&shared.config.device);
     while let Some(job) = shared.queue.pop() {
-        execute_job(&shared, &mut ctx, &mut dma, job);
+        // A panicking job fails only its own ticket (its `Completion`
+        // unwinds); the worker serves on with fresh preparation scratch.
+        let run = AssertUnwindSafe(|| execute_job(&shared, &mut ctx, &mut dma, job));
+        if catch_unwind(run).is_err() {
+            ctx = PrepareContext::new();
+        }
     }
 }
 
@@ -2184,7 +2251,8 @@ fn run_cpu_engine(
 /// The CPU pool's worker loop: drain router-placed jobs until shutdown.
 fn cpu_worker_loop(shared: Arc<RuntimeShared>) {
     while let Some(job) = shared.cpu_queue.pop() {
-        execute_cpu_job(&shared, job);
+        // As on the CU workers: a panic fails its own ticket, not the loop.
+        let _ = catch_unwind(AssertUnwindSafe(|| execute_cpu_job(&shared, job)));
     }
 }
 
@@ -2194,6 +2262,8 @@ fn cpu_worker_loop(shared: Arc<RuntimeShared>) {
 /// on the device path.
 fn execute_cpu_job(shared: &RuntimeShared, job: CpuJob) {
     let CpuJob { request, kind, prepared, engine, preprocess_millis, cache_hit, ticket } = job;
+    #[cfg(test)]
+    shared.panic_if_hooked(request);
     if ticket.cancel.load(Ordering::Acquire) {
         shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         ticket.complete(Err(ticket.cancel_error()));
@@ -2218,7 +2288,7 @@ fn execute_cpu_job(shared: &RuntimeShared, job: CpuJob) {
         preprocess_millis,
         // CPU-routed jobs never cross the PCIe link: a zeroed report keeps
         // `total_millis()` honest about where the time went.
-        transfer: crate::dma::DmaTransferReport::none(),
+        transfer: DmaTransferReport::none(),
         device_millis: wall_millis,
         cache_hit,
     }));
@@ -2226,6 +2296,8 @@ fn execute_cpu_job(shared: &RuntimeShared, job: CpuJob) {
 
 fn execute_job(shared: &RuntimeShared, ctx: &mut PrepareContext, dma: &mut DmaEngine, job: Job) {
     let Job { session, request, kind, snapshot, ticket, hit } = job;
+    #[cfg(test)]
+    shared.panic_if_hooked(request);
     if ticket.cancel.load(Ordering::Acquire) {
         shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         ticket.complete(Err(ticket.cancel_error()));
@@ -2495,7 +2567,7 @@ fn degrade_to_cpu(
     ticket: &TicketInner<QueryOutcome>,
     request: QueryRequest,
     preprocess_millis: f64,
-    transfer: crate::dma::DmaTransferReport,
+    transfer: DmaTransferReport,
     cache_hit: bool,
     last_fault: Option<FaultEvent>,
     retries: u32,
@@ -2575,7 +2647,7 @@ mod tests {
             request: QueryRequest::new(s, 3, 3),
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
-            ticket: TicketInner::new(),
+            ticket: Completion(TicketInner::new()),
             hit: None,
         };
         // Session 0 queues estimates [5, 9, 1]; session 1 queues [7, 7].
@@ -2600,7 +2672,7 @@ mod tests {
             request: QueryRequest::new(0, 3, 3),
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
-            ticket: TicketInner::new(),
+            ticket: Completion(TicketInner::new()),
             hit: None,
         };
         queue.submit(job(), 1).unwrap();
@@ -2625,12 +2697,12 @@ mod tests {
             request: QueryRequest::new(0, 3, 3),
             kind: JobKind::Count,
             snapshot: Arc::clone(&snapshot),
-            ticket: TicketInner::new(),
+            ticket: Completion(TicketInner::new()),
             hit: None,
         };
         let dead_a = job();
         let dead_b = job();
-        let (ticket_a, ticket_b) = (Arc::clone(&dead_a.ticket), Arc::clone(&dead_b.ticket));
+        let (ticket_a, ticket_b) = (Arc::clone(&dead_a.ticket.0), Arc::clone(&dead_b.ticket.0));
         queue.submit(dead_a, 1).unwrap();
         queue.submit(dead_b, 1).unwrap();
         // Full of live jobs: refused.
@@ -2827,6 +2899,64 @@ mod tests {
             runtime.submit_batch(session, &[QueryRequest::new(0, 99, 3)]),
             Err(HostError::QueryInvalid(_))
         ));
+    }
+
+    #[test]
+    fn a_worker_panic_fails_its_own_ticket_and_the_worker_serves_on() {
+        let runtime = diamond_runtime(RuntimeConfig::default());
+        let session = runtime.register_session();
+        let doomed = QueryRequest::new(0, 3, 2);
+        *runtime.shared.panic_on.lock().unwrap() = Some(doomed);
+        let single = runtime.submit_query(session, doomed, false).unwrap().wait();
+        assert!(matches!(single, Err(HostError::Abandoned)));
+        let batch = [QueryRequest::new(0, 3, 3), doomed];
+        let batch = runtime.submit_batch(session, &batch).unwrap().wait();
+        assert!(matches!(batch, Err(HostError::Abandoned)));
+        // The one CU worker survived both panics and returned its lease.
+        let next = runtime.submit_query(session, QueryRequest::new(0, 3, 3), false).unwrap();
+        assert_eq!(next.wait().unwrap().num_paths, 2);
+        assert_eq!(runtime.leased_cus(), 0);
+    }
+
+    #[test]
+    fn a_cpu_worker_panic_fails_its_own_ticket_and_the_worker_serves_on() {
+        let routing = RoutingTable { device_fixed_us: 1e9, ..RoutingTable::builtin() };
+        let config = RuntimeConfig { routing: Some(routing), cpu_workers: 1, ..Default::default() };
+        let runtime = diamond_runtime(config);
+        let session = runtime.register_session();
+        let request = QueryRequest::new(0, 3, 3);
+        let run = || runtime.submit_query(session, request, false).unwrap().wait();
+        assert_eq!(run().unwrap().num_paths, 2, "prepares, routes and caches the query");
+        // Cached and CPU-routed: admission hands it straight to the CPU pool.
+        *runtime.shared.panic_on.lock().unwrap() = Some(request);
+        assert!(matches!(run(), Err(HostError::Abandoned)));
+        *runtime.shared.panic_on.lock().unwrap() = None;
+        assert_eq!(run().unwrap().num_paths, 2);
+        assert_eq!(runtime.stats().cpu_routed, 3);
+    }
+
+    #[test]
+    fn batched_transfer_is_cheaper_than_per_query_transfers() {
+        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5), (1, 4)]);
+        let runtime =
+            HostRuntime::launch(GraphHandle::from_csr("dense", g), RuntimeConfig::default());
+        let session = runtime.register_session();
+        let reqs: Vec<QueryRequest> = (0..6u32)
+            .flat_map(|s| {
+                (0..6u32).filter(move |&t| t != s).map(move |t| QueryRequest::new(s, t, 4))
+            })
+            .collect();
+        let outcome = runtime.submit_batch(session, &reqs).unwrap().wait().unwrap();
+        assert_eq!(outcome.deduplicated, 0, "every request is distinct");
+        // One transfer for the whole batch, so the per-query share of the
+        // setup cost is far below the standalone setup cost.
+        let batched = outcome.batched_transfer;
+        assert!(batched.descriptors >= 1);
+        assert!(batched.total_millis < outcome.transfer_millis, "one transfer beats one per job");
+        let per_query = DmaEngine::for_device(&runtime.config().device)
+            .transfer(batched.bytes / reqs.len())
+            .total_millis;
+        assert!(batched.total_millis / (reqs.len() as f64) < per_query);
     }
 
     #[test]
@@ -3436,13 +3566,12 @@ mod tests {
             request: q,
             kind: JobKind::Count,
             snapshot: Arc::clone(&pinned),
-            ticket: Arc::clone(&ticket),
+            ticket: Completion(Arc::clone(&ticket)),
             hit: None,
         };
         let shared = &runtime.shared;
         let mut ctx = PrepareContext::new();
-        let pcie = Pcie::new(shared.config.device.pcie_gbps, shared.config.device.pcie_setup_us);
-        execute_job(shared, &mut ctx, &mut DmaEngine::with_defaults(pcie), j1);
+        execute_job(shared, &mut ctx, &mut DmaEngine::for_device(&shared.config.device), j1);
         let j1 = ticket.slot.lock().unwrap().take().expect("executed").unwrap();
         let epoch0 = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         assert_eq!(j1.num_paths, oracle(&epoch0, q).len() as u64);

@@ -18,9 +18,10 @@
 //! full command table — syntax, opcode, reply and limits of every command —
 //! is in the [`crate::command`] module docs. Three commands have no binary
 //! counterpart and are this codec's own arms: `HELP`, `GRAPH` and
-//! `BATCH … CUS=n`, which runs the batch as one [`BatchScheduler`] dispatch
-//! on a private cluster of `n` CUs against the runtime's current graph
-//! epoch and reports the measured makespan next to its prediction.
+//! `BATCH … CUS=n`, which prepares the batch's unique queries against the
+//! runtime's current graph epoch, runs them as one
+//! [`pefp_core::run_prepared_on_cluster`] dispatch on a private cluster of
+//! `n` CUs and reports the measured makespan next to its prediction.
 //!
 //! Every reply line starts with `OK` or `ERR`, so the protocol is trivially
 //! scriptable; `STREAM` is the one command whose reply spans several lines
@@ -32,15 +33,20 @@
 //! `ERR`), a non-UTF-8 line gets an `ERR` instead of killing the connection,
 //! and no command can panic the serving thread.
 
+use crate::binfmt::payload_bytes;
 use crate::command::{check_batch_size, execute, CollectingWriter, FrontDoor, ResponseWriter};
+use crate::dma::DmaEngine;
 use crate::error::HostError;
 use crate::query::QueryRequest;
-use crate::scheduler::{BatchScheduler, SchedulerConfig};
 use crate::session::HostSession;
 use crate::wire::{self, ErrCode, Request};
-use pefp_fpga::MultiCuConfig;
+use pefp_core::{prepare_snapshot_with, run_prepared_on_cluster, PrepareContext};
+use pefp_fpga::{CuCluster, MultiCuConfig};
 use pefp_workload::JsonValue;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Read, Write};
+use std::ops::ControlFlow;
+use std::time::Instant;
 
 pub use crate::command::{
     DEFAULT_STREAM_LIMIT, MAX_BATCH_CUS, MAX_BATCH_QUERIES, MAX_INLINE_PATHS, MAX_LINE_BYTES,
@@ -97,9 +103,9 @@ enum Command {
 enum TextOnly {
     Help,
     Graph,
-    /// `BATCH … CUS=n`: a *measured* [`BatchScheduler`] dispatch on a
-    /// private cluster of `cus` CUs over the runtime's current snapshot — an
-    /// explicit benchmarking request that bypasses the shared runtime's
+    /// `BATCH … CUS=n`: a *measured* [`run_prepared_on_cluster`] dispatch
+    /// on a private cluster of `cus` CUs over the runtime's current snapshot
+    /// — an explicit benchmarking request that bypasses the shared runtime's
     /// queue, cache and the session's per-query bookkeeping.
     BatchOnCus {
         cus: usize,
@@ -266,33 +272,58 @@ fn run_text_only(session: &HostSession, command: TextOnly) -> Reply {
         TextOnly::Graph => runtime().map(|runtime| runtime.graph().summary()),
         TextOnly::BatchOnCus { cus, requests } => runtime().and_then(|runtime| {
             check_batch_size(requests.len())?;
-            let scheduler = BatchScheduler::new(SchedulerConfig {
-                device: session.config().device.clone(),
-                variant: session.config().variant,
-                multi_cu: MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() },
-                ..SchedulerConfig::default()
-            });
             // The live epoch, like every other command's: the batch sees
             // (and validates against) the updates applied so far.
-            let outcome = scheduler
-                .run_batch(&runtime.current_snapshot(), runtime.graph().placement, &requests)
-                .map_err(|e| e.to_string())?;
-            let measured = &outcome.measured;
+            let snapshot = runtime.current_snapshot();
+            for request in &requests {
+                request.validate_for(snapshot.num_vertices()).map_err(|e| e.to_string())?;
+            }
+            let mut seen = HashSet::new();
+            let unique: Vec<QueryRequest> =
+                requests.iter().copied().filter(|q| seen.insert(*q)).collect();
+
+            let config = session.config();
+            let started = Instant::now();
+            let mut ctx = PrepareContext::new();
+            let prepared: Vec<_> = unique
+                .iter()
+                .map(|q| prepare_snapshot_with(&mut ctx, &snapshot, q.s, q.t, q.k, config.variant))
+                .collect();
+            let t1_ms = started.elapsed().as_secs_f64() * 1e3;
+            let bytes = prepared.iter().map(payload_bytes).sum();
+            if bytes > config.device.dram_bytes {
+                return Err(HostError::DeviceCapacity(format!(
+                    "batched payload is {bytes} bytes but device DRAM holds {}",
+                    config.device.dram_bytes
+                ))
+                .to_string());
+            }
+            let transfer = DmaEngine::for_device(&config.device).transfer(bytes);
+
+            let multi_cu = MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() };
+            let cluster = CuCluster::new(config.device.clone(), multi_cu);
+            let mut options = config.variant.engine_options();
+            options.bank_placement = runtime.graph().placement;
+            let (results, measured) =
+                run_prepared_on_cluster(&cluster, &prepared, options, |_, _| {
+                    ControlFlow::Continue(())
+                });
+            let paths_of: HashMap<_, _> =
+                unique.iter().zip(&results).map(|(q, r)| (*q, r.num_paths)).collect();
             Ok(format!(
                 "queries={} unique={} paths={} cus={} makespan_cycles={} serial_cycles={} \
                  measured_speedup={:.2}x predicted_makespan_cycles={} model_err={:.1}% \
-                 t1_ms={:.3} transfer_ms={:.3} wall_ms={:.3}",
-                outcome.results.len(),
-                outcome.results.len() - outcome.deduplicated,
-                outcome.total_paths(),
+                 t1_ms={t1_ms:.3} transfer_ms={:.3} wall_ms={:.3}",
+                requests.len(),
+                unique.len(),
+                requests.iter().map(|q| paths_of[q]).sum::<u64>(),
                 measured.compute_units,
                 measured.makespan_cycles,
                 measured.serial_cycles,
                 measured.speedup(),
                 measured.predicted.makespan_cycles,
                 measured.model_error() * 100.0,
-                outcome.preprocess_millis,
-                outcome.transfer.total_millis,
+                transfer.total_millis,
                 measured.wall_millis,
             ))
         }),

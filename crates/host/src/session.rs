@@ -303,54 +303,31 @@ impl HostSession {
             return Err(HostError::NoGraphLoaded);
         };
         let runtime = Arc::clone(runtime);
-        if requests.is_empty() {
-            return Ok(crate::runtime::RuntimeBatchOutcome {
-                results: Vec::new(),
-                deduplicated: 0,
-                cache_hits: 0,
-                preprocess_millis: 0.0,
-                transfer_millis: 0.0,
-                device_millis: 0.0,
-            });
-        }
         let wave = runtime.config().queue_capacity.max(1);
-        let mut merged: Option<crate::runtime::RuntimeBatchOutcome> = None;
+        let mut merged = crate::runtime::RuntimeBatchOutcome::default();
         for chunk in requests.chunks(wave) {
-            let ticket = match runtime.submit_batch(self.session, chunk) {
-                Ok(ticket) => ticket,
+            let outcome = match runtime.submit_batch(self.session, chunk).and_then(|t| t.wait()) {
+                Ok(outcome) => outcome,
                 Err(e) => {
                     self.stats.rejected += 1;
                     return Err(e);
                 }
             };
-            match ticket.wait() {
-                Ok(outcome) => {
-                    self.stats.queries += outcome.results.len() as u64;
-                    self.stats.cache_hits += outcome.cache_hits;
-                    self.stats.total_paths += outcome.total_paths();
-                    self.stats.preprocess_millis += outcome.preprocess_millis;
-                    self.stats.transfer_millis += outcome.transfer_millis;
-                    self.stats.device_millis += outcome.device_millis;
-                    merged = Some(match merged.take() {
-                        None => outcome,
-                        Some(mut acc) => {
-                            acc.results.extend(outcome.results);
-                            acc.deduplicated += outcome.deduplicated;
-                            acc.cache_hits += outcome.cache_hits;
-                            acc.preprocess_millis += outcome.preprocess_millis;
-                            acc.transfer_millis += outcome.transfer_millis;
-                            acc.device_millis += outcome.device_millis;
-                            acc
-                        }
-                    });
-                }
-                Err(e) => {
-                    self.stats.rejected += 1;
-                    return Err(e);
-                }
-            }
+            self.stats.queries += outcome.results.len() as u64;
+            self.stats.cache_hits += outcome.cache_hits;
+            self.stats.total_paths += outcome.total_paths();
+            self.stats.preprocess_millis += outcome.preprocess_millis;
+            self.stats.transfer_millis += outcome.transfer_millis;
+            self.stats.device_millis += outcome.device_millis;
+            merged.results.extend(outcome.results);
+            merged.deduplicated += outcome.deduplicated;
+            merged.cache_hits += outcome.cache_hits;
+            merged.preprocess_millis += outcome.preprocess_millis;
+            merged.transfer_millis += outcome.transfer_millis;
+            merged.batched_transfer += outcome.batched_transfer;
+            merged.device_millis += outcome.device_millis;
         }
-        Ok(merged.expect("non-empty request list produced at least one wave"))
+        Ok(merged)
     }
 
     /// Runs an already-parsed query, streaming every result path (original
@@ -460,11 +437,19 @@ mod tests {
     }
 
     #[test]
+    fn a_query_from_a_vertex_to_itself_is_the_one_zero_hop_path() {
+        let mut session = diamond_session();
+        let outcome = session.run_query(QueryRequest::new(2, 2, 3)).unwrap();
+        assert_eq!(outcome.paths, vec![vec![VertexId(2)]]);
+        assert_eq!(session.stats().rejected, 0);
+    }
+
+    #[test]
     fn rejects_invalid_queries_and_counts_them() {
         let mut session = diamond_session();
         assert!(session.run_text_query("garbage").is_err());
         assert!(session.run_query(QueryRequest::new(0, 99, 3)).is_err());
-        assert!(session.run_query(QueryRequest::new(0, 0, 3)).is_err());
+        assert!(session.run_query(QueryRequest::new(0, 3, 0)).is_err());
         assert_eq!(session.stats().rejected, 3);
         assert_eq!(session.stats().queries, 0);
     }
@@ -611,7 +596,7 @@ mod tests {
             let oracle = session.run_query_counting(*req).unwrap();
             assert_eq!(row.num_paths, oracle.num_paths, "{req:?}");
         }
-        // An empty batch is a cheap no-op, like the dispatch scheduler's.
+        // An empty batch is a cheap no-op.
         let empty = session.run_batch(&[]).unwrap();
         assert!(empty.results.is_empty());
         assert_eq!(empty.total_paths(), 0);

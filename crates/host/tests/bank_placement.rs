@@ -15,11 +15,14 @@
 //!    path sets (sorted, NOT deduplicated — equality proves both "no path
 //!    dropped" and "no path duplicated" at once).
 
-use pefp_core::PefpVariant;
-use pefp_fpga::MultiCuConfig;
+use pefp_core::{
+    prepare_snapshot_with, run_prepared_on_cluster, MeasuredMultiCu, PefpRunResult, PefpVariant,
+    PrepareContext,
+};
+use pefp_fpga::{CuCluster, DeviceConfig, MultiCuConfig};
 use pefp_graph::generators::chung_lu;
-use pefp_graph::PlacementPolicy;
-use pefp_host::{BatchScheduler, GraphHandle, MeasuredMultiCu, QueryRequest, SchedulerConfig};
+use pefp_graph::{PlacementPolicy, VertexId};
+use pefp_host::{GraphHandle, QueryRequest};
 use std::ops::ControlFlow;
 
 /// Fixed seed pool: small enough to keep the suite quick, varied enough to
@@ -41,23 +44,40 @@ fn hub_batch(k: u32) -> Vec<QueryRequest> {
     requests
 }
 
-/// A batch scheduler with BRAM graph caching off (rows stream from DRAM) so
-/// the bank model sees every adjacency fetch.
-fn nocache_scheduler(cus: usize, charge_banked: bool) -> BatchScheduler {
-    BatchScheduler::new(SchedulerConfig {
-        variant: PefpVariant::NoCache,
-        multi_cu: MultiCuConfig { compute_units: cus, charge_banked, ..MultiCuConfig::default() },
-        ..SchedulerConfig::default()
-    })
+/// Runs `requests` with BRAM graph caching off (rows stream from DRAM, so
+/// the bank model sees every adjacency fetch) on a private cluster of `cus`
+/// CUs, under `handle`'s row placement, handing every path to `on_path`.
+fn nocache_dispatch<F>(
+    handle: &GraphHandle,
+    requests: &[QueryRequest],
+    cus: usize,
+    charge_banked: bool,
+    on_path: F,
+) -> (Vec<PefpRunResult>, MeasuredMultiCu)
+where
+    F: FnMut(usize, &[VertexId]) -> ControlFlow<()> + Send,
+{
+    let variant = PefpVariant::NoCache;
+    let (snapshot, mut ctx) = (handle.snapshot(), PrepareContext::new());
+    let prepared: Vec<_> = requests
+        .iter()
+        .map(|q| prepare_snapshot_with(&mut ctx, &snapshot, q.s, q.t, q.k, variant))
+        .collect();
+    let multi_cu = MultiCuConfig { compute_units: cus, charge_banked, ..MultiCuConfig::default() };
+    let mut options = variant.engine_options();
+    options.bank_placement = handle.placement;
+    let cluster = CuCluster::new(DeviceConfig::alveo_u200(), multi_cu);
+    run_prepared_on_cluster(&cluster, &prepared, options, on_path)
 }
 
 /// One counting batch of `requests` on `handle`'s epoch-0 snapshot.
 fn run(
-    scheduler: &BatchScheduler,
     handle: &GraphHandle,
     requests: &[QueryRequest],
+    cus: usize,
+    charge_banked: bool,
 ) -> MeasuredMultiCu {
-    scheduler.run_batch(&handle.snapshot(), handle.placement, requests).expect("batch").measured
+    nocache_dispatch(handle, requests, cus, charge_banked, |_, _| ControlFlow::Continue(())).1
 }
 
 #[test]
@@ -69,8 +89,8 @@ fn charged_makespan_never_drops_below_uncharged() {
 
         // One CU: a single worker drains the queue serially, so the measured
         // makespan is deterministic and directly comparable across runs.
-        let free_measured = run(&nocache_scheduler(1, false), &handle, &requests);
-        let charged_measured = run(&nocache_scheduler(1, true), &handle, &requests);
+        let free_measured = run(&handle, &requests, 1, false);
+        let charged_measured = run(&handle, &requests, 1, true);
         let stall: u64 = charged_measured.per_cu_bank_conflict_cycles.iter().sum::<u64>()
             + charged_measured.per_cu_turnaround_cycles.iter().sum::<u64>();
         assert!(
@@ -91,8 +111,8 @@ fn charged_makespan_never_drops_below_uncharged() {
         // but the LPT model over the measured workloads is deterministic —
         // charging adds per-query stall, so the modelled makespan and the
         // serial total are monotone in it.
-        let free2_predicted = run(&nocache_scheduler(2, false), &handle, &requests).predicted;
-        let charged2_predicted = run(&nocache_scheduler(2, true), &handle, &requests).predicted;
+        let free2_predicted = run(&handle, &requests, 2, false).predicted;
+        let charged2_predicted = run(&handle, &requests, 2, true).predicted;
         assert!(
             charged2_predicted.makespan_cycles >= free2_predicted.makespan_cycles,
             "seed {seed}: charged LPT makespan fell below uncharged"
@@ -114,16 +134,14 @@ fn sorted_paths(
     requests: &[QueryRequest],
     cus: usize,
 ) -> (Vec<TaggedPath>, Vec<u64>) {
-    let scheduler = nocache_scheduler(cus, true);
     let mut paths: Vec<(u32, u32, Vec<u32>)> = Vec::new();
-    let outcome = scheduler
-        .run_batch_streaming(&handle.snapshot(), handle.placement, requests, |req, path| {
-            paths.push((req.s.0, req.t.0, path.iter().map(|v| v.0).collect()));
-            ControlFlow::Continue(())
-        })
-        .expect("charged batch");
+    let (results, _) = nocache_dispatch(handle, requests, cus, true, |job, path| {
+        let req = requests[job];
+        paths.push((req.s.0, req.t.0, path.iter().map(|v| v.0).collect()));
+        ControlFlow::Continue(())
+    });
     paths.sort();
-    let counts = outcome.results.iter().map(|r| r.num_paths).collect();
+    let counts = results.iter().map(|r| r.num_paths).collect();
     (paths, counts)
 }
 

@@ -4,16 +4,15 @@
 //! in a single DMA transfer, which is why the per-query transfer cost
 //! (0.1–0.3 ms) is negligible next to preprocessing and enumeration. This
 //! example reproduces that trade-off with the host runtime from `pefp-host`:
-//! the same query set is served once through one-query-at-a-time sessions and
-//! once through the batch scheduler (with deduplication and parallel host
-//! preprocessing), and the time breakdown of both deployments is printed.
+//! the same query set is served once query by query and once as one batch
+//! through the runtime's admission queue (`HostSession::run_batch`, which
+//! collapses duplicates and reports the batch's payload as one DMA transfer),
+//! and the time breakdown of both deployments is printed.
 //!
 //! Run with `cargo run --release --example batch_queries`.
 
 use pefp::graph::{sampling::sample_reachable_pairs, Dataset, ScaleProfile};
-use pefp::host::{
-    load_dataset, BatchScheduler, HostSession, QueryRequest, SchedulerConfig, SessionConfig,
-};
+use pefp::host::{load_dataset, HostSession, QueryRequest, SessionConfig};
 
 fn main() {
     // The soc-Epinions1 stand-in at the default experiment scale.
@@ -29,10 +28,8 @@ fn main() {
     println!("workload: {} reachable (s, t) pairs with k = {k}\n", queries.len());
 
     // Deployment A: a plain session, one query (and one transfer) at a time.
-    let mut session = HostSession::with_graph(
-        handle.csr.clone(),
-        SessionConfig { collect_paths: false, ..SessionConfig::default() },
-    );
+    let config = SessionConfig { collect_paths: false, ..SessionConfig::default() };
+    let mut session = HostSession::with_graph(handle.csr.clone(), config.clone());
     for q in &queries {
         session.run_query(*q).expect("query validated against the loaded graph");
     }
@@ -45,32 +42,29 @@ fn main() {
     println!("device enumeration(T2): {:9.2} ms", stats.device_millis);
     println!("avg total per query   : {:9.3} ms", stats.avg_total_millis());
 
-    // Deployment B: the batch scheduler — dedup, parallel Pre-BFS, one DMA.
-    let scheduler = BatchScheduler::new(SchedulerConfig {
-        preprocess_threads: 4,
-        ..SchedulerConfig::default()
-    });
-    let outcome = scheduler
-        .run_batch(&handle.snapshot(), handle.placement, &queries)
-        .expect("batch accepted");
+    // Deployment B: the same queries as one batch on a fresh session — one
+    // admission unit, duplicates collapsed, the payloads shipped as one DMA.
+    let mut batch_session = HostSession::with_graph(handle.csr.clone(), config);
+    let outcome = batch_session.run_batch(&queries).expect("batch accepted");
+    let transfer = outcome.batched_transfer;
+    let total = outcome.preprocess_millis + transfer.total_millis + outcome.device_millis;
     println!("\n== batched transfer (Section VII-A methodology) ==");
     println!("queries served        : {}", outcome.results.len());
     println!("duplicates collapsed  : {}", outcome.deduplicated);
     println!("total paths           : {}", outcome.total_paths());
-    println!("preprocessing (T1)    : {:9.2} ms  (4 host threads)", outcome.preprocess_millis);
+    println!("preprocessing (T1)    : {:9.2} ms", outcome.preprocess_millis);
     println!(
         "single DMA transfer   : {:9.2} ms  ({} bytes in {} descriptors)",
-        outcome.transfer.total_millis, outcome.transfer.bytes, outcome.transfer.descriptors
+        transfer.total_millis, transfer.bytes, transfer.descriptors
     );
     println!("device enumeration(T2): {:9.2} ms", outcome.device_millis);
-    println!("avg total per query   : {:9.3} ms", outcome.avg_query_millis());
+    println!("avg total per query   : {:9.3} ms", total / outcome.results.len().max(1) as f64);
 
     let interactive_transfer = stats.transfer_millis;
-    let batched_transfer = outcome.transfer.total_millis;
     println!(
         "\ntransfer amortisation: {:.2} ms interactive vs {:.2} ms batched ({:.1}x cheaper)",
         interactive_transfer,
-        batched_transfer,
-        interactive_transfer / batched_transfer.max(1e-9)
+        transfer.total_millis,
+        interactive_transfer / transfer.total_millis.max(1e-9)
     );
 }

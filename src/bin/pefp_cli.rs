@@ -16,8 +16,7 @@
 use pefp::graph::sampling::sample_reachable_pairs;
 use pefp::graph::{Dataset, GraphStats, ScaleProfile};
 use pefp::host::{
-    load_dataset, load_edge_list_file, serve, BatchScheduler, GraphHandle, HostSession,
-    QueryRequest, SchedulerConfig, SessionConfig,
+    load_dataset, load_edge_list_file, serve, GraphHandle, HostSession, QueryRequest, SessionConfig,
 };
 use pefp::streaming::{
     RuntimeCycleDetector, RuntimeDetectorConfig, TransactionGenerator, TransactionGeneratorConfig,
@@ -121,21 +120,21 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         return Err("no reachable (s, t) pairs found for this k".to_string());
     }
     println!("running {} reachable queries with k = {k}", requests.len());
-    let scheduler = BatchScheduler::new(SchedulerConfig {
-        preprocess_threads: 4,
-        ..SchedulerConfig::default()
-    });
-    let outcome = scheduler
-        .run_batch(&handle.snapshot(), handle.placement, &requests)
-        .map_err(|e| e.to_string())?;
+    let mut session = HostSession::with_graph(
+        handle.csr.clone(),
+        SessionConfig { collect_paths: false, ..SessionConfig::default() },
+    );
+    let outcome = session.run_batch(&requests).map_err(|e| e.to_string())?;
+    let transfer = outcome.batched_transfer;
     println!("total paths           : {}", outcome.total_paths());
-    println!("preprocessing (T1)    : {:9.2} ms (4 threads)", outcome.preprocess_millis);
+    println!("preprocessing (T1)    : {:9.2} ms", outcome.preprocess_millis);
     println!(
         "single DMA transfer   : {:9.2} ms ({} bytes, {} descriptors)",
-        outcome.transfer.total_millis, outcome.transfer.bytes, outcome.transfer.descriptors
+        transfer.total_millis, transfer.bytes, transfer.descriptors
     );
     println!("device enumeration(T2): {:9.2} ms", outcome.device_millis);
-    println!("avg total per query   : {:9.3} ms", outcome.avg_query_millis());
+    let total = outcome.preprocess_millis + transfer.total_millis + outcome.device_millis;
+    println!("avg total per query   : {:9.3} ms", total / outcome.results.len() as f64);
     Ok(())
 }
 

@@ -5,15 +5,16 @@
 //! cancellation mid-stream, admission-queue backpressure).
 
 use pefp::baselines::{naive_dfs_enumerate, Join};
-use pefp::core::{prepare_snapshot_with, PefpVariant, PrepareContext};
+use pefp::core::{prepare_snapshot_with, run_prepared_on_cluster, PefpVariant, PrepareContext};
+use pefp::fpga::{CuCluster, DeviceConfig, MultiCuConfig};
 use pefp::graph::paths::canonicalize;
 use pefp::graph::sampling::sample_reachable_pairs;
 use pefp::graph::{Dataset, GraphSnapshot, ScaleProfile};
 use pefp::host::binfmt::{decode_payload, encode_payload};
 use pefp::host::{
-    BatchScheduler, GraphHandle, HostError, HostRuntime, HostSession, QueryRequest, RuntimeConfig,
-    SchedulerConfig, SessionConfig,
+    GraphHandle, HostError, HostRuntime, HostSession, QueryRequest, RuntimeConfig, SessionConfig,
 };
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 fn dataset_handle(dataset: Dataset) -> GraphHandle {
@@ -79,7 +80,7 @@ fn payload_survives_the_wire_for_every_dataset_standin() {
 }
 
 #[test]
-fn batch_scheduler_agrees_with_interactive_sessions() {
+fn runtime_batch_agrees_with_the_cluster_dispatch_and_interactive_sessions() {
     let handle = dataset_handle(Dataset::Amazon);
     let k = 6;
     let requests: Vec<QueryRequest> = sample_reachable_pairs(&handle.csr, k, 8, 42)
@@ -87,20 +88,31 @@ fn batch_scheduler_agrees_with_interactive_sessions() {
         .map(|(s, t)| QueryRequest { s, t, k })
         .collect();
     assert!(!requests.is_empty());
+    let config = SessionConfig { collect_paths: false, ..SessionConfig::default() };
 
-    let scheduler = BatchScheduler::new(SchedulerConfig {
-        preprocess_threads: 2,
-        ..SchedulerConfig::default()
-    });
-    let outcome = scheduler.run_batch(&handle.snapshot(), handle.placement, &requests).unwrap();
+    let batch =
+        HostSession::with_graph(handle.csr.clone(), config.clone()).run_batch(&requests).unwrap();
+    let batch_counts: Vec<u64> = batch.results.iter().map(|r| r.num_paths).collect();
 
-    let mut session = HostSession::with_graph(
-        handle.csr.clone(),
-        SessionConfig { collect_paths: false, ..SessionConfig::default() },
+    let snapshot = handle.snapshot();
+    let mut ctx = PrepareContext::new();
+    let prepared: Vec<_> = requests
+        .iter()
+        .map(|q| prepare_snapshot_with(&mut ctx, &snapshot, q.s, q.t, q.k, PefpVariant::Full))
+        .collect();
+    let cluster = CuCluster::new(
+        DeviceConfig::alveo_u200(),
+        MultiCuConfig { compute_units: 2, ..MultiCuConfig::default() },
     );
-    for (req, batch_row) in requests.iter().zip(&outcome.results) {
-        let interactive = session.run_query(*req).unwrap();
-        assert_eq!(interactive.num_paths, batch_row.num_paths, "{req:?}");
+    let options = PefpVariant::Full.engine_options();
+    let (dispatched, _) =
+        run_prepared_on_cluster(&cluster, &prepared, options, |_, _| ControlFlow::Continue(()));
+    let dispatched_counts: Vec<u64> = dispatched.iter().map(|r| r.num_paths).collect();
+    assert_eq!(dispatched_counts, batch_counts, "cluster dispatch vs runtime batch");
+
+    let mut session = HostSession::with_graph(handle.csr.clone(), config);
+    for (req, batch_count) in requests.iter().zip(batch_counts) {
+        assert_eq!(session.run_query(*req).unwrap().num_paths, batch_count, "{req:?}");
     }
 }
 
@@ -291,10 +303,9 @@ fn invalid_input_is_rejected_at_every_layer() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
     assert!(matches!(decode_payload(&bytes), Err(HostError::PayloadCorrupt(_))));
-    // Scheduler layer (whole batch rejected).
-    let scheduler = BatchScheduler::new(SchedulerConfig::default());
+    // Batch layer (whole batch rejected).
     let bad = vec![QueryRequest::new(0, 1, 3), QueryRequest::new(0, n + 1, 3)];
-    assert!(scheduler.run_batch(&handle.snapshot(), handle.placement, &bad).is_err());
+    assert!(matches!(session.run_batch(&bad), Err(HostError::QueryInvalid(_))));
 }
 
 /// Snapshot isolation under live updates: a STREAM job admitted in epoch N

@@ -1,8 +1,8 @@
 //! Multi-CU dispatch correctness and measurement quality.
 //!
-//! The batch scheduler runs batch queries concurrently on N simulated
-//! compute units behind a shared-DRAM arbiter. These tests pin down the two
-//! things that must never drift:
+//! `pefp_core::run_prepared_on_cluster` runs prepared queries concurrently
+//! on N simulated compute units behind a shared-DRAM arbiter. These tests pin
+//! down the two things that must never drift:
 //!
 //! * **correctness** — the enumerated path sets are identical (as sorted
 //!   sets) across 1/2/4 CUs and the naive DFS oracle; concurrency must never
@@ -14,15 +14,15 @@
 //!   the measured makespan.
 
 use pefp::baselines::naive_dfs_stream;
-use pefp::core::PefpVariant;
+use pefp::core::{MeasuredMultiCu, PefpRunResult, PefpVariant};
+use pefp::fpga::MultiCuConfig;
 use pefp::graph::generators::chung_lu;
 use pefp::graph::paths::canonicalize;
 use pefp::graph::sampling::sample_reachable_pairs;
 use pefp::graph::sink::CollectSink;
 use pefp::graph::VertexId;
-use pefp::host::{BatchOutcome, BatchScheduler, GraphHandle, QueryRequest, SchedulerConfig};
-use pefp_bench::gate::{charged_nocache_scheduler, dispatch_scheduler, run_gate_batch};
-use std::collections::HashMap;
+use pefp::host::{GraphHandle, QueryRequest};
+use pefp_bench::gate::{dispatch_batch, measure_charged_nocache};
 use std::ops::ControlFlow;
 
 /// The 10k Chung-Lu hub-pair batch, shared with the bench gate's
@@ -31,20 +31,37 @@ fn hub_batch() -> (GraphHandle, Vec<QueryRequest>) {
     (pefp_bench::gate::gate_graph(), pefp_bench::gate::gate_batch())
 }
 
-/// Every streamed path of a `cus`-CU batch, grouped by request and sorted.
+fn on_cus(cus: usize) -> MultiCuConfig {
+    MultiCuConfig { compute_units: cus, ..MultiCuConfig::default() }
+}
+
+/// The full system's counting dispatch of `requests` on `cus` CUs.
+fn count_on(
+    cus: usize,
+    handle: &GraphHandle,
+    requests: &[QueryRequest],
+) -> (Vec<PefpRunResult>, MeasuredMultiCu) {
+    let count = |_: usize, _: &[VertexId]| ControlFlow::Continue(());
+    dispatch_batch(handle, requests, PefpVariant::Full, on_cus(cus), count)
+}
+
+fn total_paths(results: &[PefpRunResult]) -> u64 {
+    results.iter().map(|r| r.num_paths).sum()
+}
+
+/// Every streamed path of a `cus`-CU batch, per request and sorted.
 fn streamed_paths(
     handle: &GraphHandle,
     requests: &[QueryRequest],
     cus: usize,
-) -> (BatchOutcome, HashMap<QueryRequest, Vec<Vec<VertexId>>>) {
-    let mut paths = HashMap::<QueryRequest, Vec<Vec<VertexId>>>::new();
-    let outcome = dispatch_scheduler(cus)
-        .run_batch_streaming(&handle.snapshot(), handle.placement, requests, |req, path| {
-            paths.entry(*req).or_default().push(path.to_vec());
+) -> (MeasuredMultiCu, Vec<Vec<Vec<VertexId>>>) {
+    let mut paths = vec![Vec::new(); requests.len()];
+    let (_, measured) =
+        dispatch_batch(handle, requests, PefpVariant::Full, on_cus(cus), |job, path| {
+            paths[job].push(path.to_vec());
             ControlFlow::Continue(())
-        })
-        .unwrap();
-    (outcome, paths.into_iter().map(|(req, p)| (req, canonicalize(p))).collect())
+        });
+    (measured, paths.into_iter().map(canonicalize).collect())
 }
 
 #[test]
@@ -59,11 +76,11 @@ fn dispatch_path_sets_are_identical_across_cu_widths_and_oracles() {
     // Reference: the paper's single kernel — the batch on one CU — checked
     // against an independent oracle, naive streaming DFS per query.
     let (_, single) = streamed_paths(&handle, &requests, 1);
-    for req in &requests {
+    for (req, paths) in requests.iter().zip(&single) {
         let mut sink = CollectSink::new();
         naive_dfs_stream(&handle.csr, req.s, req.t, req.k, &mut sink);
         assert_eq!(
-            single.get(req).cloned().unwrap_or_default(),
+            *paths,
             canonicalize(sink.into_paths()),
             "1-CU batch vs naive oracle on {req:?}"
         );
@@ -71,16 +88,9 @@ fn dispatch_path_sets_are_identical_across_cu_widths_and_oracles() {
 
     // 2 and 4 CUs: identical sorted path sets.
     for cus in [2usize, 4] {
-        let (outcome, streamed) = streamed_paths(&handle, &requests, cus);
-        for req in &requests {
-            assert_eq!(
-                streamed.get(req).cloned().unwrap_or_default(),
-                single.get(req).cloned().unwrap_or_default(),
-                "dispatch on {cus} CUs diverged on {req:?}"
-            );
-        }
+        let (measured, streamed) = streamed_paths(&handle, &requests, cus);
+        assert_eq!(streamed, single, "dispatch on {cus} CUs diverged");
         // The measured makespan can never exceed the serial total.
-        let measured = outcome.measured;
         assert!(
             measured.makespan_cycles <= measured.serial_cycles,
             "{cus} CUs: makespan {} > serial {}",
@@ -93,8 +103,7 @@ fn dispatch_path_sets_are_identical_across_cu_widths_and_oracles() {
 #[test]
 fn four_cu_dispatch_clears_the_speedup_floor_on_the_10k_profile() {
     let (handle, requests) = hub_batch();
-    let outcome = run_gate_batch(&dispatch_scheduler(4), &handle, &requests);
-    let measured = &outcome.measured;
+    let (results, measured) = count_on(4, &handle, &requests);
 
     assert_eq!(measured.compute_units, 4);
     assert_eq!(measured.per_cu_queries.iter().sum::<usize>(), requests.len());
@@ -115,15 +124,15 @@ fn four_cu_dispatch_clears_the_speedup_floor_on_the_10k_profile() {
 
     // The serial-cycle accounting is deterministic: the exact 1-CU total.
     assert_eq!(measured.serial_cycles, 77_345);
-    let single = run_gate_batch(&dispatch_scheduler(1), &handle, &requests);
-    assert_eq!(outcome.total_paths(), single.total_paths());
+    let (single, _) = count_on(1, &handle, &requests);
+    assert_eq!(total_paths(&results), total_paths(&single));
 }
 
 #[test]
 fn predicted_makespan_is_within_30_percent_of_measured() {
     let (handle, requests) = hub_batch();
     for cus in [2usize, 4] {
-        let measured = run_gate_batch(&dispatch_scheduler(cus), &handle, &requests).measured;
+        let (_, measured) = count_on(cus, &handle, &requests);
         assert_eq!(measured.serial_cycles, 77_345, "{cus} CUs");
         assert!(measured.predicted.makespan_cycles > 0);
         assert!(
@@ -139,7 +148,7 @@ fn predicted_makespan_is_within_30_percent_of_measured() {
 #[test]
 fn single_cu_dispatch_equals_the_serial_pipeline_exactly() {
     let (handle, requests) = hub_batch();
-    let measured = run_gate_batch(&dispatch_scheduler(1), &handle, &requests).measured;
+    let (_, measured) = count_on(1, &handle, &requests);
     // One CU cannot contend with itself: the measurement collapses to the
     // serial execution, cycle for cycle.
     assert_eq!(measured.serial_cycles, 77_345);
@@ -156,12 +165,9 @@ fn charged_single_cu_batch_pays_its_bank_stalls() {
     // charging must reach it too: on the NoCache hub batch (adjacency rows
     // stream from DRAM) the charged clock runs strictly longer.
     let (handle, requests) = hub_batch();
-    let uncharged = BatchScheduler::new(SchedulerConfig {
-        variant: PefpVariant::NoCache,
-        ..SchedulerConfig::default()
-    });
-    let free = run_gate_batch(&uncharged, &handle, &requests).measured;
-    let charged = run_gate_batch(&charged_nocache_scheduler(1), &handle, &requests).measured;
+    let count = |_: usize, _: &[VertexId]| ControlFlow::Continue(());
+    let (_, free) = dispatch_batch(&handle, &requests, PefpVariant::NoCache, on_cus(1), count);
+    let charged = measure_charged_nocache(&handle, 1);
     assert_eq!(free.per_cu_bank_conflict_cycles, vec![0]);
     assert!(charged.per_cu_bank_conflict_cycles[0] > 0, "conflicts are charged on 1 CU");
     assert!(charged.serial_cycles > free.serial_cycles);

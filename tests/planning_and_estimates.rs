@@ -1,5 +1,5 @@
 //! Integration tests for the result-size estimators the router
-//! (`QueryEstimate`) and the batch scheduler (`count_st_walks`) read: the
+//! (`QueryEstimate`) and the cluster dispatch (`count_st_walks`) read: the
 //! walk count must bound the exact simple-path count and the engine's output,
 //! and Pre-BFS pruning must never raise an estimate.
 
