@@ -572,6 +572,19 @@ mod tests {
     }
 
     #[test]
+    fn batch_results_match_the_naive_oracle() {
+        let (oracles, prepared) = sampled_batch(3, 10);
+        assert!(!prepared.is_empty());
+        let (results, measured) = count_on(1, &prepared);
+        assert_eq!(results.len(), prepared.len());
+        for (job, (res, oracle)) in results.iter().zip(&oracles).enumerate() {
+            assert_eq!(res.num_paths, oracle.len() as u64, "job {job}");
+        }
+        assert_eq!(measured.per_cu_queries, vec![prepared.len()]);
+        assert!(measured.wall_millis > 0.0);
+    }
+
+    #[test]
     fn dispatch_counts_match_the_serial_batch_on_every_cu_width() {
         let (oracles, prepared) = sampled_batch(4, 10);
         assert!(prepared.len() >= 4);
