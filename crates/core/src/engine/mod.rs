@@ -18,6 +18,7 @@
 
 pub mod batch;
 pub mod memory;
+mod scan;
 pub mod verify;
 
 use crate::options::{BatchStrategy, CancelToken, EngineOptions};
@@ -27,6 +28,7 @@ use memory::MemoryLayout;
 use pefp_fpga::Device;
 use pefp_graph::sink::{CollectSink, CountingSink, FirstN, PathSink};
 use pefp_graph::{CsrGraph, RowPlacement, VertexId};
+use scan::BudgetIndex;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use verify::Verdict;
@@ -81,8 +83,11 @@ struct PathAreas<const W: usize> {
 /// overcount simple paths (they revisit vertices), but the *ranking* is what
 /// placement consumes, and the overcount inflates exactly the rows the DFS
 /// re-reads most. Counts are renormalised whenever they overflow `1e12`:
-/// only relative heat matters.
-fn placement_heat(graph: &CsrGraph, barrier: &[u32], s: VertexId, k: u32) -> Vec<f64> {
+/// only relative heat matters. Admission is the engine's own barrier check
+/// ([`verify::within_budget`]): a step-`ℓ` walk has `k - ℓ + 1` hops of
+/// budget left, the target reads as barrier 0, and an `UNREACHED` barrier
+/// admits nothing.
+fn placement_heat(graph: &CsrGraph, barrier: &[u32], s: VertexId, t: VertexId, k: u32) -> Vec<f64> {
     let n = graph.num_vertices();
     let mut heat = vec![0.0f64; n];
     let mut walks = vec![0.0f64; n];
@@ -97,7 +102,7 @@ fn placement_heat(graph: &CsrGraph, barrier: &[u32], s: VertexId, k: u32) -> Vec
                 continue;
             }
             for &u in graph.successors(v) {
-                if step + barrier[u.index()] <= k {
+                if verify::within_budget(u, t, barrier, k - step + 1) {
                     next[u.index()] += wv;
                 }
             }
@@ -146,7 +151,7 @@ impl<'a> PefpEngine<'a> {
         let layout = MemoryLayout::plan(&mut device, graph, &opts);
         let placement = if !layout.graph_cached && device.charges_banked_dram() {
             device.bank_geometry().map(|(banks, stripe)| {
-                let heat = placement_heat(graph, barrier, s, k);
+                let heat = placement_heat(graph, barrier, s, t, k);
                 RowPlacement::plan_with_heat(graph, opts.bank_placement, banks, stripe, &heat)
             })
         } else {
@@ -250,6 +255,7 @@ impl<'a> PefpEngine<'a> {
     /// Lines 2-15 of Algorithm 1 with `W`-wide host path rows.
     fn enumerate<const W: usize, S: PathSink + ?Sized>(&mut self, sink: &mut S) {
         let mut areas = PathAreas::<W> { buffer: VecDeque::new(), dram: Vec::new() };
+        let mut budget = BudgetIndex::new(self.barrier, self.t, self.k, self.graph.num_vertices());
         // Line 2: P'.push({s}).
         let mut processing: Vec<TempPath<W>> = Vec::new();
         let mut initial = TempPath::initial(self.graph, self.s);
@@ -286,7 +292,7 @@ impl<'a> PefpEngine<'a> {
                 break;
             }
             self.stats.batches += 1;
-            if self.process_batch(&mut areas, &processing, sink).is_break() {
+            if self.process_batch(&mut areas, &mut budget, &processing, sink).is_break() {
                 self.stats.early_terminated = true;
                 break;
             }
@@ -316,25 +322,30 @@ impl<'a> PefpEngine<'a> {
     /// Expands and verifies one batch from the processing area.
     ///
     /// The functional work (successor lookup, three-stage verification, result
-    /// emission, buffer writes) is done in software, barrier check first
-    /// ([`verify::within_budget`]); the device is charged a
-    /// *throughput-oriented* schedule: all inputs of the batch stream through
-    /// the replicated, pipelined expansion/verification lanes, BRAM-resident
-    /// data feeds the pipeline without serial cost (its latency sits in the
-    /// pipeline depth), and only the accesses that genuinely leave the chip —
-    /// uncached graph/barrier lookups (as an initiation-interval stall),
-    /// intermediate paths written to DRAM, and result paths shipped to the
-    /// host — appear as extra DRAM cost.
+    /// emission, buffer writes) is done in software, barrier check first: a
+    /// window's survivors of [`verify::within_budget`] are read 64 edges at a
+    /// time from its row's hop-budget bitmap (`scan::BudgetIndex`, built on
+    /// the row's first scan in the run), and only they take the target and
+    /// visited checks; the barrier-pruned edges are counted, not visited. The
+    /// device is charged a *throughput-oriented* schedule: all inputs of the
+    /// batch stream through the replicated, pipelined expansion/verification
+    /// lanes, pruned or not, BRAM-resident data feeds the pipeline without
+    /// serial cost (its latency sits in the pipeline depth), and only the
+    /// accesses that genuinely leave the chip — uncached graph/barrier
+    /// lookups (as an initiation-interval stall), intermediate paths written
+    /// to DRAM, and result paths shipped to the host — appear as extra DRAM
+    /// cost.
     /// Returns [`ControlFlow::Break`] when the sink terminated the
     /// enumeration; the device is still charged for the work performed up to
     /// that point.
     fn process_batch<const W: usize, S: PathSink + ?Sized>(
         &mut self,
         areas: &mut PathAreas<W>,
+        budget: &mut BudgetIndex<'_>,
         batch: &[TempPath<W>],
         sink: &mut S,
     ) -> ControlFlow<()> {
-        let (graph, t, barrier) = (self.graph, self.t, self.barrier);
+        let graph = self.graph;
         let mut flow = ControlFlow::Continue(());
         let mut total_inputs: u64 = 0;
         let mut result_words: u64 = 0;
@@ -347,6 +358,8 @@ impl<'a> PefpEngine<'a> {
                 continue;
             }
             total_inputs += window_len;
+            let head = path.last();
+            let row_start = graph.neighbor_range(head).start;
             // Traffic bookkeeping for the graph/barrier lookups; their timing
             // impact is folded into the pipeline initiation interval below.
             if self.layout.graph_cached {
@@ -359,8 +372,6 @@ impl<'a> PefpEngine<'a> {
                 // latency stays folded into the pipeline initiation
                 // interval below; only the bank stall is charged here.
                 if let Some(placement) = &self.placement {
-                    let head = path.last();
-                    let row_start = self.graph.neighbor_range(head).start;
                     let addr = placement.row_address(head) + u64::from(window.start - row_start);
                     self.device.charge_placed_row_fetch(addr, window_len);
                 }
@@ -371,22 +382,18 @@ impl<'a> PefpEngine<'a> {
                 self.device.note_cache_misses(window_len, window_len);
             }
 
-            // Stage one scans for the next edge within the hop budget; the
-            // edges it skips are barrier-pruned, and only survivors take the
-            // target and visited checks. The window's counters are settled
-            // after its loop: a sink break counts the edges up to and
-            // including the breaking one.
+            // Stage one yields the window's edges within the hop budget;
+            // only they take the target and visited checks. The window's
+            // counters are settled after its loop: a sink break counts the
+            // edges up to and including the breaking one.
+            let row = graph.successors(head);
+            let local = (window.start - row_start) as usize..(window.end - row_start) as usize;
             let remaining = self.k.saturating_sub(path.hops());
-            let targets = graph.edge_slice(window);
-            let (mut next, mut pruned_barrier, mut pruned_visited) = (0usize, 0u64, 0u64);
-            while let Some(skip) = targets[next..]
-                .iter()
-                .position(|&u| verify::within_budget(u, t, barrier, remaining))
-            {
-                pruned_barrier += skip as u64;
-                let nbr = targets[next + skip];
-                next += skip + 1;
-                match verify::survivor_verdict(path, nbr, t) {
+            let mut scan = budget.scan(head, row, local, remaining);
+            let mut pruned_visited = 0u64;
+            for pos in &mut scan {
+                let nbr = row[pos];
+                match verify::survivor_verdict(path, nbr, self.t) {
                     Verdict::Result => {
                         // Reuse the emission buffer: no allocation per result.
                         let mut full = std::mem::take(&mut self.emit_buf);
@@ -408,12 +415,8 @@ impl<'a> PefpEngine<'a> {
                     Verdict::PrunedBarrier => unreachable!("survivors passed the barrier"),
                 }
             }
-            if flow.is_continue() {
-                // Every edge after the last survivor failed the barrier check.
-                pruned_barrier += (targets.len() - next) as u64;
-                next = targets.len();
-            }
-            self.stats.expansions += next as u64;
+            let (expansions, pruned_barrier) = scan.settle(flow.is_break());
+            self.stats.expansions += expansions;
             self.stats.pruned_by_barrier += pruned_barrier;
             self.stats.pruned_by_visited += pruned_visited;
             if flow.is_break() {
@@ -881,6 +884,67 @@ mod tests {
             assert_eq!(out.stats.intermediate_paths, u64::from(k), "k {k}");
             assert_eq!(out.stats.pruned_by_barrier, 1, "only the hop past k is pruned");
         }
+    }
+
+    #[test]
+    fn an_early_stopping_whole_graph_run_indexes_only_the_rows_it_scans() {
+        use crate::{prepare_snapshot_with, PefpVariant, PrepareContext};
+        use pefp_graph::GraphSnapshot;
+        // The NoPreBfs ablation ships the whole 100 k-vertex graph; a
+        // `FirstN(1)` run between two hubs stops after a few batches.
+        let csr = pefp_graph::generators::chung_lu(100_000, 8.0, 2.2, 3).to_csr();
+        let snapshot = GraphSnapshot::from_csr(csr);
+        let variant = PefpVariant::NoPreBfs;
+        let mut ctx = PrepareContext::new();
+        let prep = prepare_snapshot_with(&mut ctx, &snapshot, VertexId(0), VertexId(1), 7, variant);
+        assert_eq!(prep.graph.num_vertices(), 100_000);
+        let opts = EngineOptions { max_results: Some(1), ..variant.engine_options() };
+        let device = Device::new(DeviceConfig::alveo_u200());
+        let before = scan::INDEXED_ROWS.with(|n| n.get());
+        let out =
+            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device).run();
+        let indexed = scan::INDEXED_ROWS.with(|n| n.get()) - before;
+        assert_eq!(out.num_paths, 1);
+        assert!(out.stats.early_terminated);
+        // Every indexed row heads an expanded path: the source's or an
+        // intermediate path's.
+        assert!(indexed > 0);
+        assert!(
+            indexed as u64 <= 1 + out.stats.intermediate_paths,
+            "{indexed} rows indexed for {} intermediate paths",
+            out.stats.intermediate_paths
+        );
+        assert!(indexed < 1_000, "{indexed} of 100 000 rows indexed");
+    }
+
+    #[test]
+    fn placement_heat_reads_the_barrier_through_the_budget_check() {
+        // 0 -> 1 -> 2 (= t) -> 3, and 0 -> 4. The caller's barrier leaves 4
+        // (and t's own entry) UNREACHED and puts 3 out of reach.
+        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]);
+        let barrier = [2, 1, u32::MAX, 5, u32::MAX];
+        let heat = placement_heat(&g, &barrier, VertexId(0), VertexId(2), 3);
+        assert_eq!(heat, [1.0, 1.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn banked_placement_accepts_an_unreached_caller_barrier() {
+        use pefp_fpga::{ArbiterHandle, DramArbiter, DramBanks, Interleaving};
+        use std::sync::Arc;
+        // Banked charging with the graph in DRAM is the one configuration
+        // that plans placement heat from the caller's barrier.
+        let banks = DramBanks::new(4, 8, 8, 8, Interleaving::RoundRobin);
+        let arbiter = Arc::new(DramArbiter::with_banks_charged(0.5, banks));
+        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]);
+        let barrier = [2, 1, u32::MAX, 5, u32::MAX];
+        let mut device = Device::new(DeviceConfig::alveo_u200());
+        device.attach_arbiter(ArbiterHandle::new(arbiter, 0));
+        let opts = EngineOptions { use_cache: false, ..EngineOptions::default() };
+        let mut engine = PefpEngine::new(&g, &barrier, VertexId(0), VertexId(2), 3, opts, device);
+        assert!(engine.placement.is_some());
+        let out = engine.run();
+        assert_eq!(out.num_paths, 1);
+        assert_eq!(out.stats.pruned_by_barrier, 1, "only 0 -> 4 is out of reach");
     }
 
     #[test]

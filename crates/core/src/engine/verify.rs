@@ -16,9 +16,11 @@
 //!
 //! [`verify`] is the reference form of Algorithm 2. The engine's expansion
 //! loop runs the same checks barrier-first, its software analogue of the
-//! merged verdict: `within_budget` compares `bar[u]` with a hop budget
-//! computed once per window, so the ~90 % of expansions the barrier prunes
-//! cost one lookup and one compare, and only the survivors reach
+//! merged verdict: stage one, `within_budget`, depends only on an edge's
+//! target and the window's hop budget, so the engine precomputes it per
+//! adjacency row as hop-budget bitmaps (the `scan` module) and finds a window's
+//! survivors 64 edges at a time. The ~90 % of expansions the barrier prunes
+//! are never touched one by one; only the survivors reach
 //! `survivor_verdict`. The two forms give the same verdict for every input.
 
 use crate::options::VerificationPipeline;
@@ -75,15 +77,26 @@ pub fn verify<const W: usize>(
 /// expansion through `u` stays within the hop budget.
 ///
 /// `remaining` is the budget left after the path, `k - len(p)` (saturating
-/// at 0), computed once per window. Expanding through `u` spends one hop and
-/// needs `bar[u]` more, so the barrier check `len(p) + 1 + bar[u] > k` reads
-/// `bar[u] >= remaining`. The target counts as barrier 0 whatever
-/// `barrier[t]` holds, since [`crate::PefpEngine::new`] takes the barrier
-/// from its caller.
+/// at 0). Expanding through `u` spends one hop and needs `bar[u]` more, so
+/// the barrier check `len(p) + 1 + bar[u] > k` reads `bar[u] >= remaining`,
+/// with `bar[u]` read by [`barrier_of`]. The engine evaluates it once per
+/// edge and budget when it indexes a row (`super::scan`), not once per
+/// expansion; this form is the per-edge rule the bitmaps are tested against.
 #[inline(always)]
 pub(crate) fn within_budget(u: VertexId, t: VertexId, barrier: &[u32], remaining: u32) -> bool {
-    let bar = if u == t { 0 } else { barrier[u.index()] };
-    bar < remaining
+    barrier_of(u, t, barrier) < remaining
+}
+
+/// The barrier the check reads for `u`: `barrier[u]`, except that the
+/// target counts as barrier 0 whatever `barrier[t]` holds, since
+/// [`crate::PefpEngine::new`] takes the barrier from its caller.
+#[inline(always)]
+pub(crate) fn barrier_of(u: VertexId, t: VertexId, barrier: &[u32]) -> u32 {
+    if u == t {
+        0
+    } else {
+        barrier[u.index()]
+    }
 }
 
 /// Stages two and three on an expansion that passed [`within_budget`]: the
