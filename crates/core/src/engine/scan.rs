@@ -11,21 +11,20 @@
 //! its lane slot — only the host stops paying per pruned edge, so no cycle
 //! or counter changes.
 //!
-//! Indexing is lazy: a row is indexed when a run first scans it, and only up
-//! to the last word its windows have reached, in `O(edges + k·words)`. A run
-//! pays for the rows it expands and nothing else: an early-stopping run over
-//! the whole graph (the NoPreBfs ablation under a `FirstN` cap) indexes a
-//! few hundred rows, not `|E|` edges. Indexing is one barrier lookup per
-//! edge, the lookup the per-edge check made on every scan, so a row scanned
-//! once costs about what it did before, plus the row's set-up, and every
-//! further scan of it skips its pruned edges 64 at a time.
+//! Indexing is lazy: a row is indexed, whole, when a run first scans it, in
+//! `O(edges + k·words)`. A run pays for the rows it expands and nothing
+//! else: an early-stopping run over the whole graph (the NoPreBfs ablation
+//! under a `FirstN` cap) indexes a few hundred rows, not `|E|` edges.
+//! Indexing is one barrier lookup per edge, the lookup the per-edge check
+//! made on every scan, plus a per-row set-up of `k·words` stores, so a row
+//! scanned once costs a little more than it did before, and every further
+//! scan of it skips its pruned edges 64 at a time.
 //!
 //! The buffers outlive the run: each thread keeps the last index's row
 //! table (4 bytes per vertex of the largest graph it ran on) and bitmap
 //! arena, cleared row by row, for its next run.
 
 use super::verify;
-use crate::path::MAX_K;
 use pefp_graph::VertexId;
 use std::cell::Cell;
 use std::ops::Range;
@@ -50,11 +49,8 @@ struct Store {
     rows: Vec<u32>,
     /// The vertices with a non-zero entry in `rows`.
     indexed: Vec<VertexId>,
-    /// Each indexed row's block: how many of its edges are indexed, then
-    /// its `levels` bitmaps of `⌈deg/64⌉` words, budget 1 first. Windows
-    /// are handed out from a row's start, so a row is indexed up to its
-    /// furthest scanned word, and a run that stops early never pays for a
-    /// hub row's tail.
+    /// Each indexed row's `levels` bitmaps of `⌈deg/64⌉` words, budget 1
+    /// first.
     words: Vec<u64>,
 }
 
@@ -75,14 +71,17 @@ impl<'a> BudgetIndex<'a> {
     pub(crate) fn new(barrier: &'a [u32], t: VertexId, k: u32, num_vertices: usize) -> Self {
         let mut store = SPARE.try_with(Cell::take).ok().flatten().unwrap_or_default();
         if store.rows.len() < num_vertices {
-            store.rows.resize(num_vertices, 0);
+            // A fresh zeroed table, not a resize: the allocator hands out
+            // zero pages, so a run on a new thread faults in only the pages
+            // of the rows it indexes.
+            store.rows = vec![0; num_vertices];
         }
         BudgetIndex { barrier, t, levels: k as usize, store }
     }
 
     /// Scans `window` (positions in `row`, the successors of `head`) at hop
-    /// budget `remaining <= k`, first indexing the row up to the window's
-    /// last word.
+    /// budget `remaining <= k`, first indexing the row if this is its first
+    /// scan in the run.
     #[inline]
     pub(crate) fn scan(
         &mut self,
@@ -96,53 +95,38 @@ impl<'a> BudgetIndex<'a> {
         if level == 0 {
             return WindowScan::new(&[], window);
         }
-        let mut block = self.store.rows[head.index()] as usize;
-        if block == 0 || window.end as u64 > self.store.words[block - 1] {
-            block = self.index_row(head, row, window.end);
-        }
+        let block = match self.store.rows[head.index()] as usize {
+            0 => self.index_row(head, row),
+            entry => entry - 1,
+        };
         let words = row.len().div_ceil(64);
         let bits = block + (level - 1) * words;
         WindowScan::new(&self.store.words[bits..bits + words], window)
     }
 
-    /// Indexes `row` up to the word holding edge `end - 1`, allocating its
-    /// block on its first scan, and returns where its bitmaps start.
+    /// Indexes `row`, the successors of `head`, and returns where its
+    /// bitmaps start.
     #[inline(never)]
-    fn index_row(&mut self, head: VertexId, row: &[VertexId], end: usize) -> usize {
+    fn index_row(&mut self, head: VertexId, row: &[VertexId]) -> usize {
         let (levels, words) = (self.levels, row.len().div_ceil(64));
         let Store { rows, indexed, words: arena } = &mut self.store;
-        let entry = &mut rows[head.index()];
-        if *entry == 0 {
-            let block = arena.len() + 1;
-            arena.resize(block + levels * words, 0);
-            *entry = u32::try_from(block).expect("budget index exceeds u32 words");
-            indexed.push(head);
-            #[cfg(test)]
-            INDEXED_ROWS.with(|n| n.set(n.get() + 1));
+        let block = arena.len();
+        arena.resize(block + levels * words, 0);
+        rows[head.index()] = u32::try_from(block + 1).expect("budget index exceeds u32 words");
+        indexed.push(head);
+        #[cfg(test)]
+        INDEXED_ROWS.with(|n| n.set(n.get() + 1));
+        // `bar < r` holds from level `bar + 1` up: set each edge at its
+        // lowest passing level, then fold the levels into a running union.
+        let bits = &mut arena[block..];
+        for (i, &u) in row.iter().enumerate() {
+            let bar = verify::barrier_of(u, self.t, self.barrier) as usize;
+            if bar < levels {
+                bits[bar * words + i / 64] |= 1 << (i % 64);
+            }
         }
-        let block = *entry as usize;
-        // The indexed prefix ends on a word boundary below the row's end.
-        let first_word = arena[block - 1] as usize / 64;
-        let last_word = end.div_ceil(64);
-        arena[block - 1] = (last_word * 64).min(row.len()) as u64;
-        let bits = &mut arena[block..block + levels * words];
-        // `bar < r` holds from level `bar + 1` up: gather each edge of a word
-        // at its lowest passing level, then write the levels' running union.
-        let mut lowest = [0u64; MAX_K];
-        let lowest = &mut lowest[..levels];
-        for w in first_word..last_word {
-            lowest.fill(0);
-            for (bit, &u) in row[w * 64..].iter().take(64).enumerate() {
-                let bar = verify::barrier_of(u, self.t, self.barrier) as usize;
-                if let Some(level) = lowest.get_mut(bar) {
-                    *level |= 1 << bit;
-                }
-            }
-            let mut passing = 0;
-            for (level, &newly) in lowest.iter().enumerate() {
-                passing |= newly;
-                bits[level * words + w] = passing;
-            }
+        for i in words..levels * words {
+            bits[i] |= bits[i - words];
         }
         block
     }
@@ -267,8 +251,8 @@ mod tests {
         let indexed = INDEXED_ROWS.with(|n| n.get()) - before;
         assert_eq!(indexed, 1, "a row is indexed once per run");
 
-        // The first scan may start past the row's start: scanning the
-        // windows last to first indexes the whole row at once.
+        // The first scan may start anywhere in the row: scanning the windows
+        // last to first reads the same survivors.
         let mut index = BudgetIndex::new(barrier, t, k, g.num_vertices());
         let starts: Vec<usize> = (0..row.len()).step_by(65).collect();
         for &start in starts.iter().rev() {
